@@ -218,16 +218,22 @@ def _uv(coeff, **units) -> UnitValue:
     return UnitValue(coeff, {table[k]: Fraction(v) for k, v in units.items()})
 
 
-def _scenario_dim4() -> Scenario:
-    cases = enumerate_cases(4, 1, 1)
+def _abc_labels(n: int, p1: int, p2: int, b: tuple[int, int]) -> dict[CaseIndex, str]:
+    """Table labels: aI/aII/aIII for the leading orders (r, l) = (-p1, -p2)
+    (tangential, x_n- and xi_n-derivative), b for the orders ``b``, c for
+    the rest."""
     labels = {}
-    for c in cases:
-        if (c.r, c.l) == (-1, -1):
-            labels[c] = {1: "aI"}.get(c.alpha) or ("aII" if c.j else "aIII")
-        elif (c.r, c.l) == (-2, -1):
+    for c in enumerate_cases(n, p1, p2):
+        if (c.r, c.l) == (-p1, -p2):
+            labels[c] = "aI" if c.alpha == 1 else ("aII" if c.j else "aIII")
+        elif (c.r, c.l) == b:
             labels[c] = "b"
         else:
             labels[c] = "c"
+    return labels
+
+
+def _scenario_dim4() -> Scenario:
     unit = dict(pi=1, h1=1, Omega3=1, dx=1)
     return Scenario(
         name="dim4-powers11",
@@ -235,7 +241,7 @@ def _scenario_dim4() -> Scenario:
         model=foliation_model(2, 2, 8),
         sphere_unit="Omega3",
         bare_prefactor=False,
-        labels=labels,
+        labels=_abc_labels(4, 1, 1, b=(-2, -1)),
         expected_cases={
             "aI": (UnitValue.zero(), "tangential derivatives vanish at the base point"),
             "aII": (_uv(Fraction(-3, 4), **unit), "dim-4 table"),
@@ -250,15 +256,6 @@ def _scenario_dim4() -> Scenario:
 
 
 def _scenario_dim6() -> Scenario:
-    cases = enumerate_cases(6, 2, 2)
-    labels = {}
-    for c in cases:
-        if (c.r, c.l) == (-2, -2):
-            labels[c] = {1: "aI"}.get(c.alpha) or ("aII" if c.j else "aIII")
-        elif (c.r, c.l) == (-2, -3):
-            labels[c] = "b"
-        else:
-            labels[c] = "c"
     unit = dict(T=1, pi=1, h1=1, Omega4=1, dx=1)
     return Scenario(
         name="dim6-powers22",
@@ -266,7 +263,7 @@ def _scenario_dim6() -> Scenario:
         model=foliation_model(2, 4, ScalarPoly.symbol(TOTAL_DIM_SYMBOL)),
         sphere_unit="Omega4",
         bare_prefactor=False,
-        labels=labels,
+        labels=_abc_labels(6, 2, 2, b=(-2, -3)),
         expected_cases={
             "aI": (UnitValue.zero(), "tangential derivatives vanish at the base point"),
             "aII": (_uv(Fraction(-5, 64), **unit), "dim-6 table"),
@@ -315,22 +312,13 @@ def _scenario_dim5_22() -> Scenario:
 
 
 def _scenario_dim5_21() -> Scenario:
-    cases = enumerate_cases(5, 2, 1)
-    labels = {}
-    for c in cases:
-        if (c.r, c.l) == (-2, -1):
-            labels[c] = {1: "aI"}.get(c.alpha) or ("aII" if c.j else "aIII")
-        elif (c.r, c.l) == (-2, -2):
-            labels[c] = "b"
-        else:
-            labels[c] = "c"
     return Scenario(
         name="dim5-powers21",
         n=5, powers=(2, 1),
         model=spin_model(5, 4),
         sphere_unit="Omega3",
         bare_prefactor=False,
-        labels=labels,
+        labels=_abc_labels(5, 2, 1, b=(-2, -2)),
         expected_cases={lbl: (UnitValue.zero(), "odd traces vanish")
                         for lbl in ("aI", "aII", "aIII", "b", "c")},
         expected_total=UnitValue.zero(),
@@ -354,28 +342,28 @@ def _scenario_dim4_21() -> Scenario:
     )
 
 
+_FACTORIES = {
+    (4, 1, 1): _scenario_dim4,
+    (6, 2, 2): _scenario_dim6,
+    (3, 1, 1): _scenario_dim3,
+    (5, 2, 2): _scenario_dim5_22,
+    (5, 2, 1): _scenario_dim5_21,
+    (4, 2, 1): _scenario_dim4_21,
+}
 _REGISTRY: dict[tuple[int, int, int], Scenario] = {}
 
 
 def get_scenario(n: int, p1: int, p2: int) -> Scenario:
     key = (n, p1, p2)
     if key not in _REGISTRY:
-        factories = {
-            (4, 1, 1): _scenario_dim4,
-            (6, 2, 2): _scenario_dim6,
-            (3, 1, 1): _scenario_dim3,
-            (5, 2, 2): _scenario_dim5_22,
-            (5, 2, 1): _scenario_dim5_21,
-            (4, 2, 1): _scenario_dim4_21,
-        }
-        if key not in factories:
+        if key not in _FACTORIES:
             raise KeyError(f"unregistered scenario: dim {n}, powers ({p1},{p2})")
-        _REGISTRY[key] = factories[key]()
+        _REGISTRY[key] = _FACTORIES[key]()
     return _REGISTRY[key]
 
 
 def registered_scenarios() -> list[tuple[int, int, int]]:
-    return [(4, 1, 1), (6, 2, 2), (3, 1, 1), (5, 2, 2), (5, 2, 1), (4, 2, 1)]
+    return list(_FACTORIES)
 
 
 # ---------------------------------------------------------------------------

@@ -27,22 +27,16 @@ def _json_dump(obj, path: str | None):
     return text
 
 
-def _num(x):
-    """Floats rendered via repr (deterministic); exact values stay exact."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError("non-finite value in report")
-        return x
-    return x
-
-
 def _uv_obj(v: UnitValue, numeric_units: dict | None = None):
+    """The exact value, plus its float rendering when every unit has a
+    numeric value and the result fits a float."""
     obj = v.json_obj()
     try:
         z = v.numeric(numeric_units)
+    except (KeyError, OverflowError):
+        return obj
+    if math.isfinite(z.real) and math.isfinite(z.imag):
         obj["numeric"] = {"re": z.real, "im": z.imag}
-    except KeyError:
-        pass
     return obj
 
 
@@ -69,6 +63,9 @@ def cmd_verify_boundary(args) -> int:
         import dataclasses
         p = args.p if args.p is not None else scenario.model.algebra.families[0][1]
         q = args.q if args.q is not None else scenario.model.algebra.families[1][1]
+        if p < 0 or q < 1:
+            print(f"error: signature ({p},{q}) needs p >= 0 and q >= 1", file=sys.stderr)
+            return 2
         if p + q != args.dim:
             print(f"error: signature ({p},{q}) does not match dimension {args.dim}",
                   file=sys.stderr)
@@ -149,6 +146,10 @@ def cmd_heat(args) -> int:
     for key in ("p", "q", "n", "total_dim"):
         if key in cfg:
             meta[key] = cfg.pop(key)
+    bad = [k for k, v in meta.items() if v < 0 or v.denominator != 1]
+    if bad:
+        print(f"error: {', '.join(bad)} must be nonnegative integers", file=sys.stderr)
+        return 2
     if "p" in meta and "q" in meta:
         # the heat-formula convention: leaf dimension 2p, trace dim 2^(p+q)
         p, q = int(meta["p"]), int(meta["q"])
@@ -194,28 +195,38 @@ def cmd_heat(args) -> int:
 
 def cmd_rw(args) -> int:
     try:
-        warp = warped.parse_warp(args.f)
-        a, b = args.interval
-        model = warped.RWModel(a, b, warp, curv=args.curv, base_vol=args.base_vol)
-        coeffs = warped.rw_spectral_coeffs(model)
-        volumes = warped.rw_lower_volumes(model)
-        # node-doubling convergence diagnostic on the volume integrand
-        g1, g2 = warped.gauss_legendre_check(
-            lambda t: warp(t) ** 3 * args.base_vol, a, b)
-    except (warped.WarpSyntaxError, warped.WarpDomainError, ValueError) as exc:
+        text, converged = _rw_report(args)
+    except OverflowError as exc:
+        print(f"error: value out of floating-point range: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # WarpSyntaxError and WarpDomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not args.json:
+        print(text)
+    return 0 if converged else 1
 
+
+def _rw_report(args) -> tuple[str, bool]:
     tol = warped.quad_tolerance()
+    warp = warped.parse_warp(args.f)
+    a, b = args.interval
+    model = warped.RWModel(a, b, warp, curv=args.curv, base_vol=args.base_vol)
+    coeffs = warped.rw_spectral_coeffs(model)
+    volumes = warped.rw_lower_volumes(model)
+    # node-doubling convergence diagnostic on the volume integrand
+    g1, g2 = warped.gauss_legendre_check(
+        lambda t: warp(t) ** 3 * args.base_vol, a, b)
+
     converged = abs(g1 - g2) <= max(abs(g2), 1.0) * max(1e3 * tol, 1e-12)
     payload = {
         "command": "rw",
         "inputs": {"f": args.f, "parsed": warp.to_string(),
                    "interval": [a, b], "curv": args.curv,
                    "base_vol": args.base_vol, "quad_tol": tol},
-        "coefficients": {k: _num(v) for k, v in coeffs.as_dict().items()},
-        "consistency": {k: _num(v) for k, v in coeffs.diagnostics.items()},
-        "lower_volumes": {k: _num(v) for k, v in volumes.items()},
+        "coefficients": coeffs.as_dict(),
+        "consistency": coeffs.diagnostics,
+        "lower_volumes": volumes,
         "convergence": {"gauss_legendre_64": g1, "gauss_legendre_128": g2,
                         "converged": converged},
         "checks": [{"name": "quadrature-convergence", "pass": bool(converged)}],
@@ -232,10 +243,8 @@ def cmd_rw(args) -> int:
                             + moments[0] * a4)
         payload["spectral_action"] = {"cutoff": "exp(-s)", "scale": L,
                                       "asymptotic": series}
-    text = _json_dump(payload, args.json)
-    if not args.json:
-        print(text)
-    return 0 if converged else 1
+    # a value that overflowed to inf makes json.dumps raise ValueError
+    return _json_dump(payload, args.json), converged
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +281,21 @@ def _powers(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("powers must look like '1,1'")
 
 
-def _interval(text: str) -> tuple[float, float]:
+def _finite(text: str) -> float:
     try:
-        a, b = (float(x) for x in text.split(","))
-        return a, b
+        x = float(text)
     except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _interval(text: str) -> tuple[float, float]:
+    a, comma, b = text.partition(",")
+    if not comma:
         raise argparse.ArgumentTypeError("interval must look like '0,1'")
+    return _finite(a), _finite(b)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     rw = sub.add_parser("rw", help="warped-model spectral action")
     rw.add_argument("--f", required=True, metavar="EXPR")
     rw.add_argument("--interval", type=_interval, required=True, metavar="A,B")
-    rw.add_argument("--curv", type=float, default=0.0)
-    rw.add_argument("--base-vol", type=float, default=1.0)
-    rw.add_argument("--lambda", dest="cutoff_scale", type=float, default=None)
+    rw.add_argument("--curv", type=_finite, default=0.0)
+    rw.add_argument("--base-vol", type=_finite, default=1.0)
+    rw.add_argument("--lambda", dest="cutoff_scale", type=_finite, default=None)
     rw.add_argument("--json", metavar="PATH", default=None)
     rw.set_defaults(fn=cmd_rw)
 

@@ -89,10 +89,10 @@ class Algebra:
         return CliffordElement(self, terms)
 
     def scalar(self, c) -> "CliffordElement":
-        return CliffordElement(self, {(): _as_poly(c)})
+        return CliffordElement(self, {(): _as_coeff(c)})
 
     def gen(self, g: Gen, coeff=1) -> "CliffordElement":
-        return CliffordElement(self, {(g,): _as_poly(coeff)})
+        return CliffordElement(self, {(g,): _as_coeff(coeff)})
 
 
 def sub_dirac_algebra(p: int, q: int) -> Algebra:
@@ -104,30 +104,32 @@ def spin_algebra(n: int) -> Algebra:
     return Algebra([("e", n, -1)])
 
 
+def _as_coeff(c):
+    """Plain numbers become constant polynomials; ring elements pass through."""
+    return _as_poly(c) if isinstance(c, (int, Fraction, GaussianRational)) else c
+
+
 class CliffordElement:
-    """Linear combination of canonical words with ScalarPoly coefficients."""
+    """Linear combination of canonical words.
+
+    The coefficients may come from any commutative ring that multiplies with
+    plain numbers: ScalarPoly for the algebra itself, RationalXi for the
+    boundary symbols (which also use the conormal calculus ``dxi`` and
+    ``pi_plus``).
+    """
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: Algebra, terms=None):
         self.algebra = algebra
-        self.terms: dict[Word, ScalarPoly] = {}
-        if terms:
-            for w, c in terms.items():
-                c = _as_poly(c)
-                if not c.is_zero():
-                    self.terms[w] = c
+        self.terms = {w: c for w, c in terms.items() if not c.is_zero()} if terms else {}
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
+        if not isinstance(other, CliffordElement):
             other = self.algebra.scalar(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ScalarPoly.zero()) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+        for w, x in other.terms.items():
+            out[w] = out[w] + x if w in out else x
         return CliffordElement(self.algebra, out)
 
     __radd__ = __add__
@@ -136,33 +138,26 @@ class CliffordElement:
         return CliffordElement(self.algebra, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
-            other = self.algebra.scalar(other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
-            c = _as_poly(other)
-            return CliffordElement(self.algebra, {w: x * c for w, x in self.terms.items()})
-        out: dict[Word, ScalarPoly] = {}
+        if not isinstance(other, CliffordElement):
+            return self.map_coeffs(lambda c: c * other)
+        out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 sign, w = self.algebra.normalize_word(w1 + w2)
-                s = out.get(w, ScalarPoly.zero()) + c1 * c2 * sign
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                x = c1 * c2 * sign
+                out[w] = out[w] + x if w in out else x
         return CliffordElement(self.algebra, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = self.algebra.scalar(other)
+        if not isinstance(other, CliffordElement):
+            return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
@@ -174,12 +169,23 @@ class CliffordElement:
     def map_coeffs(self, fn) -> "CliffordElement":
         return CliffordElement(self.algebra, {w: fn(c) for w, c in self.terms.items()})
 
-    def identity_coefficient(self) -> ScalarPoly:
+    def identity_coefficient(self):
         return self.terms.get((), ScalarPoly.zero())
 
-    def trace(self, total_dim) -> ScalarPoly:
+    def trace(self, total_dim):
         """totalDim times the identity-word coefficient."""
-        return self.identity_coefficient() * _as_poly(total_dim)
+        return self.identity_coefficient() * total_dim
+
+    def dxi(self, order: int = 1) -> "CliffordElement":
+        """d/dxi of every RationalXi coefficient."""
+        out = self
+        for _ in range(order):
+            out = out.map_coeffs(lambda c: c.derivative())
+        return out
+
+    def pi_plus(self) -> "CliffordElement":
+        """Half-plane projection of every RationalXi coefficient."""
+        return self.map_coeffs(lambda c: c.pi_plus())
 
     def __repr__(self):
         if not self.terms:
@@ -194,7 +200,7 @@ class CliffordElement:
 def normalize(algebra: Algebra, gens: Iterable[Gen], coeff=1) -> CliffordElement:
     """Canonical form of a raw generator word."""
     sign, word = algebra.normalize_word(gens)
-    return CliffordElement(algebra, {word: _as_poly(coeff) * sign})
+    return CliffordElement(algebra, {word: _as_coeff(coeff) * sign})
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,13 @@ class HeatCoeffs:
         return [self.a0, self.a1, self.a2, self.a3, self.a4]
 
 
+def interior_a4_bracket(data: CurvatureData) -> Fraction:
+    """The interior a4 integrand before the 1/360 prefactor:
+    5/4 r^2 - 2 ric2 - 7/4 riem2 + 15/2 ||R^{F-perp}||^2."""
+    return (Fraction(5, 4) * data.r2 - 2 * data.ric2
+            - Fraction(7, 4) * data.riem2 + Fraction(15, 2) * data.rfperp2)
+
+
 def _inv_4pi_pow(m: int) -> UnitValue:
     """(4 pi)^(-m/2) as an exact unit value (handles odd m)."""
     return UnitValue(1, {"2": Fraction(-m), U_PI: Fraction(-m, 2)})
@@ -282,9 +289,7 @@ def interior_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
     pref = _inv_4pi_pow(n) * _tdim_factor(total_dim)
     a0 = pref * v
     a2 = pref * (Fraction(-1, 12) * data.r * v)
-    bracket = (Fraction(5, 4) * data.r2 - 2 * data.ric2
-               - Fraction(7, 4) * data.riem2 + Fraction(15, 2) * data.rfperp2)
-    a4 = pref * (Fraction(1, 360) * bracket * v)
+    a4 = pref * (Fraction(1, 360) * interior_a4_bracket(data) * v)
     zero = UnitValue.zero()
     return HeatCoeffs(a0, zero, a2, zero, a4)
 
@@ -322,8 +327,7 @@ def boundary_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
     a3_bracket = (-8 * data.boundary_r + 8 * data.R_aNaN
                   + 7 * data.L2_aabb - 10 * data.L2_abab)
     a3 = pref_b * (Fraction(-1, 384) * a3_bracket * bv)
-    interior4 = (Fraction(5, 4) * data.r2 - 2 * data.ric2
-                 - Fraction(7, 4) * data.riem2 + Fraction(15, 2) * data.rfperp2)
+    interior4 = interior_a4_bracket(data)
     a4 = pref_i * (Fraction(1, 360) * (interior4 * v + a4_boundary_bracket(data, True) * bv))
     a4_alt = pref_i * (Fraction(1, 360) * (interior4 * v + a4_boundary_bracket(data, False) * bv))
     return HeatCoeffs(a0, a1, a2, a3, a4, a4_alt)

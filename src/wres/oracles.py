@@ -106,9 +106,21 @@ def random_word(rng: random.Random, sig: AlgebraSignature, max_len: int = 8):
     return alg, [rng.choice(gens) for _ in range(rng.randint(1, max_len))]
 
 
+def _subtrees(ast):
+    yield ast
+    for child in ast[1:]:
+        if isinstance(child, tuple):
+            yield from _subtrees(child)
+
+
 def random_warp_ast(rng: random.Random, max_depth: int = 4,
                     probes=(0.2, 0.7, 1.3)) -> tuple:
-    """Random warp AST that is finite and tame at the probe points."""
+    """Random warp AST that is finite and tame at the probe points.
+
+    Besides the bound on the final jet, every subtree must stay below 1e8 in
+    magnitude: in exp(64) + t the t is lost to rounding, so finite
+    differences would see a constant.
+    """
 
     def build(depth):
         if depth <= 0 or rng.random() < 0.3:
@@ -141,6 +153,9 @@ def random_warp_ast(rng: random.Random, max_depth: int = 4,
                 if not all(math.isfinite(v) and abs(v) < 1e4 for v in jet.derivatives()):
                     ok = False
                     break
+                if any(abs(value(sub, t)) >= 1e8 for sub in _subtrees(ast)):
+                    ok = False
+                    break
                 # reject functions whose finite differences are not yet in the
                 # asymptotic regime at step 1e-3 (wild fifth derivatives)
                 coarse = fd_jet(lambda x: value(ast, x), t, h=2e-3)
@@ -167,7 +182,10 @@ def run_trace_oracle(seed: int, count: int) -> dict:
     for _ in range(count):
         sig = random_signature(rng)
         alg, word = random_word(rng, sig)
-        rep = reps.setdefault((sig.p, sig.q), MatrixRep(alg))
+        key = (sig.p, sig.q)
+        if key not in reps:
+            reps[key] = MatrixRep(alg)
+        rep = reps[key]
         sym = normalize(alg, word)
         if rep.element_matrix(sym) != rep.word_matrix(word):
             failures += 1

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .clifford import Algebra, CliffordElement, Gen, Word, spin_algebra, sub_dirac_algebra
+from .clifford import Algebra, CliffordElement, Gen, spin_algebra, sub_dirac_algebra
 from .symbolic import (
     GR_I,
     GaussianRational,
@@ -48,100 +48,13 @@ def omega(s: int, t: int, w: int) -> ScalarPoly:
     return conn(w, t, s)
 
 
-class SymbolExpr:
-    """Map canonical Clifford word -> rational function of the conormal variable."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: Algebra, terms=None):
-        self.algebra = algebra
-        self.terms: dict[Word, RationalXi] = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    self.terms[w] = c
-
-    @classmethod
-    def scalar(cls, algebra: Algebra, c: RationalXi) -> "SymbolExpr":
-        return cls(algebra, {(): c})
-
-    @classmethod
-    def from_element(cls, elem: CliffordElement, xi_factor: RationalXi | None = None) -> "SymbolExpr":
-        f = xi_factor if xi_factor is not None else RationalXi.const(1)
-        return cls(elem.algebra, {w: f * c for w, c in elem.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, RationalXi.zero()) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return SymbolExpr(self.algebra, out)
-
-    def __neg__(self):
-        return SymbolExpr(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, SymbolExpr):
-            out: dict[Word, RationalXi] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    sign, w = self.algebra.normalize_word(w1 + w2)
-                    s = out.get(w, RationalXi.zero()) + c1 * c2 * sign
-                    if s.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = s
-            return SymbolExpr(self.algebra, out)
-        return self.map_coeffs(lambda c: c * other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, SymbolExpr) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def map_coeffs(self, fn: Callable[[RationalXi], RationalXi]) -> "SymbolExpr":
-        return SymbolExpr(self.algebra, {w: fn(c) for w, c in self.terms.items()})
-
-    def dxi(self, order: int = 1) -> "SymbolExpr":
-        out = self
-        for _ in range(order):
-            out = out.map_coeffs(lambda c: c.derivative())
-        return out
-
-    def pi_plus(self) -> "SymbolExpr":
-        return self.map_coeffs(lambda c: c.pi_plus())
-
-    def trace(self, total_dim) -> RationalXi:
-        td = _as_poly(total_dim)
-        c = self.terms.get((), RationalXi.zero())
-        return c * td
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in sorted(self.terms.items()):
-            word = "*".join(self.algebra.gen_name(g) for g in w) or "1"
-            bits.append(f"[{word}] {c!r}")
-        return "  +  ".join(bits)
-
-
 class Jet(NamedTuple):
     """Value and first x_n-derivative of a symbol at the boundary point."""
 
-    val: SymbolExpr
-    dxn: SymbolExpr | None
+    val: CliffordElement
+    dxn: CliffordElement | None
 
-    def component(self, j: int) -> SymbolExpr:
+    def component(self, j: int) -> CliffordElement:
         if j == 0:
             return self.val
         if j == 1:
@@ -166,7 +79,7 @@ class Jet(NamedTuple):
         return Jet(self.val * c, None if self.dxn is None else self.dxn * c)
 
 
-def trace_product(e1: SymbolExpr, e2: SymbolExpr, total_dim) -> RationalXi:
+def trace_product(e1: CliffordElement, e2: CliffordElement, total_dim) -> RationalXi:
     """trace(e1 * e2) without building the full product element."""
     td = _as_poly(total_dim)
     alg = e1.algebra
@@ -269,11 +182,11 @@ class BoundaryModel:
         return reduce_unit_norm(self.normal_reduce(poly), self.coords)
 
     # -- Clifford-valued building blocks ---------------------------------------
-    def gen_elem(self, g: Gen, coeff=1) -> SymbolExpr:
-        return SymbolExpr(self.algebra, {(g,): RationalXi.const(1) * _as_poly(coeff)})
+    def gen_elem(self, g: Gen, coeff=1) -> CliffordElement:
+        return self.algebra.gen(g, RationalXi.const(coeff))
 
-    def c_xi_prime(self) -> SymbolExpr:
-        out = SymbolExpr(self.algebra)
+    def c_xi_prime(self) -> CliffordElement:
+        out = self.algebra.element()
         for g, name in zip(self.tangential, self.coords):
             out = out + self.gen_elem(g, ScalarPoly.symbol(name))
         return out
@@ -283,7 +196,7 @@ class BoundaryModel:
         v = self.c_xi_prime()
         return Jet(v, v * (h1_poly() * Fraction(1, 2)))
 
-    def c_dxn(self) -> SymbolExpr:
+    def c_dxn(self) -> CliffordElement:
         return self.gen_elem(self.normal)
 
     def c_xi_jet(self) -> Jet:
@@ -293,9 +206,8 @@ class BoundaryModel:
 
     def inv_norm_sq_jet(self, k: int = 1) -> Jet:
         """|xi|^{-2k} on the cosphere: d/dx_n |xi|^2 (x0) = h'(0)."""
-        val = SymbolExpr.scalar(self.algebra, RationalXi.inv_norm_sq(k))
-        dxn = SymbolExpr.scalar(
-            self.algebra, RationalXi.inv_norm_sq(k + 1) * (-h1_poly() * k))
+        val = self.algebra.scalar(RationalXi.inv_norm_sq(k))
+        dxn = self.algebra.scalar(RationalXi.inv_norm_sq(k + 1) * (-h1_poly() * k))
         return Jet(val, dxn)
 
 
@@ -325,7 +237,7 @@ def sigma1_D(model: BoundaryModel) -> Jet:
     return model.c_xi_jet().scale(GR_I)
 
 
-def sigma0_DF(model: BoundaryModel) -> SymbolExpr:
+def sigma0_DF(model: BoundaryModel) -> CliffordElement:
     """Zeroth-order symbol of the sub-Dirac operator with symbolic connection data.
 
     With no perpendicular factor (single-family model) only the first sum
@@ -336,7 +248,7 @@ def sigma0_DF(model: BoundaryModel) -> SymbolExpr:
     perp = model.perp_gens
     quarter = Fraction(1, 4)
     half = Fraction(1, 2)
-    out = SymbolExpr(alg)
+    out = alg.element()
 
     def idx(g):
         return model.gen_index(g)
@@ -367,8 +279,7 @@ def sigma0_DF(model: BoundaryModel) -> SymbolExpr:
                 w = omega(idx(hr), idx(ht), idx(base))
                 if w.is_zero():
                     continue
-                hat = (SymbolExpr(alg, {(model.hatted(hr),): RationalXi.const(1)})
-                       * SymbolExpr(alg, {(model.hatted(ht),): RationalXi.const(1)}))
+                hat = model.gen_elem(model.hatted(hr)) * model.gen_elem(model.hatted(ht))
                 reg = model.gen_elem(hr) * model.gen_elem(ht)
                 out = out + (model.gen_elem(base) * (hat - reg)) * (w * quarter)
     # +(1/2) sum <nabla_{f_i} f_j, h_s> c(f_i) c(f_j) c(h_s)
@@ -433,10 +344,10 @@ def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
     inv2 = RationalXi.inv_norm_sq(2)
     inv3 = RationalXi.inv_norm_sq(3)
 
-    a1 = SymbolExpr.scalar(alg, xi * inv3 * (h1_poly() * GaussianRational(0, -2)))
+    a1 = alg.scalar(xi * inv3 * (h1_poly() * GaussianRational(0, -2)))
 
-    def word_terms(k: int) -> SymbolExpr:
-        acc = SymbolExpr(alg)
+    def word_terms(k: int) -> CliffordElement:
+        acc = alg.element()
         half = Fraction(1, 2)
         for fa in leaf:
             for fb in leaf:
@@ -448,8 +359,7 @@ def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
                 w = omega(idx(hr), idx(ht), k)
                 if w.is_zero():
                     continue
-                hat = (SymbolExpr(alg, {(model.hatted(hr),): RationalXi.const(1)})
-                       * SymbolExpr(alg, {(model.hatted(ht),): RationalXi.const(1)}))
+                hat = model.gen_elem(model.hatted(hr)) * model.gen_elem(model.hatted(ht))
                 reg = model.gen_elem(hr) * model.gen_elem(ht)
                 acc = acc - (hat - reg) * (w * half)
         for fj in leaf:
@@ -460,8 +370,7 @@ def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
         return acc
 
     # k = n: xi_n ( Gamma^n + W_n )
-    a2 = SymbolExpr.scalar(
-        alg, xi * inv2 * (h1_poly() * GaussianRational(model.gamma_n)))
+    a2 = alg.scalar(xi * inv2 * (h1_poly() * GaussianRational(model.gamma_n)))
     a2 = a2 + word_terms(model.n - 1).map_coeffs(lambda c: c * (xi * inv2))
     # tangential k: coordinate-weighted word terms (odd on the cosphere)
     for g, name in zip(model.tangential, model.coords):
@@ -486,15 +395,3 @@ def symbol_jet(model: BoundaryModel, power: int, order: int) -> Jet:
         raise KeyError(f"no symbol builder for D^-{power} at order {order}")
     return builders[key](model)
 
-
-def derive(expr: Jet | SymbolExpr, which: str, order: int = 1):
-    """Differentiate a symbol: 'xi' any order, 'xn' once (from the stored jet)."""
-    if which == "xi":
-        return expr.dxi(order)
-    if which == "xn":
-        if order != 1:
-            raise ValueError("only first x_n-derivatives are carried")
-        if not isinstance(expr, Jet):
-            raise TypeError("x_n-derivative requires a jetted symbol")
-        return expr.component(1)
-    raise ValueError(f"unknown derivative direction {which!r}")

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .heat import CurvatureData, a4_boundary_bracket, boundary_coeffs, v_nk
+from .heat import (
+    CurvatureData,
+    a4_boundary_bracket,
+    boundary_coeffs,
+    interior_a4_bracket,
+    v_nk,
+)
 
 DEFAULT_QUAD_TOL = 1e-10
 QUAD_TOL_ENV = "WRES_QUAD_TOL"
@@ -26,7 +32,15 @@ def quad_tolerance(override: float | None = None) -> float:
     if override is not None:
         return override
     env = os.environ.get(QUAD_TOL_ENV)
-    return float(env) if env else DEFAULT_QUAD_TOL
+    if not env:
+        return DEFAULT_QUAD_TOL
+    try:
+        tol = float(env)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{QUAD_TOL_ENV} must be a positive finite number, got {env!r}")
+    return tol
 
 
 class WarpSyntaxError(ValueError):
@@ -184,6 +198,12 @@ _FUNCTIONS = {
 # factor := base ('^' integer)?
 # base   := number | 't' | ident '(' expr ')' | '(' expr ')'
 
+# Deepest AST, and deepest nesting of parentheses and calls, that a warp may
+# have.  Parsing and evaluation recurse once per level, so this keeps both
+# well inside the interpreter's recursion limit.
+MAX_WARP_DEPTH = 100
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
@@ -239,25 +259,37 @@ class _Tokenizer:
 
 
 def parse_warp(text: str) -> "WarpFunction":
-    """Parse the warp grammar into an AST; errors carry the byte offset."""
+    """Parse the warp grammar into an AST; errors carry the byte offset.
+
+    Each parse function returns (node, AST depth); both the AST depth and the
+    nesting of parentheses and calls are limited to MAX_WARP_DEPTH.
+    """
     tk = _Tokenizer(text)
+    nesting = 0
+
+    def limit(depth, off):
+        if depth > MAX_WARP_DEPTH:
+            raise WarpSyntaxError(f"expression nested deeper than {MAX_WARP_DEPTH} levels", off)
+        return depth
 
     def expr():
-        node = term()
+        node, depth = term()
         while tk.peek()[0] in "+-":
-            op = tk.next()[0]
-            node = (op, node, term())
-        return node
+            op, _, off = tk.next()
+            rhs, rdepth = term()
+            node, depth = (op, node, rhs), limit(1 + max(depth, rdepth), off)
+        return node, depth
 
     def term():
-        node = factor()
+        node, depth = factor()
         while tk.peek()[0] in "*/":
-            op = tk.next()[0]
-            node = (op, node, factor())
-        return node
+            op, _, off = tk.next()
+            rhs, rdepth = factor()
+            node, depth = (op, node, rhs), limit(1 + max(depth, rdepth), off)
+        return node, depth
 
     def factor():
-        node = base()
+        node, depth = base()
         if tk.peek()[0] == "^":
             tk.next()
             sign = 1
@@ -267,29 +299,34 @@ def parse_warp(text: str) -> "WarpFunction":
             kind, val, off = tk.next()
             if kind != "num" or val.denominator != 1:
                 raise WarpSyntaxError("exponent must be an integer", off)
-            node = ("pow", node, sign * int(val))
-        return node
+            node, depth = ("pow", node, sign * int(val)), limit(depth + 1, off)
+        return node, depth
 
     def base():
+        nonlocal nesting
         kind, val, off = tk.next()
         if kind == "num":
-            return ("num", val)
+            return ("num", val), 1
         if kind == "(":
+            nesting = limit(nesting + 1, off)
             node = expr()
             _expect(")")
+            nesting -= 1
             return node
         if kind == "ident":
             if val == "t":
-                return ("t",)
+                return ("t",), 1
             if val not in _FUNCTIONS:
                 raise WarpSyntaxError(f"unknown identifier {val!r}", off)
             _expect("(")
-            arg = expr()
+            nesting = limit(nesting + 1, off)
+            arg, depth = expr()
             nk, _, noff = tk.peek()
             if nk not in (")",):
                 raise WarpSyntaxError(f"arity mismatch for {val!r}", noff)
             tk.next()
-            return ("call", val, arg)
+            nesting -= 1
+            return ("call", val, arg), limit(depth + 1, off)
         raise WarpSyntaxError(f"unexpected token {kind!r}", off)
 
     def _expect(symbol):
@@ -297,7 +334,7 @@ def parse_warp(text: str) -> "WarpFunction":
         if kind != symbol:
             raise WarpSyntaxError(f"expected {symbol!r}", off)
 
-    node = expr()
+    node, _ = expr()
     kind, _, off = tk.peek()
     if kind != "end":
         raise WarpSyntaxError(f"trailing input {kind!r}", off)
@@ -527,12 +564,8 @@ def rw_spectral_coeffs(model: RWModel, total_dim: int = 8,
     a3 = (-c_b / 384.0) * _boundary_sum(
         model, lambda d: float(-8 * d.r + 8 * d.R_aNaN + 7 * d.L2_aabb - 10 * d.L2_abab))
 
-    def interior4(t):
-        d = warped_geometry(model, t)
-        return float(Fraction(5, 4) * d.r2 - 2 * d.ric2
-                     - Fraction(7, 4) * d.riem2 + Fraction(15, 2) * d.rfperp2)
-
-    a4_int = (c_i / 360.0) * _interior_integral(model, interior4, tol)
+    a4_int = (c_i / 360.0) * _interior_integral(
+        model, lambda t: float(interior_a4_bracket(warped_geometry(model, t))), tol)
     a4_derived = a4_int + (c_i / 360.0) * _boundary_sum(
         model, lambda d: float(a4_boundary_bracket(d, printed=False)))
     a4_printed = a4_int + (c_i / 360.0) * _boundary_sum(
@@ -585,13 +618,9 @@ def rw_lower_volumes(model: RWModel, total_dim: int = 8,
     T = float(total_dim)
     c_i = T * (4.0 * math.pi) ** (-m / 2)
 
-    def interior4(t):
-        d = warped_geometry(model, t)
-        return float(Fraction(5, 4) * d.r2 - 2 * d.ric2
-                     - Fraction(7, 4) * d.riem2 + Fraction(15, 2) * d.rfperp2)
-
     r_int = _interior_integral(model, lambda t: float(warped_geometry(model, t).r), tol)
-    i4 = _interior_integral(model, interior4, tol)
+    i4 = _interior_integral(
+        model, lambda t: float(interior_a4_bracket(warped_geometry(model, t))), tol)
     f3_weighted = _interior_integral(model, lambda t: model.warp(t) ** 3, tol)
     f3_plain = _interior_integral(model, lambda t: 1.0, tol)
 

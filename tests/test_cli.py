@@ -1,10 +1,18 @@
 """Command-line front end: exit codes, report schema, and determinism."""
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wres.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -154,3 +162,99 @@ def test_byte_identical_json(argv, tmp_path):
     assert run(argv + ["--json", str(out1)]) == 0
     assert run(argv + ["--json", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _cli_env(extra=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env.update(extra or {})
+    return env
+
+
+RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
+
+
+@pytest.mark.parametrize("argv,config,env,code,message", [
+    pytest.param(["heat"], "p = 5/2\nq = 2\nr = 1\n", {}, 2, "nonnegative integers",
+                 id="heat-fractional-p"),
+    pytest.param(["heat"], "p = -3\nq = 2\nr = 1\n", {}, 2, "nonnegative integers",
+                 id="heat-negative-p"),
+    pytest.param(["heat"], "n = 4\ntotal_dim = 1/2\n", {}, 2, "nonnegative integers",
+                 id="heat-fractional-total-dim"),
+    pytest.param(["heat"], "p = 2\nq = 2\nr = 1e400\nvol = 1\n", {}, 0, "",
+                 id="heat-value-beyond-float"),
+    pytest.param(["verify-boundary", "--dim", "4", "--powers", "1,1", "--p", "4", "--q", "0"],
+                 None, {}, 2, "signature", id="verify-q-zero"),
+    pytest.param(["verify-boundary", "--dim", "4", "--powers", "1,1", "--p", "-1", "--q", "5"],
+                 None, {}, 2, "signature", id="verify-p-negative"),
+    pytest.param(["verify-boundary", "--dim", "6", "--powers", "2,2", "--p", "7", "--q", "-1"],
+                 None, {}, 2, "signature", id="verify-q-negative"),
+    pytest.param(["rw", "--f", "exp(exp(exp(t)))", "--interval", "0,3"], None, {}, 2,
+                 "floating-point range", id="rw-warp-overflow"),
+    pytest.param(RW_EXP + ["--lambda", "1e200"], None, {}, 2, "floating-point range",
+                 id="rw-lambda-overflow"),
+    pytest.param(RW_EXP + ["--curv", "inf"], None, {}, 2, "finite", id="rw-curv-inf"),
+    pytest.param(["rw", "--f", "(" * 600 + "t" + ")" * 600, "--interval", "0,1"], None, {}, 2,
+                 "nested deeper than 100 levels (at offset 100)", id="rw-600-parentheses"),
+    pytest.param(["rw", "--f", "+".join(["t"] * 1501), "--interval", "0,1"], None, {}, 2,
+                 "nested deeper than 100 levels (at offset 199)", id="rw-1501-term-sum"),
+    pytest.param(RW_EXP, None, {"WRES_QUAD_TOL": "-1"}, 2, "WRES_QUAD_TOL", id="quad-tol-negative"),
+    pytest.param(RW_EXP, None, {"WRES_QUAD_TOL": "0"}, 2, "WRES_QUAD_TOL", id="quad-tol-zero"),
+    pytest.param(RW_EXP, None, {"WRES_QUAD_TOL": "nan"}, 2, "WRES_QUAD_TOL", id="quad-tol-nan"),
+    pytest.param(RW_EXP, None, {"WRES_QUAD_TOL": "inf"}, 2, "WRES_QUAD_TOL", id="quad-tol-inf"),
+])
+def test_exit_contract(argv, config, env, code, message, tmp_path):
+    # bad input exits 2 with a one-line error; no traceback ever reaches stderr
+    if config is not None:
+        (tmp_path / "in.cfg").write_text(config)
+        argv = argv + ["--config", "in.cfg"]
+    proc = subprocess.run([sys.executable, "-m", "wres.cli", *argv], cwd=tmp_path,
+                          env=_cli_env(env), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    if code == 2 and "usage:" not in proc.stderr:  # argparse prints its own usage line
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+
+def test_heat_value_too_large_for_a_float(tmp_path):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("p = 2\nq = 2\nr = 1e400\nvol = 1\n")
+    out = tmp_path / "big.json"
+    assert run(["heat", "--config", str(cfg), "--json", str(out)]) == 0
+    doc = read(out)["coefficients"]
+    assert doc["a2"]["coef"] == str(Fraction(-10 ** 400, 48))
+    assert "numeric" not in doc["a2"]
+    assert "numeric" in doc["a0"]
+
+
+def _reference_ops():
+    """The fixed CLI operations the benchmark checks against its references."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [op for op in workloads.fixed_ops()
+            if op["kind"] == "cli" and not op["name"].startswith("oracle_seed")]
+
+
+@pytest.mark.parametrize("op", _reference_ops(), ids=lambda op: op["name"])
+def test_report_matches_reference(op, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(op["argv"]) == 0
+    reference = (ROOT / "perfbench" / "reference" / f"{op['ref']}.json").read_bytes()
+    assert capsys.readouterr().out.encode() == reference
+
+
+def test_verify_boundary_imports_neither_numpy_nor_scipy(tmp_path):
+    code = ("import sys\n"
+            "from wres.cli import main\n"
+            "assert main(['verify-boundary', '--dim', '3', '--powers', '1,1',"
+            " '--json', 'out.json']) == 0\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -196,7 +196,10 @@ def test_words_against_matrix_oracle_500():
     for _ in range(500):
         sig = random_signature(rng)
         alg, word = random_word(rng, sig)
-        rep = reps.setdefault((sig.p, sig.q), MatrixRep(alg))
+        key = (sig.p, sig.q)
+        if key not in reps:
+            reps[key] = MatrixRep(alg)
+        rep = reps[key]
         sym = normalize(alg, word)
         assert rep.element_matrix(sym) == rep.word_matrix(word)
 
@@ -207,7 +210,10 @@ def test_element_traces_against_matrix_oracle():
     for _ in range(500):
         sig = random_signature(rng)
         alg, _ = random_word(rng, sig)
-        rep = reps.setdefault((sig.p, sig.q), MatrixRep(alg))
+        key = (sig.p, sig.q)
+        if key not in reps:
+            reps[key] = MatrixRep(alg)
+        rep = reps[key]
         gens = alg.gens()
         elem = alg.scalar(0)
         for _ in range(rng.randint(1, 4)):

@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from wres.clifford import CliffordElement
 from wres.symbolic import GR_I, RationalXi, ScalarPoly, reduce_unit_norm
 from wres.symbols import (
-    SymbolExpr,
-    derive,
     foliation_model,
     h1_poly,
     sigma0_DF,
@@ -28,7 +27,7 @@ def model():
     return foliation_model(2, 2, 8)
 
 
-def _zero_connection(expr: SymbolExpr, drop_h1=False) -> SymbolExpr:
+def _zero_connection(expr: CliffordElement, drop_h1=False) -> CliffordElement:
     def clean(poly: ScalarPoly) -> ScalarPoly:
         out = poly
         for s in sorted(poly.symbols()):
@@ -44,7 +43,7 @@ def test_leading_symbol_at_unit_coordinate(model):
     subs = {"a1": ScalarPoly.one(), "a2": ScalarPoly.zero(), "b1": ScalarPoly.zero()}
     s = s.map_coeffs(lambda c: c.map_coeffs(lambda p: p.subs_many(subs)))
     inv = RationalXi.inv_norm_sq(1)
-    want = SymbolExpr(model.algebra, {
+    want = CliffordElement(model.algebra, {
         ((0, 0),): inv * GR_I,
         ((1, 1),): RationalXi.xi() * inv * GR_I,
     })
@@ -83,15 +82,17 @@ def test_projected_leading_symbol(model):
 def test_square_symbol_jet(model):
     s = sigma_minus2_Dsq(model)
     inv2 = RationalXi.inv_norm_sq(2)
-    assert s.val == SymbolExpr.scalar(model.algebra, RationalXi.inv_norm_sq(1))
-    assert s.dxn == SymbolExpr.scalar(model.algebra, inv2 * (-h1_poly()))
+    assert symbol_jet(model, 2, -2) == s
+    with pytest.raises(KeyError):
+        symbol_jet(model, 2, -4)
+    assert s.val == model.algebra.scalar(RationalXi.inv_norm_sq(1))
+    assert s.dxn == model.algebra.scalar(inv2 * (-h1_poly()))
     # pi+ of the normal derivative: h'(0) (i xi + 2) / (4 (xi - i)^2)
     got = s.pi_plus().component(1)
-    want = SymbolExpr.scalar(
-        model.algebra, RationalXi([2, GR_I], 2, 0) * (h1_poly() * Fraction(1, 4)))
+    want = model.algebra.scalar(RationalXi([2, GR_I], 2, 0) * (h1_poly() * Fraction(1, 4)))
     assert got == want
     # d_xi |xi|^{-2} = -2 xi / (1 + xi^2)^2
-    assert s.val.dxi() == SymbolExpr.scalar(model.algebra, RationalXi([0, -2], 2, 2))
+    assert s.val.dxi() == model.algebra.scalar(RationalXi([0, -2], 2, 2))
 
 
 def test_flat_degenerations(model):
@@ -104,7 +105,7 @@ def test_symbol_inverse_at_leading_order(model):
     prod = sigma_minus1_Dinv(model).val * sigma1_D(model).val
     prod = prod.map_coeffs(
         lambda c: c.map_coeffs(lambda p: reduce_unit_norm(p, model.coords)))
-    assert prod == SymbolExpr.scalar(model.algebra, RationalXi.const(1))
+    assert prod == model.algebra.scalar(RationalXi.const(1))
 
 
 def test_derivative_matches_finite_differences(model):
@@ -162,16 +163,6 @@ def test_spin_model_reuses_builders():
     env = {"h1": 1.0}
     # at xi = 0 the A1 term vanishes and xi * inv2 kills the scalar too
     assert abs(scal.evaluate(0.0, env)) == 0.0
-
-
-def test_derive_api(model):
-    jet = symbol_jet(model, 2, -2)
-    assert derive(jet, "xn").is_zero() is False
-    assert derive(jet, "xi").val == jet.val.dxi()
-    with pytest.raises(KeyError):
-        symbol_jet(model, 2, -4)
-    with pytest.raises(TypeError):
-        derive(jet.val, "xn")
 
 
 # ---------------------------------------------------------------------------

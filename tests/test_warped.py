@@ -101,6 +101,12 @@ def test_ad_against_fd_100_random():
     assert report["pass"], report
 
 
+def test_ad_oracle_skips_subtrees_lost_to_rounding():
+    # this seed used to draw sin(exp(4^3)+t), where exp(64)+t rounds to exp(64)
+    report = run_ad_oracle(seed=1148509388, count=100)
+    assert report["failures"] == 0, report
+
+
 # ---------------------------------------------------------------------------
 # warped curvature data
 # ---------------------------------------------------------------------------
