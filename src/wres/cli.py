@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -112,6 +113,22 @@ def cmd_verify_boundary(args) -> int:
 # heat
 # ---------------------------------------------------------------------------
 
+# Bounds on heat config values, checked before anything is built exactly: a
+# decimal exponent e makes an integer of about 3.3 e bits, and dimensions
+# p, q, n make 2^(p+q) and the 2^-n folded into (4 pi)^(-n/2).
+MAX_DECIMAL_EXPONENT = 1000
+MAX_DIMENSION = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+
+
+def _parse_value(val: str) -> Fraction:
+    match = _EXPONENT.search(val)
+    if match and abs(int(match.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
+    return Fraction(val)
+
+
 def _parse_config(path: str) -> dict:
     values: dict[str, Fraction] = {}
     with open(path) as fh:
@@ -126,7 +143,7 @@ def _parse_config(path: str) -> dict:
             if not key:
                 raise ValueError(f"{path}:{lineno}: empty key")
             try:
-                frac = Fraction(val)
+                frac = _parse_value(val)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad value {val!r}: {exc}") from exc
             if key in values:
@@ -149,6 +166,10 @@ def cmd_heat(args) -> int:
     bad = [k for k, v in meta.items() if v < 0 or v.denominator != 1]
     if bad:
         print(f"error: {', '.join(bad)} must be nonnegative integers", file=sys.stderr)
+        return 2
+    big = [k for k in ("p", "q", "n") if meta.get(k, 0) > MAX_DIMENSION]
+    if big:
+        print(f"error: {', '.join(big)} must be at most {MAX_DIMENSION}", file=sys.stderr)
         return 2
     if "p" in meta and "q" in meta:
         # the heat-formula convention: leaf dimension 2p, trace dim 2^(p+q)
@@ -196,7 +217,7 @@ def cmd_heat(args) -> int:
 def cmd_rw(args) -> int:
     try:
         text, converged = _rw_report(args)
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:  # overflow, or underflow to 0.0
         print(f"error: value out of floating-point range: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # WarpSyntaxError and WarpDomainError included

@@ -9,11 +9,12 @@ representation serves as the test oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .symbolic import GR_I, GR_ONE, GR_ZERO, GaussianRational, ScalarPoly, _as_poly
+from .symbolic import GaussianRational, ScalarPoly, _as_poly
 
 
 @dataclass(frozen=True)
@@ -207,92 +208,13 @@ def normalize(algebra: Algebra, gens: Iterable[Gen], coeff=1) -> CliffordElement
 # Dense matrix oracle (Jordan-Wigner construction)
 # ---------------------------------------------------------------------------
 
-class Matrix:
-    """Dense matrix over Q(i); small sizes only, used by the oracle."""
+# Jordan-Wigner needs ceil(g/2) qubits for g generators; 20 generators
+# (p <= 8, q <= 6) give 1024 x 1024 matrices.
+MAX_MATRIX_GENS = 20
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(rows_i) for rows_i in rows)
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, n):
-        return cls([[GR_ZERO] * n for _ in range(n)])
-
-    @property
-    def n(self):
-        return len(self.rows)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = other if isinstance(other, GaussianRational) else GaussianRational(other)
-            return Matrix([[x * c for x in row] for row in self.rows])
-        n = self.n
-        out = [[GR_ZERO] * n for _ in range(n)]
-        for i in range(n):
-            for k, a in enumerate(self.rows[i]):
-                if a.is_zero():
-                    continue
-                brow = other.rows[k]
-                orow = out[i]
-                for j in range(n):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
-        return Matrix(out)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.rows])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return self.rows == other.rows
-
-    def trace(self) -> GaussianRational:
-        t = GR_ZERO
-        for i in range(self.n):
-            t = t + self.rows[i][i]
-        return t
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        n, m = self.n, other.n
-        out = [[GR_ZERO] * (n * m) for _ in range(n * m)]
-        for i in range(n):
-            for j in range(n):
-                a = self.rows[i][j]
-                if a.is_zero():
-                    continue
-                for k in range(m):
-                    for l in range(m):
-                        b = other.rows[k][l]
-                        if not b.is_zero():
-                            out[i * m + k][j * m + l] = a * b
-        return Matrix(out)
-
-
-_PX = Matrix([[GR_ZERO, GR_ONE], [GR_ONE, GR_ZERO]])
-_PY = Matrix([[GR_ZERO, -GR_I], [GR_I, GR_ZERO]])
-_PZ = Matrix([[GR_ONE, GR_ZERO], [GR_ZERO, -GR_ONE]])
-_P1 = Matrix.identity(2)
-
-
-def _pauli_string(ops: Sequence[Matrix]) -> Matrix:
-    out = ops[0]
-    for op in ops[1:]:
-        out = out.kron(op)
-    return out
+# Sums of Gaussian-integer multiples of words stay exact in float64 while the
+# coefficient magnitudes add up to less than this.
+_EXACT_WEIGHT = 2 ** 53
 
 
 class MatrixRep:
@@ -301,49 +223,72 @@ class MatrixRep:
     Jordan-Wigner on ceil(g/2) qubits for g generators; generators with
     square -1 are the JW gammas times i.  Coincides with a totalDim-dim
     module exactly when the leaf dimension is even.
+
+    Matrices are complex128 numpy arrays.  Every word matrix is monomial with
+    entries in {0, +-1, +-i}, so products of word matrices and their sums with
+    Gaussian-integer weights are exact integers in floating point.
     """
 
-    def __init__(self, algebra: Algebra, max_gens: int = 20):
+    def __init__(self, algebra: Algebra):
+        import numpy as np
+
         g = sum(count for _, count, _ in algebra.families)
-        if g > max_gens:
+        if g > MAX_MATRIX_GENS:
             raise ValueError("representation size guard exceeded")
         self.algebra = algebra
         m = max((g + 1) // 2, 1)
         self.dim = 2 ** m
-        mats = []
-        for k in range(g):
+        px = np.array([[0, 1], [1, 0]], dtype=complex)
+        py = np.array([[0, -1j], [1j, 0]])
+        pz = np.diag([1, -1]).astype(complex)
+        one = np.eye(2, dtype=complex)
+        self.gen_matrices = {}
+        for k, gen in enumerate(algebra.gens()):
             qubit, kind = divmod(k, 2)
-            ops = [_PZ] * qubit + [_PX if kind == 0 else _PY] + [_P1] * (m - qubit - 1)
-            mats.append(_pauli_string(ops))
-        self.gen_matrices: dict[Gen, Matrix] = {}
-        for gen, mat in zip(algebra.gens(), mats):
-            if algebra.square(gen) == -1:
-                mat = mat * GR_I
-            self.gen_matrices[gen] = mat
+            ops = [pz] * qubit + [px if kind == 0 else py] + [one] * (m - qubit - 1)
+            mat = functools.reduce(np.kron, ops)
+            self.gen_matrices[gen] = mat * 1j if algebra.square(gen) == -1 else mat
 
-    def word_matrix(self, word: Iterable[Gen]) -> Matrix:
-        out = Matrix.identity(self.dim)
+    def word_matrix(self, word: Iterable[Gen]):
+        import numpy as np
+
+        out = np.eye(self.dim, dtype=complex)
         for g in word:
-            out = out * self.gen_matrices[g]
+            out = out @ self.gen_matrices[g]
         return out
 
-    def element_matrix(self, elem: CliffordElement,
-                       env: dict | None = None) -> Matrix:
-        """Requires constant coefficients (or an evaluation env of exact values)."""
-        out = Matrix.zero(self.dim)
+    def element_matrix(self, elem: CliffordElement):
+        """Requires constant Gaussian-integer coefficients whose magnitudes
+        sum to less than 2^53, so that the result is exact."""
+        import numpy as np
+
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        weight = 0
         for w, c in elem.terms.items():
             cv = c.constant_value()
             if cv is None:
                 raise ValueError("element has formal-symbol coefficients")
-            out = out + self.word_matrix(w) * cv
+            if cv.re.denominator != 1 or cv.im.denominator != 1:
+                raise ValueError("matrix oracle needs Gaussian-integer coefficients")
+            weight += abs(cv.re.numerator) + abs(cv.im.numerator)
+            if weight >= _EXACT_WEIGHT:
+                raise ValueError("coefficients too large for an exact matrix")
+            out += self.word_matrix(w) * complex(cv.re.numerator, cv.im.numerator)
         return out
 
-    def normalized_trace(self, mat: Matrix) -> GaussianRational:
-        return mat.trace() / GaussianRational(self.dim)
+    def normalized_trace(self, mat) -> GaussianRational:
+        """The exact trace over dim; the diagonal must hold Gaussian integers."""
+        import numpy as np
+
+        diag = np.diagonal(mat)
+        if not (np.round(diag) == diag).all():
+            raise ValueError("trace is not a Gaussian integer")
+        tr = GaussianRational(sum(int(x) for x in diag.real), sum(int(x) for x in diag.imag))
+        return tr / GaussianRational(self.dim)
 
 
 def matrix_rep(sig: AlgebraSignature) -> MatrixRep:
     """The sub-Dirac oracle representation; size-guarded per the contract."""
     if sig.p > 8 or sig.q > 6:
         raise ValueError("matrix_rep size guard: need p <= 8 and q <= 6")
-    return MatrixRep(sub_dirac_algebra(sig.p, sig.q), max_gens=8 + 2 * 6)
+    return MatrixRep(sub_dirac_algebra(sig.p, sig.q))

@@ -175,11 +175,16 @@ def random_warp_ast(rng: random.Random, max_depth: int = 4,
 # ---------------------------------------------------------------------------
 
 def run_trace_oracle(seed: int, count: int) -> dict:
-    """Random words: symbolic normal ordering against the dense matrices."""
+    """Random words: symbolic normal ordering against the dense matrices.
+
+    A failing run names its first failing input: the index of the word in the
+    seeded sequence, the signature and the word as generator names.
+    """
     rng = random.Random(seed)
     failures = 0
+    first_failure = None
     reps: dict[tuple[int, int], MatrixRep] = {}
-    for _ in range(count):
+    for index in range(count):
         sig = random_signature(rng)
         alg, word = random_word(rng, sig)
         key = (sig.p, sig.q)
@@ -187,15 +192,20 @@ def run_trace_oracle(seed: int, count: int) -> dict:
             reps[key] = MatrixRep(alg)
         rep = reps[key]
         sym = normalize(alg, word)
-        if rep.element_matrix(sym) != rep.word_matrix(word):
-            failures += 1
-            continue
+        mat = rep.word_matrix(word)
         sym_tr = sym.trace(sig.total_dim).constant_value()
-        mat_tr = rep.normalized_trace(rep.word_matrix(word)) * GaussianRational(sig.total_dim)
-        if sym_tr != mat_tr:
-            failures += 1
-    return {"name": "trace-matrix", "count": count, "failures": failures,
-            "pass": failures == 0}
+        if ((rep.element_matrix(sym) == mat).all()
+                and sym_tr == rep.normalized_trace(mat) * GaussianRational(sig.total_dim)):
+            continue
+        failures += 1
+        if first_failure is None:
+            first_failure = {"index": index, "p": sig.p, "q": sig.q,
+                             "word": [alg.gen_name(g) for g in word]}
+    report = {"name": "trace-matrix", "count": count, "failures": failures,
+              "pass": failures == 0}
+    if first_failure is not None:
+        report["first_failure"] = first_failure
+    return report
 
 
 def run_quadrature_oracle(seed: int, count: int, rel_tol: float = 1e-8) -> dict:

@@ -1,6 +1,8 @@
 """Command-line front end: exit codes, report schema, and determinism."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wres.cli import main
 
@@ -184,6 +188,18 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
                  id="heat-fractional-total-dim"),
     pytest.param(["heat"], "p = 2\nq = 2\nr = 1e400\nvol = 1\n", {}, 0, "",
                  id="heat-value-beyond-float"),
+    pytest.param(["heat"], "p = 2\nq = 2\nr = 1e10000000\n", {}, 2, "decimal exponent",
+                 id="heat-exponent-1e10000000"),
+    pytest.param(["heat"], "p = 2\nq = 2\nr = 1e999999999\n", {}, 2, "decimal exponent",
+                 id="heat-exponent-1e999999999"),
+    pytest.param(["heat"], "p = 2\nq = 2\nr = 1e-999999999\n", {}, 2, "decimal exponent",
+                 id="heat-exponent-negative"),
+    pytest.param(["heat"], "p = 1000000000\nq = 2\nr = 1\n", {}, 2, "p must be at most",
+                 id="heat-huge-p"),
+    pytest.param(["heat"], "p = 2\nq = 1000000000\nr = 1\n", {}, 2, "q must be at most",
+                 id="heat-huge-q"),
+    pytest.param(["heat"], "n = 1000000000\ntotal_dim = 4\nr = 1\n", {}, 2,
+                 "n must be at most", id="heat-huge-n"),
     pytest.param(["verify-boundary", "--dim", "4", "--powers", "1,1", "--p", "4", "--q", "0"],
                  None, {}, 2, "signature", id="verify-q-zero"),
     pytest.param(["verify-boundary", "--dim", "4", "--powers", "1,1", "--p", "-1", "--q", "5"],
@@ -194,6 +210,10 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
                  "floating-point range", id="rw-warp-overflow"),
     pytest.param(RW_EXP + ["--lambda", "1e200"], None, {}, 2, "floating-point range",
                  id="rw-lambda-overflow"),
+    pytest.param(["rw", "--f", "((t)^5)^-1", "--interval", "0,1"], None, {}, 2,
+                 "floating-point range", id="rw-inverse-underflow"),
+    pytest.param(["rw", "--f", "((0.5)^11)^33", "--interval", "0,1"], None, {}, 2,
+                 "floating-point range", id="rw-warp-underflow"),
     pytest.param(RW_EXP + ["--curv", "inf"], None, {}, 2, "finite", id="rw-curv-inf"),
     pytest.param(["rw", "--f", "(" * 600 + "t" + ")" * 600, "--interval", "0,1"], None, {}, 2,
                  "nested deeper than 100 levels (at offset 100)", id="rw-600-parentheses"),
@@ -258,3 +278,81 @@ def test_verify_boundary_imports_neither_numpy_nor_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+CONFIG_KEYS = ["p", "q", "n", "total_dim", "r", "r2", "riem2", "vol", "bvol", "L_aa",
+               "r_N", "r_bd", "nope"]
+text_chars = st.characters(blacklist_categories=("Cs",))
+exact_values = st.one_of(
+    st.integers(0, 12).map(str),
+    st.fractions(max_denominator=10 ** 6).map(str),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-1200, 1200)))
+# weighted towards values heat accepts, so that many examples reach the formulas
+config_values = st.one_of(
+    exact_values, exact_values, exact_values, exact_values, exact_values, exact_values,
+    st.integers().map(str),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-10 ** 12, 10 ** 12)),
+    st.floats().map(repr),
+    st.text(text_chars, max_size=8),
+)
+
+
+def _config_text(entries, with_pq, junk):
+    if with_pq:
+        entries = {"p": "2", "q": "2", **entries}
+    return "\n".join([f"{k} = {v}" for k, v in entries.items()] + junk)
+
+
+config_texts = st.builds(
+    _config_text,
+    st.dictionaries(st.sampled_from(CONFIG_KEYS), config_values, max_size=4),
+    st.booleans(),
+    st.lists(st.one_of(st.just("# note"), st.text(text_chars, max_size=12)), max_size=1))
+
+
+def _main_quietly(argv):
+    """cli.main's exit code and stdout, or 2 when argparse rejects argv."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        code = 2
+    return code, out.getvalue()
+
+
+@given(config_texts)
+@settings(max_examples=200, deadline=None)
+def test_heat_exit_contract_fuzz(tmp_path_factory, text):
+    cfg = tmp_path_factory.mktemp("heat") / "fuzz.cfg"
+    cfg.write_bytes(text.encode())
+    code, _ = _main_quietly(["heat", "--config", str(cfg)])
+    assert code in (0, 2)
+
+
+WARP_TOKENS = ["t", "1", "2", "0", "0.5", "3.25", "99999", "(", ")", "+", "-", "*", "/",
+               "^", "^-", "sin(", "cos(", "exp(", "ln(", "nope(", " ", ".", "e", "#"]
+warp_exprs = st.recursive(
+    st.sampled_from(["t", "1", "2", "0", "0.5", "3.25", "99999"]),
+    lambda inner: st.one_of(
+        st.builds("({}{}{})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("{}({})".format,
+                  st.sampled_from(["sin", "cos", "exp", "ln", "sinh", "cosh"]), inner),
+        st.builds("({})^{}".format, inner, st.integers(-4, 40))),
+    max_leaves=6)
+warp_texts = st.one_of(
+    warp_exprs,
+    warp_exprs.map("2+{}".format),
+    st.lists(st.sampled_from(WARP_TOKENS), min_size=1, max_size=12).map("".join))
+
+
+@given(warp_texts, st.sampled_from(["0,1", "0.5,1.5", "-1,1", "1,0", "0,0"]),
+       st.sampled_from(["0", "1", "-1"]))
+@settings(max_examples=120, deadline=None)
+def test_rw_exit_contract_fuzz(warp, interval, curv):
+    code, out = _main_quietly(["rw", f"--f={warp}", f"--interval={interval}",
+                               "--curv", curv])
+    assert code in (0, 1, 2)
+    if code == 1:  # only the convergence check may fail
+        assert json.loads(out)["convergence"]["converged"] is False

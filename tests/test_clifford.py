@@ -2,6 +2,7 @@
 matrix oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wres import oracles
 from wres.clifford import (
     Algebra,
     AlgebraSignature,
@@ -19,7 +21,7 @@ from wres.clifford import (
     sub_dirac_algebra,
 )
 from wres.oracles import random_signature, random_word
-from wres.symbolic import GaussianRational
+from wres.symbolic import GaussianRational, ScalarPoly
 
 
 def _delta(a, b):
@@ -182,7 +184,7 @@ def test_matrix_rep_relations_and_guard():
     ident = rep.word_matrix([])
     for g in alg.gens():
         sq = rep.word_matrix([g, g])
-        assert sq == ident * GaussianRational(alg.square(g))
+        assert (sq == ident * alg.square(g)).all()
     # hatted generator squares contribute the full dimension to the trace
     m = rep.word_matrix([(2, 0), (2, 0)])
     assert rep.normalized_trace(m) * GaussianRational(8) == GaussianRational(8)
@@ -201,7 +203,7 @@ def test_words_against_matrix_oracle_500():
             reps[key] = MatrixRep(alg)
         rep = reps[key]
         sym = normalize(alg, word)
-        assert rep.element_matrix(sym) == rep.word_matrix(word)
+        assert (rep.element_matrix(sym) == rep.word_matrix(word)).all()
 
 
 def test_element_traces_against_matrix_oracle():
@@ -219,9 +221,36 @@ def test_element_traces_against_matrix_oracle():
         for _ in range(rng.randint(1, 4)):
             w = normalize(alg, [rng.choice(gens) for _ in range(rng.randint(0, 6))])
             elem = elem + w * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        # the matrix oracle takes Gaussian-integer coefficients only
+        d = math.lcm(*(c.constant_value().re.denominator for c in elem.terms.values()))
         sym_tr = elem.trace(sig.total_dim).constant_value()
-        mat_tr = rep.normalized_trace(rep.element_matrix(elem)) * GaussianRational(sig.total_dim)
-        assert sym_tr == mat_tr
+        mat_tr = (rep.normalized_trace(rep.element_matrix(elem * d))
+                  * GaussianRational(sig.total_dim))
+        assert d * sym_tr == mat_tr
+
+
+def test_element_matrix_needs_small_gaussian_integer_coefficients():
+    alg = sub_dirac_algebra(1, 1)
+    rep = MatrixRep(alg)
+    word = normalize(alg, [(0, 0), (1, 0)])
+    for bad in (word * Fraction(1, 3), word * ScalarPoly.symbol("x"), word * 2 ** 53,
+                word * (2 ** 52) + alg.gen((2, 0), 2 ** 52)):
+        with pytest.raises(ValueError):
+            rep.element_matrix(bad)
+    big = rep.element_matrix(word * (2 ** 53 - 1))
+    assert (big == rep.word_matrix([(0, 0), (1, 0)]) * (2 ** 53 - 1)).all()
+
+
+def test_trace_oracle_names_its_first_failure(monkeypatch):
+    assert "first_failure" not in oracles.run_trace_oracle(seed=5, count=3)
+    monkeypatch.setattr(oracles, "normalize", lambda alg, word: -normalize(alg, word))
+    report = oracles.run_trace_oracle(seed=5, count=3)
+    assert report["failures"] == 3 and not report["pass"]
+    rng = random.Random(5)
+    sig = random_signature(rng)
+    alg, word = random_word(rng, sig)
+    assert report["first_failure"] == {"index": 0, "p": sig.p, "q": sig.q,
+                                       "word": [alg.gen_name(g) for g in word]}
 
 
 def test_spin_algebra_words():
