@@ -273,6 +273,9 @@ def _rw_report(args) -> tuple[str, bool]:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args) -> int:
+    if args.count < 0:
+        print(f"error: --count must be nonnegative (got {args.count})", file=sys.stderr)
+        return 2
     results = []
     if args.count > 0:
         results.append(oracles.run_trace_oracle(args.seed, args.count))

@@ -259,11 +259,14 @@ class HeatCoeffs:
         return [self.a0, self.a1, self.a2, self.a3, self.a4]
 
 
+_A4_INTERIOR = interior_a4_bracket_coefficients()
+
+
 def interior_a4_bracket(data: CurvatureData) -> Fraction:
-    """The interior a4 integrand before the 1/360 prefactor:
-    5/4 r^2 - 2 ric2 - 7/4 riem2 + 15/2 ||R^{F-perp}||^2."""
-    return (Fraction(5, 4) * data.r2 - 2 * data.ric2
-            - Fraction(7, 4) * data.riem2 + Fraction(15, 2) * data.rfperp2)
+    """The interior a4 integrand before the 1/360 prefactor, with derived coefficients."""
+    c = _A4_INTERIOR
+    return (c["r2"] * data.r2 + c["ric2"] * data.ric2
+            + c["riem2"] * data.riem2 + c["rfperp2"] * data.rfperp2)
 
 
 def _inv_4pi_pow(m: int) -> UnitValue:
@@ -292,6 +295,12 @@ def interior_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
     a4 = pref * (Fraction(1, 360) * interior_a4_bracket(data) * v)
     zero = UnitValue.zero()
     return HeatCoeffs(a0, zero, a2, zero, a4)
+
+
+def a3_boundary_bracket(data: CurvatureData) -> Fraction:
+    """The a3 boundary integrand before the -1/384 prefactor."""
+    return (-8 * data.boundary_r + 8 * data.R_aNaN
+            + 7 * data.L2_aabb - 10 * data.L2_abab)
 
 
 def a4_boundary_bracket(data: CurvatureData, printed: bool = True) -> Fraction:
@@ -324,9 +333,7 @@ def boundary_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
     a0 = pref_i * v
     a1 = pref_b * (Fraction(-1, 4) * bv)
     a2 = pref_i * (Fraction(1, 12) * (-data.r * v + 4 * data.L_aa * bv))
-    a3_bracket = (-8 * data.boundary_r + 8 * data.R_aNaN
-                  + 7 * data.L2_aabb - 10 * data.L2_abab)
-    a3 = pref_b * (Fraction(-1, 384) * a3_bracket * bv)
+    a3 = pref_b * (Fraction(-1, 384) * a3_boundary_bracket(data) * bv)
     interior4 = interior_a4_bracket(data)
     a4 = pref_i * (Fraction(1, 360) * (interior4 * v + a4_boundary_bracket(data, True) * bv))
     a4_alt = pref_i * (Fraction(1, 360) * (interior4 * v + a4_boundary_bracket(data, False) * bv))

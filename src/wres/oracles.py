@@ -87,7 +87,8 @@ def random_rational_xi(rng: random.Random, min_gap: int = 2) -> RationalXi:
         coeffs = [GaussianRational(Fraction(rng.randint(-5, 5)),
                                    Fraction(rng.randint(-5, 5)))
                   for _ in range(deg + 1)]
-        f = RationalXi(coeffs, mp, mm)
+        # in lowest terms, because the oracles evaluate it in floats
+        f = RationalXi(coeffs, mp, mm)._normalize()
         if not f.is_zero() and f.degree_gap() >= min_gap:
             return f
 

@@ -10,7 +10,7 @@ helpers used by the numeric oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Mapping
 
 
@@ -356,42 +356,42 @@ def reduce_unit_norm(poly: ScalarPoly, coords: Iterable[str]) -> ScalarPoly:
 class RationalXi:
     """num(xi) / ((xi - i)^mp * (xi + i)^mm), num with ScalarPoly coefficients.
 
-    Canonical form: the numerator shares no (xi -+ i) factor with the
-    denominator.  Values produced by the symbol builders are proper
-    (deg num < mp + mm); intermediate arithmetic may be polynomial/improper.
+    Not unique: num may share (xi -+ i) factors with the denominator, and
+    ``_normalize`` gives the lowest-terms copy.  Values produced by the symbol
+    builders are proper (deg num < mp + mm); intermediate arithmetic may not be.
     """
 
     __slots__ = ("num", "mp", "mm")
 
-    def __init__(self, num: Iterable, mp: int = 0, mm: int = 0, _normalize=True):
+    def __init__(self, num: Iterable, mp: int = 0, mm: int = 0):
         coeffs = [_as_poly(c) for c in num]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.num = tuple(coeffs)
         self.mp = mp
         self.mm = mm
-        if _normalize:
-            self._normalize()
 
     # -- canonicalization ---------------------------------------------------
-    def _normalize(self):
+    def _normalize(self) -> "RationalXi":
+        """The lowest-terms copy; zero gets no poles."""
         if not self.num:
-            self.mp = 0
-            self.mm = 0
-            return
-        for root, attr in ((GR_I, "mp"), (-GR_I, "mm")):
-            while getattr(self, attr) > 0 and self.num:
-                quot, rem = _synth_div(self.num, root)
-                if rem.is_zero():
-                    self.num = tuple(quot)
-                    setattr(self, attr, getattr(self, attr) - 1)
-                else:
-                    break
+            return RationalXi.zero()
+        num, orders = self.num, [self.mp, self.mm]
+        for side, root in enumerate((GR_I, -GR_I)):
+            # the root's multiplicity: leading zeros of num(root + u), capped at the pole order
+            shifted = _shift_poly(num, root)
+            k = 0
+            while k < orders[side] and shifted[k].is_zero():
+                k += 1
+            if k:
+                num = _shift_poly(shifted[k:], -root)
+                orders[side] -= k
+        return RationalXi(num, *orders)
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls):
-        return cls((), 0, 0, _normalize=False)
+        return cls(())
 
     @classmethod
     def const(cls, c):
@@ -404,7 +404,7 @@ class RationalXi:
     @classmethod
     def inv_norm_sq(cls, k: int = 1):
         """1 / (1 + xi^2)^k, the on-cosphere |xi|^{-2k}."""
-        return cls((1,), k, k, _normalize=False)
+        return cls((1,), k, k)
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
@@ -418,7 +418,7 @@ class RationalXi:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalXi([-c for c in self.num], self.mp, self.mm, _normalize=False)
+        return RationalXi([-c for c in self.num], self.mp, self.mm)
 
     def __sub__(self, other):
         return self + (-_as_rx(other))
@@ -436,28 +436,25 @@ class RationalXi:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = _as_rx(other)
-        return self.num == other.num and self.mp == other.mp and self.mm == other.mm
+        return (self - _as_rx(other)).is_zero()
 
     def __hash__(self):
-        return hash((self.num, self.mp, self.mm))
+        r = self._normalize()
+        return hash((r.num, r.mp, r.mm))
 
     def is_zero(self) -> bool:
         return not self.num
 
     # -- structure ------------------------------------------------------------
-    @property
-    def numerator_degree(self) -> int:
-        return len(self.num) - 1 if self.num else -1
-
     def degree_gap(self) -> int:
         """Denominator degree minus numerator degree (decay order at infinity)."""
-        return (self.mp + self.mm) - self.numerator_degree
+        return (self.mp + self.mm) - (len(self.num) - 1)
 
     def is_proper(self) -> bool:
         return self.is_zero() or self.degree_gap() >= 1
 
     def map_coeffs(self, fn) -> "RationalXi":
+        """``fn`` must be Q(i)-linear, so that equal functions map to equal functions."""
         return RationalXi([fn(c) for c in self.num], self.mp, self.mm)
 
     # -- calculus -------------------------------------------------------------
@@ -504,7 +501,7 @@ class RationalXi:
         return RationalXi(num, self.mp, 0)
 
     def pi_minus(self) -> "RationalXi":
-        return self - self.pi_plus()
+        return (self - self.pi_plus())._normalize()
 
     def residue_at_plus_i(self) -> ScalarPoly:
         if not self.is_proper():
@@ -586,24 +583,13 @@ def _pole_poly(kp: int, km: int):
     return out
 
 
-def _synth_div(coeffs, root: GaussianRational):
-    """Divide by (xi - root); returns (quotient coeffs, remainder poly)."""
-    quot = [ScalarPoly.zero()] * (len(coeffs) - 1)
-    carry = ScalarPoly.zero()
-    for k in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[k] + carry * root
-        quot[k - 1] = carry
-    rem = coeffs[0] + carry * root
-    return quot, rem
-
-
 def _shift_poly(coeffs, a: GaussianRational):
-    """Coefficients of p(a + u) given those of p(xi)."""
-    out = [ScalarPoly.zero()] * len(coeffs)
-    for k, c in enumerate(coeffs):
-        # c * (a + u)^k: coefficient of u^j is C(k, j) * a^(k - j)
-        for j in range(k + 1):
-            out[j] = out[j] + c * (a ** (k - j) * comb(k, j))
+    """Coefficients of p(a + u) given those of p(xi), by repeated Horner steps;
+    after step i the u^i coefficient is final."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] = out[j] + out[j + 1] * a
     return out
 
 

@@ -80,16 +80,15 @@ class Jet(NamedTuple):
 
 
 def trace_product(e1: CliffordElement, e2: CliffordElement, total_dim) -> RationalXi:
-    """trace(e1 * e2) without building the full product element."""
+    """trace(e1 * e2) without building the full product element.  Canonical words
+    hold distinct sorted generators, so w1 * w2 is a scalar exactly when w1 == w2."""
     td = _as_poly(total_dim)
     alg = e1.algebra
     acc = RationalXi.zero()
-    for w1, c1 in e1.terms.items():
-        for w2, c2 in e2.terms.items():
-            sign, w = alg.normalize_word(w1 + w2)
-            if w:
-                continue
-            acc = acc + c1 * c2 * sign
+    for w, c1 in e1.terms.items():
+        c2 = e2.terms.get(w)
+        if c2 is not None:
+            acc = acc + c1 * c2 * alg.normalize_word(w + w)[0]
     return acc * td
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wres import boundary
 from wres.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -223,6 +224,8 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
     pytest.param(RW_EXP, None, {"WRES_QUAD_TOL": "0"}, 2, "WRES_QUAD_TOL", id="quad-tol-zero"),
     pytest.param(RW_EXP, None, {"WRES_QUAD_TOL": "nan"}, 2, "WRES_QUAD_TOL", id="quad-tol-nan"),
     pytest.param(RW_EXP, None, {"WRES_QUAD_TOL": "inf"}, 2, "WRES_QUAD_TOL", id="quad-tol-inf"),
+    pytest.param(["oracle", "--count", "-3", "--seed", "1"], None, {}, 2,
+                 "--count must be nonnegative", id="oracle-negative-count"),
 ])
 def test_exit_contract(argv, config, env, code, message, tmp_path):
     # bad input exits 2 with a one-line error; no traceback ever reaches stderr
@@ -250,20 +253,27 @@ def test_heat_value_too_large_for_a_float(tmp_path):
     assert "numeric" in doc["a0"]
 
 
-def _reference_ops():
-    """The fixed CLI operations the benchmark checks against its references."""
+def _perfbench_module(name):
+    """A module of the benchmark, loaded read-only from its file."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return [op for op in workloads.fixed_ops()
-            if op["kind"] == "cli" and not op["name"].startswith("oracle_seed")]
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("op", _reference_ops(), ids=lambda op: op["name"])
+@pytest.mark.parametrize("op", _perfbench_module("workloads").fixed_ops(),
+                         ids=lambda op: op["name"])
 def test_report_matches_reference(op, monkeypatch, capsys):
+    # every operation the benchmark compares with a committed reference report
     monkeypatch.chdir(ROOT)
-    assert main(op["argv"]) == 0
+    if op["kind"] == "res_partial":
+        text, ok = _perfbench_module("worker").res_partial_report(
+            boundary, op["params"]["kinds"])
+        assert ok
+        print(text)
+    else:
+        assert main(op["argv"]) == 0
     reference = (ROOT / "perfbench" / "reference" / f"{op['ref']}.json").read_bytes()
     assert capsys.readouterr().out.encode() == reference
 

@@ -100,6 +100,18 @@ def test_derivative_closed_form():
     assert f.derivative() == RationalXi([0, -2], 2, 2)
 
 
+def test_rational_xi_reduces_only_on_demand():
+    # (xi - i) / ((xi - i)(xi + i)) keeps its common factor until asked
+    f = RationalXi([-GR_I, 1], 1, 1)
+    assert (f.num, f.mp, f.mm) == ((ScalarPoly.const(-GR_I), ScalarPoly.one()), 1, 1)
+    g = RationalXi([1], 0, 1)
+    assert f == g and hash(f) == hash(g)
+    r = f._normalize()
+    assert (r.num, r.mp, r.mm) == ((ScalarPoly.one(),), 0, 1)
+    z = RationalXi([], 2, 2)
+    assert z.is_zero() and z == RationalXi.zero() and hash(z) == hash(RationalXi.zero())
+
+
 def test_pi_plus_known_forms():
     # 1/(1+x^2)^2 -> -(i x + 2)/(4 (x - i)^2)
     f = RationalXi.inv_norm_sq(2)
