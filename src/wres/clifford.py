@@ -162,6 +162,8 @@ class CliffordElement:
         return self.terms == other.terms
 
     def __hash__(self):
+        if not self.terms.keys() - {()}:  # a scalar hashes as its coefficient
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:

@@ -41,18 +41,13 @@ def _r1(i, r, s, t):  # <R(f_i, h_r) h_t, h_s>, antisymmetric in (s, t)
     return _anti_pair(f"R1_{i}_{r}", t, s)
 
 
-def _r2(i, j, s, t):  # <R(f_i, f_j) h_t, h_s>
-    if i == j:
+def _r_pair(prefix, a, b, s, t):
+    """<R(e_a, e_b) h_t, h_s> for a same-family pair: prefix R2 for (f_a, f_b),
+    R3 for (h_a, h_b); antisymmetric in (a, b) and in (s, t)."""
+    if a == b:
         return ScalarPoly.zero()
-    sym = _anti_pair(f"R2_{min(i, j)}_{max(i, j)}", t, s)
-    return sym if i < j else -sym
-
-
-def _r3(r, l, s, t):  # <R(h_r, h_l) h_t, h_s>
-    if r == l:
-        return ScalarPoly.zero()
-    sym = _anti_pair(f"R3_{min(r, l)}_{max(r, l)}", t, s)
-    return sym if r < l else -sym
+    sym = _anti_pair(f"{prefix}_{min(a, b)}_{max(a, b)}", t, s)
+    return sym if a < b else -sym
 
 
 def lichnerowicz_E(sig: AlgebraSignature) -> CliffordElement:
@@ -78,14 +73,14 @@ def lichnerowicz_E(sig: AlgebraSignature) -> CliffordElement:
         for j in range(p):
             for s in range(q):
                 for t in range(q):
-                    c = _r2(i, j, s, t)
+                    c = _r_pair("R2", i, j, s, t)
                     if not c.is_zero():
                         out = out + word((0, i), (0, j), (2, s), (2, t)) * (c * Fraction(1, 8))
     for r in range(q):
         for l in range(q):
             for s in range(q):
                 for t in range(q):
-                    c = _r3(r, l, s, t)
+                    c = _r_pair("R3", r, l, s, t)
                     if not c.is_zero():
                         out = out + word((1, r), (1, l), (2, s), (2, t)) * (c * Fraction(1, 8))
     return out
@@ -104,12 +99,12 @@ def rfperp_norm_sq(sig: AlgebraSignature) -> ScalarPoly:
         for j in range(p):
             for s in range(q):
                 for t in range(q):
-                    out = out + _r2(i, j, s, t) ** 2
+                    out = out + _r_pair("R2", i, j, s, t) ** 2
     for r in range(q):
         for l in range(q):
             for s in range(q):
                 for t in range(q):
-                    out = out + _r3(r, l, s, t) ** 2
+                    out = out + _r_pair("R3", r, l, s, t) ** 2
     return out
 
 
@@ -281,14 +276,14 @@ def _tdim_factor(total_dim) -> UnitValue:
 
 
 def interior_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
-                    vol=None, n: int | None = None, total_dim=None) -> HeatCoeffs:
+                    n: int | None = None, total_dim=None) -> HeatCoeffs:
     """Closed-manifold coefficients a0, a2, a4 (a1 = a3 = 0)."""
     if sig is not None:
         n = sig.p + sig.q if n is None else n
         total_dim = sig.total_dim if total_dim is None else total_dim
     if n is None:
         raise ValueError("need a signature or an explicit dimension")
-    v = _fr(vol if vol is not None else data.vol)
+    v = data.vol
     pref = _inv_4pi_pow(n) * _tdim_factor(total_dim)
     a0 = pref * v
     a2 = pref * (Fraction(-1, 12) * data.r * v)

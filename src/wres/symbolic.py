@@ -97,8 +97,8 @@ class GaussianRational:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __hash__(self):  # a real value hashes as its Fraction, like __eq__ compares
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __complex__(self):
         return complex(self.re, self.im)
@@ -259,7 +259,8 @@ class ScalarPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        c = self.constant_value()
+        return hash(c) if c is not None else hash(frozenset(self.terms.items()))
 
     # -- calculus and substitution ------------------------------------------
     def derivative(self, name: str) -> "ScalarPoly":
@@ -440,6 +441,8 @@ class RationalXi:
 
     def __hash__(self):
         r = self._normalize()
+        if not r.mp and not r.mm and len(r.num) <= 1:  # a constant hashes as its value
+            return hash(r.num[0]) if r.num else 0
         return hash((r.num, r.mp, r.mm))
 
     def is_zero(self) -> bool:
@@ -708,6 +711,8 @@ class UnitValue:
         return self.coeff == other.coeff and self.powers == other.powers
 
     def __hash__(self):
+        if not self.powers:  # a plain number hashes as that number
+            return hash(self.coeff)
         return hash((self.coeff, tuple(self.powers.items())))
 
     def substitute(self, name: str, value: "UnitValue") -> "UnitValue":

@@ -236,69 +236,50 @@ def sigma1_D(model: BoundaryModel) -> Jet:
     return model.c_xi_jet().scale(GR_I)
 
 
-def sigma0_DF(model: BoundaryModel) -> CliffordElement:
-    """Zeroth-order symbol of the sub-Dirac operator with symbolic connection data.
+def connection_word(model: BoundaryModel, k: int) -> CliffordElement:
+    """The Clifford word W_k through which the connection along the frame vector
+    e_k (global index k) enters the symbols of D_F = sum_k c(e_k) nabla_{e_k}:
 
-    With no perpendicular factor (single-family model) only the first sum
-    survives, which is the zeroth symbol of the spin Dirac operator.
+        W_k =   1/2 sum_{a,b in F}      omega_{a,b}(e_k) c(f_a) c(f_b)
+              - 1/2 sum_{r,t in F-perp} omega_{r,t}(e_k) [hc(h_r) hc(h_t) - c(h_r) c(h_t)]
+              -     sum_{j in F, s in F-perp} <nabla_{e_k} f_j, h_s> c(f_j) c(h_s)
+
+    With no perpendicular factor (single-family model) only the first sum survives.
     """
     alg = model.algebra
     leaf = model.leaf_gens
     perp = model.perp_gens
-    quarter = Fraction(1, 4)
+    idx = model.gen_index
     half = Fraction(1, 2)
-    out = alg.element()
-
-    def idx(g):
-        return model.gen_index(g)
-
-    # -(1/4) sum_{i,k,l in F} omega_{k,l}(f_i) c(f_i) c(f_k) c(f_l)
-    for fi in leaf:
-        for fk in leaf:
-            for fl in leaf:
-                w = omega(idx(fk), idx(fl), idx(fi))
-                if w.is_zero():
-                    continue
-                term = model.gen_elem(fi) * model.gen_elem(fk) * model.gen_elem(fl)
-                out = out + term * (w * -quarter)
-    # -(1/4) sum_{s,k,l} omega_{k,l}(h_s) c(f_k) c(f_l) c(h_s)
-    for hs in perp:
-        for fk in leaf:
-            for fl in leaf:
-                w = omega(idx(fk), idx(fl), idx(hs))
-                if w.is_zero():
-                    continue
-                term = model.gen_elem(fk) * model.gen_elem(fl) * model.gen_elem(hs)
-                out = out + term * (w * -quarter)
-    # +(1/4) sum omega_{r,t}(f_i) c(f_i)[hc(h_r)hc(h_t) - c(h_r)c(h_t)]
-    # +(1/4) sum omega_{r,t}(h_s) c(h_s)[hc(h_r)hc(h_t) - c(h_r)c(h_t)]
-    for base in leaf + perp:
-        for hr in perp:
-            for ht in perp:
-                w = omega(idx(hr), idx(ht), idx(base))
-                if w.is_zero():
-                    continue
-                hat = model.gen_elem(model.hatted(hr)) * model.gen_elem(model.hatted(ht))
-                reg = model.gen_elem(hr) * model.gen_elem(ht)
-                out = out + (model.gen_elem(base) * (hat - reg)) * (w * quarter)
-    # +(1/2) sum <nabla_{f_i} f_j, h_s> c(f_i) c(f_j) c(h_s)
-    for fi in leaf:
-        for fj in leaf:
-            for hs in perp:
-                w = conn(idx(fi), idx(fj), idx(hs))
-                if w.is_zero():
-                    continue
-                term = model.gen_elem(fi) * model.gen_elem(fj) * model.gen_elem(hs)
-                out = out + term * (w * half)
-    # +(1/2) sum <nabla_{h_s} h_t, f_i> c(h_s) c(h_t) c(f_i)
-    for hs in perp:
+    acc = alg.element()
+    for fa in leaf:
+        for fb in leaf:
+            w = omega(idx(fa), idx(fb), k)
+            if not w.is_zero():
+                acc = acc + (model.gen_elem(fa) * model.gen_elem(fb)) * (w * half)
+    for hr in perp:
         for ht in perp:
-            for fi in leaf:
-                w = conn(idx(hs), idx(ht), idx(fi))
-                if w.is_zero():
-                    continue
-                term = model.gen_elem(hs) * model.gen_elem(ht) * model.gen_elem(fi)
-                out = out + term * (w * half)
+            w = omega(idx(hr), idx(ht), k)
+            if w.is_zero():
+                continue
+            hat = model.gen_elem(model.hatted(hr)) * model.gen_elem(model.hatted(ht))
+            reg = model.gen_elem(hr) * model.gen_elem(ht)
+            acc = acc - (hat - reg) * (w * half)
+    for fj in leaf:
+        for hs in perp:
+            w = conn(k, idx(fj), idx(hs))
+            if not w.is_zero():
+                acc = acc - (model.gen_elem(fj) * model.gen_elem(hs)) * w
+    return acc
+
+
+def sigma0_DF(model: BoundaryModel) -> CliffordElement:
+    """Zeroth-order symbol -1/2 sum_k c(e_k) W_k of the sub-Dirac operator, with
+    symbolic connection data; expanding it gives the paper's five sums."""
+    out = model.algebra.element()
+    for g in model.frame:
+        word = connection_word(model, model.gen_index(g))
+        out = out + model.gen_elem(g, Fraction(-1, 2)) * word
     return out
 
 
@@ -332,48 +313,22 @@ def sigma_minus2_Dsq(model: BoundaryModel) -> Jet:
 def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
     """Third symbol of the inverse square at the boundary point (value only).
 
-    A1 = -2i h'(0) xi_n |xi|^{-6};  A2 = -i |xi|^{-4} xi_k (Gamma^k + word terms),
+    A1 = -2i h'(0) xi_n |xi|^{-6};  A2 = -i |xi|^{-4} xi_k (Gamma^k + W_k),
     Gamma^n(x0) = gamma_n * h'(0), tangential Gamma^k(x0) = 0.
     """
     alg = model.algebra
-    leaf = model.leaf_gens
-    perp = model.perp_gens
-    idx = model.gen_index
     xi = RationalXi.xi()
     inv2 = RationalXi.inv_norm_sq(2)
     inv3 = RationalXi.inv_norm_sq(3)
 
     a1 = alg.scalar(xi * inv3 * (h1_poly() * GaussianRational(0, -2)))
 
-    def word_terms(k: int) -> CliffordElement:
-        acc = alg.element()
-        half = Fraction(1, 2)
-        for fa in leaf:
-            for fb in leaf:
-                w = omega(idx(fa), idx(fb), k)
-                if not w.is_zero():
-                    acc = acc + (model.gen_elem(fa) * model.gen_elem(fb)) * (w * half)
-        for hr in perp:
-            for ht in perp:
-                w = omega(idx(hr), idx(ht), k)
-                if w.is_zero():
-                    continue
-                hat = model.gen_elem(model.hatted(hr)) * model.gen_elem(model.hatted(ht))
-                reg = model.gen_elem(hr) * model.gen_elem(ht)
-                acc = acc - (hat - reg) * (w * half)
-        for fj in leaf:
-            for hs in perp:
-                w = conn(k, idx(fj), idx(hs))
-                if not w.is_zero():
-                    acc = acc - (model.gen_elem(fj) * model.gen_elem(hs)) * w
-        return acc
-
     # k = n: xi_n ( Gamma^n + W_n )
     a2 = alg.scalar(xi * inv2 * (h1_poly() * GaussianRational(model.gamma_n)))
-    a2 = a2 + word_terms(model.n - 1).map_coeffs(lambda c: c * (xi * inv2))
+    a2 = a2 + connection_word(model, model.n - 1).map_coeffs(lambda c: c * (xi * inv2))
     # tangential k: coordinate-weighted word terms (odd on the cosphere)
     for g, name in zip(model.tangential, model.coords):
-        wt = word_terms(model.gen_index(g))
+        wt = connection_word(model, model.gen_index(g))
         if not wt.is_zero():
             factor = inv2 * ScalarPoly.symbol(name)
             a2 = a2 + wt.map_coeffs(lambda c, f=factor: c * f)

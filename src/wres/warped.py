@@ -417,6 +417,8 @@ class RWModel:
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError("need a < b")
+        if not self.base_vol > 0:
+            raise ValueError(f"--base-vol must be positive (got {self.base_vol})")
 
     # base contractions for R_ijkl = c (delta delta - delta delta), r = 6c
     @property

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -216,6 +217,10 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
     pytest.param(["rw", "--f", "((0.5)^11)^33", "--interval", "0,1"], None, {}, 2,
                  "floating-point range", id="rw-warp-underflow"),
     pytest.param(RW_EXP + ["--curv", "inf"], None, {}, 2, "finite", id="rw-curv-inf"),
+    pytest.param(RW_EXP + ["--base-vol", "0"], None, {}, 2, "--base-vol must be positive",
+                 id="rw-base-vol-zero"),
+    pytest.param(RW_EXP + ["--base-vol", "-1"], None, {}, 2, "--base-vol must be positive",
+                 id="rw-base-vol-negative"),
     pytest.param(["rw", "--f", "(" * 600 + "t" + ")" * 600, "--interval", "0,1"], None, {}, 2,
                  "nested deeper than 100 levels (at offset 100)", id="rw-600-parentheses"),
     pytest.param(["rw", "--f", "+".join(["t"] * 1501), "--interval", "0,1"], None, {}, 2,
@@ -366,3 +371,97 @@ def test_rw_exit_contract_fuzz(warp, interval, curv):
     assert code in (0, 1, 2)
     if code == 1:  # only the convergence check may fail
         assert json.loads(out)["convergence"]["converged"] is False
+
+
+# Whole-argv fuzzing: each subcommand's flags with valid and hostile values.  A
+# value "@name" is the file "name" in a scratch directory ("@" is the directory).
+JSON_PATHS = ["@out.json", "@out.json", "@missing/out.json", "@"]
+ARGV_FLAGS = {
+    "verify-boundary": {
+        "--dim": ["3", "3", "5", "5", "4", "6", "9", "0", "-2", "x", ""],
+        "--powers": ["1,1", "1,1", "2,2", "2,2", "2,1", "0,0", "1", "a,b", "1,1,1", "-1,1"],
+        "--p": ["0", "1", "2", "-1", "x", "1000000000"],
+        "--q": ["0", "1", "2", "3", "-1"],
+        "--json": JSON_PATHS,
+    },
+    "heat": {
+        "--config": ["@flat.cfg", "@bounded.cfg", "@bad.cfg", "@binary.cfg",
+                     "@missing.cfg", "@"],
+        "--json": JSON_PATHS,
+    },
+    "rw": {
+        "--f": ["t", "1", "2+sin(t)", "exp(t)", "ln(t)", "nope(t)", "(t", "", "t^-1",
+                "exp(exp(exp(t)))"],
+        "--interval": ["1,2", "0,1", "1,0", "0,0", "nan,1", "1e309,2", "0", "a,b",
+                       "1e-300,1", "-1,1"],
+        "--curv": ["0", "1", "-1", "1e308", "nan", "inf", "x"],
+        "--base-vol": ["1", "2", "0", "-1", "nan", "1e308"],
+        "--lambda": ["2", "1e100", "-1", "0", "nan"],
+        "--json": JSON_PATHS,
+    },
+    "oracle": {
+        "--seed": ["0", "7", "-5", "x", "99999999999999999999"],
+        "--count": ["0", "1", "2", "-3", "x", "1.5", ""],
+        "--json": JSON_PATHS,
+    },
+}
+# required flags are left out now and then; --count always appears, since its
+# default (100) takes about a second
+REQUIRED_FLAGS = {"--dim", "--powers", "--config", "--f", "--interval"}
+STRAY_ARGS = ["--nope", "-", "--", "", "--help", "extra"]
+FUZZ_FILES = {
+    "flat.cfg": b"p = 2\nq = 2\nr = 1\nvol = 1\n",
+    "bounded.cfg": b"p = 1\nq = 2\nr = 1\nvol = 1\nbvol = 1\nL_aa = 1/2\n",
+    "bad.cfg": b"p = 2\nq == oops\n",
+    "binary.cfg": b"p = \xff\xfe\n",
+}
+
+
+def _fuzz_argv(choose, command=None):
+    """argv from ``choose``, a function that picks one item of a sequence."""
+    if command is None:
+        command = choose([*ARGV_FLAGS, "bogus"])
+    argv = [command]
+    for flag, values in ARGV_FLAGS.get(command, {}).items():
+        if flag == "--count" or choose((True,) * 7 + (False,) if flag in REQUIRED_FLAGS
+                                       else (True, False)):
+            argv += [flag, choose(values)]
+    if choose((False,) * 7 + (True,)):
+        argv.insert(choose(range(len(argv) + 1)), choose(STRAY_ARGS))
+    return argv
+
+
+def _fuzz_dir(root):
+    for name, data in FUZZ_FILES.items():
+        (root / name).write_bytes(data)
+    return root
+
+
+def _resolve(argv, root):
+    return [str(root / a[1:]) if a.startswith("@") else a for a in argv]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_argv_exit_contract_fuzz(tmp_path_factory, data):
+    root = _fuzz_dir(tmp_path_factory.mktemp("argv"))
+    argv = _resolve(_fuzz_argv(lambda seq: data.draw(st.sampled_from(seq))), root)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
+        assert exc.code in (0, 2)
+    else:
+        assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command", list(ARGV_FLAGS))
+def test_argv_fuzz_sample_prints_no_traceback(command, tmp_path):
+    # one fixed fuzzed argv per subcommand, run as the real program
+    argv = _fuzz_argv(random.Random(command).choice, command)
+    argv = _resolve(argv, _fuzz_dir(tmp_path))
+    proc = subprocess.run([sys.executable, "-m", "wres.cli", *argv], cwd=tmp_path,
+                          env=_cli_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr

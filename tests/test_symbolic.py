@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wres.clifford import sub_dirac_algebra
 from wres.oracles import (
     mc_sphere_moment,
     numeric_line_integral,
@@ -224,3 +225,20 @@ def test_unitvalue_algebra():
     # integer prime powers fold into the coefficient
     u = UnitValue(1, {"2": Fraction(5, 2)})
     assert u.coeff == 4 and u.powers == {"2": Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("make", [
+    RationalXi.const,
+    GaussianRational,
+    ScalarPoly.const,
+    UnitValue,
+    sub_dirac_algebra(1, 1).scalar,
+], ids=["RationalXi", "GaussianRational", "ScalarPoly", "UnitValue", "CliffordElement"])
+@pytest.mark.parametrize("number", [5, Fraction(-3, 7), 0], ids=str)
+def test_hash_agrees_with_eq_against_numbers(make, number):
+    # a value equal to a number hashes as that number, so dict lookups agree with ==
+    value = make(number)
+    assert value == number
+    assert hash(value) == hash(number)
+    assert {value: "found"}.get(number) == "found"
+    assert {number: "found"}.get(value) == "found"
