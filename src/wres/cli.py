@@ -360,7 +360,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose values may start with "-": argparse reads a spaced "-1,1" or
+# "-1e-3" as an option name unless it is joined as "--interval=-1,1".
+_NUMERIC_OPTIONS = ("--interval", "--curv", "--base-vol", "--lambda", "--powers")
+
+
+def _is_number_list(text: str) -> bool:
+    try:
+        for part in text.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_numeric_values(argv: list[str]) -> list[str]:
+    out, i = [], 0
+    while i < len(argv):
+        if argv[i] in _NUMERIC_OPTIONS and i + 1 < len(argv) and _is_number_list(argv[i + 1]):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _join_numeric_values(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

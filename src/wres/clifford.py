@@ -270,12 +270,12 @@ class MatrixRep:
             cv = c.constant_value()
             if cv is None:
                 raise ValueError("element has formal-symbol coefficients")
-            if cv.re.denominator != 1 or cv.im.denominator != 1:
+            if cv.d != 1:
                 raise ValueError("matrix oracle needs Gaussian-integer coefficients")
-            weight += abs(cv.re.numerator) + abs(cv.im.numerator)
+            weight += abs(cv.a) + abs(cv.b)
             if weight >= _EXACT_WEIGHT:
                 raise ValueError("coefficients too large for an exact matrix")
-            out += self.word_matrix(w) * complex(cv.re.numerator, cv.im.numerator)
+            out += self.word_matrix(w) * complex(cv.a, cv.b)
         return out
 
     def normalized_trace(self, mat) -> GaussianRational:

@@ -10,7 +10,7 @@ helpers used by the numeric oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping
 
 
@@ -27,41 +27,60 @@ class ConditionallyConvergent(ValueError):
 # ---------------------------------------------------------------------------
 
 class GaussianRational:
-    """Exact element of Q(i): re + im*i with Fraction parts."""
+    """Exact element of Q(i), stored as (a + b*i)/d with integers a, b, d,
+    d > 0 and gcd(a, b, d) == 1, so that equal values have equal fields.
+    ``re`` and ``im`` give the parts as Fractions."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        # both parts are in lowest terms, so over their lcm gcd(a, b, d) == 1
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        other = _as_gr(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = _as_gr(other)
+        d = self.d
+        if d == other.d:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        e = other.d
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gr(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-_as_gr(other))
 
     def __rsub__(self, other):
         return _as_gr(other) - self
 
     def __mul__(self, other):
-        other = _as_gr(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = _as_gr(other)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        n = self.a * self.a + self.b * self.b
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(self.d * self.a, -self.d * self.b, n)
 
     def __truediv__(self, other):
         return self * _as_gr(other).inverse()
@@ -70,7 +89,7 @@ class GaussianRational:
         return _as_gr(other) * self.inverse()
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -85,38 +104,60 @@ class GaussianRational:
         return out
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and self.im == 0
-        if not isinstance(other, GaussianRational):
+        if isinstance(other, int):
+            return self.a == other and not self.b and self.d == 1
+        if isinstance(other, Fraction):
+            return (not self.b and self.a == other.numerator
+                    and self.d == other.denominator)
+        if other.__class__ is not GaussianRational:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):  # a real value hashes as its Fraction, like __eq__ compares
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.b else hash(self.re)
 
     def __complex__(self):
-        return complex(self.re, self.im)
+        # int / int is correctly rounded, so this equals complex(self.re, self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}*i)"
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d from fields that already satisfy the invariant."""
+    x = object.__new__(GaussianRational)
+    x.a, x.b, x.d = a, b, d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d in lowest terms, for d > 0."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _gr(a, b, d)
+    return _gr(a // g, b // g, d // g)
 
 
 def _as_gr(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
+    if isinstance(x, int):
+        return _gr(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _gr(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
 
@@ -291,10 +332,29 @@ class ScalarPoly:
         return out
 
     def subs_many(self, table: Mapping[str, "ScalarPoly"]) -> "ScalarPoly":
-        out = self
-        for name, value in table.items():
-            out = out.subs(name, value)
-        return out
+        """Substitute every name of ``table`` in one pass over the monomials.
+
+        Equals substituting the names one after another only when no value
+        mentions a name of the table.
+        """
+        out: dict[Mono, GaussianRational] = {}
+        for m, c in self.terms.items():
+            kept = tuple((n, e) for n, e in m if n not in table)
+            if len(kept) == len(m):
+                pieces = ((m, c),)
+            else:
+                value = ScalarPoly({_EMPTY: c}, _clean=False)
+                for n, e in m:
+                    if n in table:
+                        value = value * _as_poly(table[n]) ** e
+                pieces = ((_mono_mul(kept, m2), c2) for m2, c2 in value.terms.items())
+            for m2, c2 in pieces:
+                s = out.get(m2, GR_ZERO) + c2
+                if s.is_zero():
+                    out.pop(m2, None)
+                else:
+                    out[m2] = s
+        return ScalarPoly(out, _clean=False)
 
     def evaluate(self, env: Mapping[str, complex]) -> complex:
         total = 0j

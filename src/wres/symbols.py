@@ -113,6 +113,7 @@ class BoundaryModel:
     total_dim: object  # int | ScalarPoly
     gamma_n: Fraction = Fraction(5, 2)  # Gamma^n(x0) as a multiple of h'(0)
     _subs: dict = field(default_factory=dict, repr=False)
+    _jets: dict = field(default_factory=dict, repr=False, compare=False)  # symbol_jet memo
 
     def __post_init__(self):
         if len(self.tangential) != self.n - 1 or len(self.coords) != self.n - 1:
@@ -172,6 +173,8 @@ class BoundaryModel:
                 table[f"g_{W}_{W}_{d}"] = -rest
             else:
                 table[f"g_{W}_{d}_{W}"] = rest
+        # subs_many substitutes in one pass, which needs values free of the keys
+        assert not any(v.symbols() & table.keys() for v in table.values())
         return table
 
     def normal_reduce(self, poly: ScalarPoly) -> ScalarPoly:
@@ -336,16 +339,24 @@ def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
     return Jet(a1 + a2, None)
 
 
-def symbol_jet(model: BoundaryModel, power: int, order: int) -> Jet:
-    """Symbol of D^{-power} at the given order, as a jet at the base point."""
-    key = (power, order)
-    builders = {
-        (1, -1): sigma_minus1_Dinv,
-        (1, -2): sigma_minus2_Dinv,
-        (2, -2): sigma_minus2_Dsq,
-        (2, -3): sigma_minus3_Dsq,
-    }
-    if key not in builders:
-        raise KeyError(f"no symbol builder for D^-{power} at order {order}")
-    return builders[key](model)
+_BUILDERS = {
+    (1, -1): sigma_minus1_Dinv,
+    (1, -2): sigma_minus2_Dinv,
+    (2, -2): sigma_minus2_Dsq,
+    (2, -3): sigma_minus3_Dsq,
+}
 
+
+def symbol_jet(model: BoundaryModel, power: int, order: int) -> Jet:
+    """Symbol of D^{-power} at the given order, as a jet at the base point.
+
+    Built once per model and (power, order); callers share the returned jet,
+    whose elements no caller mutates.
+    """
+    key = (power, order)
+    jet = model._jets.get(key)
+    if jet is None:
+        if key not in _BUILDERS:
+            raise KeyError(f"no symbol builder for D^-{power} at order {order}")
+        jet = model._jets[key] = _BUILDERS[key](model)
+    return jet

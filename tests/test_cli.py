@@ -217,6 +217,9 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
     pytest.param(["rw", "--f", "((0.5)^11)^33", "--interval", "0,1"], None, {}, 2,
                  "floating-point range", id="rw-warp-underflow"),
     pytest.param(RW_EXP + ["--curv", "inf"], None, {}, 2, "finite", id="rw-curv-inf"),
+    pytest.param(["rw", "--f", "2+t", "--interval", "-1,1"], None, {}, 0, "",
+                 id="rw-spaced-negative-interval"),
+    pytest.param(RW_EXP + ["--curv", "-1e-3"], None, {}, 0, "", id="rw-spaced-negative-exponent"),
     pytest.param(RW_EXP + ["--base-vol", "0"], None, {}, 2, "--base-vol must be positive",
                  id="rw-base-vol-zero"),
     pytest.param(RW_EXP + ["--base-vol", "-1"], None, {}, 2, "--base-vol must be positive",

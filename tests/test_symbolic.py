@@ -18,6 +18,7 @@ from wres.oracles import (
 )
 from wres.symbolic import (
     GR_I,
+    GR_ZERO,
     ConditionallyConvergent,
     DivergentSymbol,
     GaussianRational,
@@ -43,6 +44,89 @@ def test_gaussian_field_laws(a, b, c):
     assert a * b == b * a
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+def _rand_fraction(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-30, 30))
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _pair_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _pair_repr(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}*i"
+    return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
+
+
+def _check_fields(z, pair):
+    # (a + b i)/d with d > 0 in lowest terms, and the value of the pair model
+    assert all(type(f) is int for f in (z.a, z.b, z.d))
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    assert (z.re, z.im) == pair
+    assert repr(z) == _pair_repr(pair)
+    assert complex(z) == complex(float(pair[0]), float(pair[1]))
+    assert z == GaussianRational(*pair) and hash(z) == hash(GaussianRational(*pair))
+    if pair[1] == 0:
+        assert z == pair[0] and hash(z) == hash(pair[0])
+        if pair[0].denominator == 1:
+            assert z == int(pair[0]) and hash(z) == hash(int(pair[0]))
+    else:
+        assert z != pair[0]
+
+
+def test_gaussian_kernel_against_fraction_pairs():
+    # every operation against an independent (re, im) model in Fractions
+    rng = random.Random(2024)
+    assert (GR_ZERO.a, GR_ZERO.b, GR_ZERO.d) == (0, 0, 1)
+    for _ in range(600):
+        x = (_rand_fraction(rng), _rand_fraction(rng))
+        y = (_rand_fraction(rng), _rand_fraction(rng))
+        zx, zy = GaussianRational(*x), GaussianRational(*y)
+        _check_fields(zx, x)
+        _check_fields(zx + zy, (x[0] + y[0], x[1] + y[1]))
+        _check_fields(zx - zy, (x[0] - y[0], x[1] - y[1]))
+        _check_fields(zx * zy, _pair_mul(x, y))
+        _check_fields(-zx, (-x[0], -x[1]))
+        _check_fields(zx.conjugate(), (x[0], -x[1]))
+        _check_fields(zx - zx, (Fraction(0), Fraction(0)))
+        # mixed operands: ints and Fractions on either side
+        r = y[0]
+        n = int(r.numerator)
+        _check_fields(zx + r, (x[0] + r, x[1]))
+        _check_fields(r - zx, (r - x[0], -x[1]))
+        _check_fields(zx * n, (x[0] * n, x[1] * n))
+        _check_fields(n * zx, (x[0] * n, x[1] * n))
+        if zy.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                zy.inverse()
+            continue
+        inv = _pair_inverse(y)
+        _check_fields(zy.inverse(), inv)
+        _check_fields(zx / zy, _pair_mul(x, inv))
+        k = rng.randint(-3, 3)
+        power = (Fraction(1), Fraction(0))
+        for _ in range(abs(k)):
+            power = _pair_mul(power, y if k > 0 else inv)
+        _check_fields(zy ** k, power)
+        if r:
+            _check_fields(zx / r, (x[0] / r, x[1] / r))
+            _check_fields(r / zy, _pair_mul((r, Fraction(0)), inv))
+    assert GaussianRational(0, 0) == 0 and hash(GaussianRational(0, 0)) == 0
 
 
 def _rand_poly(rng, symbols=("x", "y", "h1")):

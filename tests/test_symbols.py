@@ -79,6 +79,16 @@ def test_projected_leading_symbol(model):
     assert got == want
 
 
+def test_symbol_jet_is_built_once_per_model():
+    first, second = foliation_model(2, 2, 8), foliation_model(2, 2, 8)
+    jet = symbol_jet(first, 1, -1)
+    assert symbol_jet(first, 1, -1) is jet
+    assert jet == sigma_minus1_Dinv(first)
+    assert second._jets == {}
+    assert symbol_jet(second, 1, -1) is not jet
+    assert set(first._jets) == set(second._jets) == {(1, -1)}
+
+
 def test_square_symbol_jet(model):
     s = sigma_minus2_Dsq(model)
     inv2 = RationalXi.inv_norm_sq(2)
