@@ -229,6 +229,8 @@ def cmd_rw(args) -> int:
 
 
 def _rw_report(args) -> tuple[str, bool]:
+    if args.cutoff_scale is not None and not args.cutoff_scale > 0:
+        raise ValueError(f"--lambda must be positive (got {args.cutoff_scale})")
     tol = warped.quad_tolerance()
     warp = warped.parse_warp(args.f)
     a, b = args.interval

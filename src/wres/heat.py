@@ -441,25 +441,21 @@ def wres_power(n: int, total_dim=None) -> UnitValue:
 # Spectral-action moments
 # ---------------------------------------------------------------------------
 
-def spectral_moments(cutoff: Callable[[float], float], upper: float = math.inf,
-                     points: list[float] | None = None) -> dict[int, float]:
+def spectral_moments(cutoff: Callable[[float], float],
+                     upper: float = math.inf) -> dict[int, float]:
     """F_k = Gamma(k/2)^{-1} * integral_0^inf cutoff(s) s^{k/2-1} ds for
     k = 4..1, and F_0 = cutoff(0).
 
     The substitution s = u^2 removes the k = 1 endpoint singularity.
     """
-    from scipy.integrate import quad
+    from .quadpack import quad
 
     out = {0: float(cutoff(0.0))}
     u_upper = math.sqrt(upper) if math.isfinite(upper) else math.inf
-    u_points = [math.sqrt(p) for p in points] if points else None
     for k in (1, 2, 3, 4):
         def integrand(u, k=k):
             return 2.0 * cutoff(u * u) * u ** (k - 1)
-        kwargs = {"limit": 300}
-        if u_points and math.isfinite(u_upper):
-            kwargs["points"] = u_points
-        val, err = quad(integrand, 0.0, u_upper, **kwargs)
+        val, err, _, _ = quad(integrand, 0.0, u_upper, limit=300)
         if not math.isfinite(val) or (abs(val) > 1e-12 and err > 1e-6 * abs(val)):
             raise ValueError(f"non-integrable or ill-conditioned moment F_{k}")
         out[k] = val / math.gamma(k / 2)

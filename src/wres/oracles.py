@@ -19,17 +19,37 @@ from .warped import Jet3, _eval_ast
 
 
 def _quad_complex(fn, a=-math.inf, b=math.inf, limit=400):
-    from scipy.integrate import quad
+    from .quadpack import quad
 
     kw = {"limit": limit, "epsabs": 1e-12, "epsrel": 1e-11}
-    re, _ = quad(lambda t: fn(t).real, a, b, **kw)
-    im, _ = quad(lambda t: fn(t).imag, a, b, **kw)
+    re = quad(lambda t: fn(t).real, a, b, **kw).value
+    im = quad(lambda t: fn(t).imag, a, b, **kw).value
     return complex(re, im)
+
+
+def _rational_function(f: RationalXi):
+    """f as a function of a complex point, its coefficients converted to
+    complex once.  The arithmetic is ``RationalXi.evaluate``'s, in its order,
+    so the values are the same floats."""
+    coeffs = []
+    for poly in f.num:
+        total = 0j
+        for mono, c in poly.terms.items():
+            if mono:
+                raise ValueError("the oracle evaluates constant coefficients only")
+            total += complex(c)
+        coeffs.append(total)
+    mp, mm = f.mp, f.mm
+
+    def value(xi):
+        num = sum(c * xi ** k for k, c in enumerate(coeffs))
+        return num / ((xi - 1j) ** mp * (xi + 1j) ** mm)
+    return value
 
 
 def numeric_line_integral(f: RationalXi) -> complex:
     """Adaptive quadrature of the rational function over the real line."""
-    return _quad_complex(lambda t: f.evaluate(t))
+    return _quad_complex(_rational_function(f))
 
 
 def numeric_pi_plus(f: RationalXi, x0: float, drop: float = 0.5) -> complex:
@@ -39,13 +59,14 @@ def numeric_pi_plus(f: RationalXi, x0: float, drop: float = 0.5) -> complex:
     if not 0 < drop < 1:
         raise ValueError("contour must sit strictly between the axis and the lower pole")
     shift = -1j * drop
+    value = _rational_function(f)
 
     def integrand(t):
         eta = t + shift
-        return f.evaluate(eta) / (eta - x0)
+        return value(eta) / (eta - x0)
 
     integral = _quad_complex(integrand)
-    return f.evaluate(x0) - integral / (2j * math.pi)
+    return value(x0) - integral / (2j * math.pi)
 
 
 def fd_jet(fn, t: float, h: float = 1e-3):

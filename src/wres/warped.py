@@ -482,10 +482,10 @@ def warped_geometry(model: RWModel, t: float, normal_sign: int = 1) -> Curvature
 def quad_adaptive(fn: Callable[[float], float], a: float, b: float,
                   tol: float | None = None) -> float:
     """Adaptive Gauss-Kronrod quadrature at the configured relative tolerance."""
-    from scipy.integrate import quad
+    from .quadpack import quad
 
     eps = quad_tolerance(tol)
-    val, err = quad(fn, a, b, epsabs=1e-300, epsrel=eps, limit=400)
+    val, err, _, _ = quad(fn, a, b, epsabs=1e-300, epsrel=eps, limit=400)
     scale = max(abs(val), 1.0)
     if not math.isfinite(val) or err > 1e3 * eps * scale + 1e-12:
         raise ValueError(f"quadrature did not converge (estimate {val}, error {err})")

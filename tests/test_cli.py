@@ -220,6 +220,13 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
     pytest.param(["rw", "--f", "2+t", "--interval", "-1,1"], None, {}, 0, "",
                  id="rw-spaced-negative-interval"),
     pytest.param(RW_EXP + ["--curv", "-1e-3"], None, {}, 0, "", id="rw-spaced-negative-exponent"),
+    pytest.param(RW_EXP + ["--lambda", "0"], None, {}, 2, "--lambda must be positive",
+                 id="rw-lambda-zero"),
+    pytest.param(["rw", "--f", "2+t", "--interval", "0,1", "--lambda", "-2"], None, {}, 2,
+                 "--lambda must be positive", id="rw-lambda-negative"),
+    # an integrand of rounding noise: the quadrature ends with ier != 0 but prints nothing
+    pytest.param(["rw", "--f", "t", "--interval", "0.5,1.5", "--curv", "-1"], None, {}, 0, "",
+                 id="rw-noise-integrand-silent"),
     pytest.param(RW_EXP + ["--base-vol", "0"], None, {}, 2, "--base-vol must be positive",
                  id="rw-base-vol-zero"),
     pytest.param(RW_EXP + ["--base-vol", "-1"], None, {}, 2, "--base-vol must be positive",
@@ -245,6 +252,8 @@ def test_exit_contract(argv, config, env, code, message, tmp_path):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
     if code == 2 and "usage:" not in proc.stderr:  # argparse prints its own usage line
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
@@ -284,6 +293,19 @@ def test_report_matches_reference(op, monkeypatch, capsys):
         assert main(op["argv"]) == 0
     reference = (ROOT / "perfbench" / "reference" / f"{op['ref']}.json").read_bytes()
     assert capsys.readouterr().out.encode() == reference
+
+
+def test_rw_and_oracle_do_not_import_scipy(tmp_path):
+    code = ("import sys\n"
+            "from wres.cli import main\n"
+            "assert main(['rw', '--f', '2+sin(t)', '--interval', '0,1', '--lambda', '2',"
+            " '--json', 'rw.json']) == 0\n"
+            "assert main(['oracle', '--count', '5', '--json', 'oracle.json']) == 0\n"
+            "print('scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_boundary_imports_neither_numpy_nor_scipy(tmp_path):

@@ -1,0 +1,246 @@
+"""The in-repo QUADPACK port: bit identity with scipy.integrate.quad on the
+integrands wres builds, and closed forms and edge cases that need no scipy."""
+
+import math
+import random
+import warnings
+from fractions import Fraction
+
+import pytest
+
+from wres import heat, oracles, quadpack, warped
+from wres.quadpack import quad
+
+
+# ---------------------------------------------------------------------------
+# Differential: the port against the compiled QUADPACK behind scipy
+# ---------------------------------------------------------------------------
+
+class Differential:
+    """Stands in for ``quadpack.quad`` at the call sites.  Each call runs
+    scipy first, recording the integrand's points and values, then the port,
+    which must ask for the same points in the same order; the port is fed
+    the recorded values and must return the same bits."""
+
+    def __init__(self, scipy_quad):
+        self.scipy_quad = scipy_quad
+        self.port = quadpack.quad
+        self.count = 0
+        self.iers = set()
+
+    def __call__(self, fn, a, b, **kw):
+        calls = []
+
+        def recording(x):
+            y = fn(x)
+            calls.append((x, y))
+            return y
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = self.scipy_quad(recording, a, b, full_output=1, **kw)
+        replay = iter(calls)
+
+        def replaying(x):
+            x0, y = next(replay)
+            assert x.hex() == x0.hex(), (a, b, kw)
+            return y
+
+        got = self.port(replaying, a, b, **kw)
+        assert got.value.hex() == want[0].hex() and got.abserr.hex() == want[1].hex(), \
+            (a, b, kw, got, want[:2])
+        assert got.neval == want[2]["neval"] == len(calls)
+        assert (got.ier == 0) == (len(want) == 3)
+        self.count += 1
+        self.iers.add(got.ier)
+        return got
+
+
+RW_WARPS = ["exp(t)", "2+sin(t)", "1+t^2/4", "cosh(t)", "1+t/10", "ln(3+t)",
+            "1+1/exp(t)", "3-t^2/5", "2+cos(3*t)", "sinh(t)+1"]
+RW_INTERVALS = [(0.0, 1.0), (0.5, 1.5), (0.1, 0.3), (1.0, 2.5)]
+RW_CURVS = [0.0, 1.0, -1.0, 0.25]
+MOMENT_CUTOFFS = (
+    [lambda s, c=c: math.exp(-c * s) for c in (0.3, 1.0, 2.5, 7.0)]
+    + [lambda s, c=c: math.exp(-c * s * s) for c in (0.5, 1.0, 3.0)]
+    + [lambda s, p=p: (1.0 + s) ** -p for p in (3, 4, 5, 6)]
+    + [lambda s: s * math.exp(-s), lambda s: 2.0 * math.exp(-s) / (1.0 + math.exp(-2.0 * s))]
+)
+
+
+def test_port_is_bit_identical_to_scipy_quad(monkeypatch):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    diff = Differential(scipy_integrate.quad)
+    monkeypatch.setattr(quadpack, "quad", diff)
+
+    # residue-oracle integrands over the real line (dqagie, inf = 2)
+    for seed in range(1, 11):
+        oracles.run_quadrature_oracle(seed, 100)
+    numeric = diff.count
+    assert numeric == 2000
+
+    # spectral-moment integrands over [0, inf) (dqagie, inf = 1)
+    for cutoff in MOMENT_CUTOFFS:
+        heat.spectral_moments(cutoff)
+    with pytest.raises(ValueError, match="non-integrable"):
+        heat.spectral_moments(lambda s: 1.0 / (1.0 + s))
+    moments = diff.count - numeric
+    assert moments == 4 * len(MOMENT_CUTOFFS) + 2
+
+    # rw integrands on finite intervals (dqagse), and the slow
+    # --f t --interval 0.5,1.5 --curv -1, whose scalar-curvature integrand
+    # is rounding noise that runs to the subdivision limit
+    models = [warped.RWModel(a, b, warped.parse_warp(text), curv=curv)
+              for text in RW_WARPS for a, b in RW_INTERVALS for curv in RW_CURVS]
+    models.append(warped.RWModel(0.5, 1.5, warped.parse_warp("t"), curv=-1.0))
+    for model in models:
+        warped.rw_spectral_coeffs(model)
+    assert diff.count - numeric - moments == 3 * len(models)
+
+    # direct calls, most of which end with ier != 0
+    c = 1 / 3
+    for fn, a, b, kw, ier in [
+        (lambda s: 1.0 / (1.0 + s), 0.0, math.inf, {}, 1),
+        (lambda x: math.sin(50 * x), 0.0, 3.0, {"limit": 1}, 1),
+        (lambda x: math.exp(-x * x), -math.inf, math.inf, {"limit": 1}, 1),
+        (lambda x: 1.0 / abs(x - c) if x != c else 0.0, 0.0, 1.0, {}, 3),
+        (lambda x: math.copysign(abs(x - 0.7) ** -3, x - 0.7) if x != 0.7 else 0.0,
+         0.0, 1.0, {}, 2),
+        (lambda x: 1.0 / x if x else 0.0, -1.0, 2.0, {}, 5),
+        (lambda x: x ** -0.99 if x > 0 else 0.0, 0.0, 1.0, {}, 0),
+        (lambda x: math.exp(x), 1.0, -2.0, {}, 0),
+    ]:
+        assert diff(fn, a, b, **kw).ier == ier
+    # endpoint singularities, which run the epsilon algorithm, and even
+    # integrands on symmetric intervals, whose mirror subintervals tie in
+    # error and so test dqpsrt's order on ties
+    for p in (-0.9, -0.75, -0.5, -0.25, 0.5):
+        diff(lambda x, p=p: x ** p if x > 0 else 0.0, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+        diff(lambda x, p=p: abs(x) ** p if x else 0.0, -1.0, 1.0)
+        diff(lambda x, p=p: math.log(x) * x ** p if x > 0 else 0.0, 0.0, 1.0)
+    diff(lambda x: abs(abs(x) - 0.5) ** 1.5 * math.cos(3 * x), -1.0, 1.0)
+    assert {0, 1, 2, 3, 5} <= diff.iers
+    assert diff.count >= 2400
+
+
+# ---------------------------------------------------------------------------
+# Without scipy
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fn,a,b,exact", [
+    (lambda x: math.exp(-x * x), -math.inf, math.inf, math.sqrt(math.pi)),
+    (lambda x: 1.0 / (1.0 + x * x), -math.inf, math.inf, math.pi),
+    (lambda u: math.exp(-u * u) * u, 0.0, math.inf, 0.5),
+    (lambda x: math.exp(x), -math.inf, 0.0, 1.0),
+    (lambda x: math.exp(x), 0.0, -math.inf, -1.0),
+    (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, 2.0),
+    (lambda x: math.cos(x), 1.0, 0.0, -math.sin(1.0)),
+    (lambda x: math.cos(x), 2.0, 2.0, 0.0),
+], ids=["gauss", "cauchy", "half-gauss-moment", "exp-left", "exp-flipped",
+        "sqrt-singularity", "reversed", "empty"])
+def test_closed_forms(fn, a, b, exact):
+    result = quad(fn, a, b)
+    assert result.ier == 0
+    assert abs(result.value - exact) <= 1e-10 * max(1.0, abs(exact))
+    assert result.abserr <= 1.49e-8 * max(1.0, abs(exact))
+
+
+def _random_poly(rng, degree):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree + 1)]
+
+
+def _horner(coeffs, x):
+    v = 0.0
+    for c in reversed(coeffs):
+        v = v * x + float(c)
+    return v
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7, 20, 31])
+def test_21_point_rule_is_exact_to_degree_31(degree):
+    rng = random.Random(degree)
+    for _ in range(20):
+        coeffs = _random_poly(rng, degree)
+        a, b = sorted(Fraction(rng.randint(-20, 20), 16) for _ in range(2))
+        if a == b:
+            continue
+        exact = sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
+        scale = sum(abs(c) for c in coeffs) * max(abs(a), abs(b), 1) ** (degree + 1) * (b - a)
+        result = quad(lambda x: _horner(coeffs, x), float(a), float(b), limit=1)
+        assert result.neval == 21
+        assert abs(result.value - float(exact)) <= 1e-14 * float(scale)
+
+
+def test_21_point_rule_is_not_exact_at_degree_32():
+    result = quad(lambda x: x ** 32, -1.0, 1.0, limit=1)
+    assert abs(result.value - 2 / 33) > 1e-12
+
+
+@pytest.mark.parametrize("degree", [0, 5, 23])
+def test_15_point_transformed_rule_is_exact_to_degree_23(degree):
+    # x = (1-t)/t maps (0, 1] onto [0, inf) with dx = dt/t^2, so
+    # p(1/(1+x))/(1+x)^2 over [0, inf) is p(t) over [0, 1] in one panel
+    rng = random.Random(100 + degree)
+    coeffs = _random_poly(rng, degree)
+    exact = sum(c / (k + 1) for k, c in enumerate(coeffs))
+    scale = sum(abs(c) for c in coeffs)
+    t = lambda x: 1.0 / (1.0 + x)  # noqa: E731
+    result = quad(lambda x: _horner(coeffs, t(x)) * t(x) ** 2, 0.0, math.inf, limit=1)
+    assert result.neval == 15
+    assert abs(result.value - float(exact)) <= 1e-14 * float(scale)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.0, math.inf), (-math.inf, math.inf)])
+def test_invalid_tolerance_gives_ier_6(a, b):
+    calls = []
+    result = quad(lambda x: calls.append(x) or 1.0, a, b, epsabs=0.0, epsrel=1e-30)
+    assert result == (0.0, 0.0, 6, 0)
+    assert calls == []
+    assert quad(math.exp, a, b, epsabs=-1.0, epsrel=1e-30).ier == 6
+    # a relative tolerance above 50 * epsilon is valid with epsabs = 0
+    assert quad(lambda x: math.exp(-abs(x)), a, b, epsabs=0.0, epsrel=1e-10).ier == 0
+
+
+def test_limit_one_reports_the_first_panel():
+    result = quad(lambda x: math.sin(50 * x), 0.0, 3.0, limit=1)
+    assert (result.ier, result.neval) == (1, 21)
+    result = quad(lambda x: math.exp(-x * x), -math.inf, math.inf, limit=1)
+    assert (result.ier, result.neval) == (1, 30)
+
+
+def test_integrand_is_called_once_per_point_in_order():
+    points = []
+    result = quad(lambda x: points.append(x) or math.cos(x), 0.0, 2.0)
+    assert len(points) == result.neval == 21
+    # dqk21: the centre, then the Gauss pairs, then the Kronrod-only pairs
+    assert points[0] == 1.0
+    assert points[1] + points[2] == 2.0 and points[1] < points[2]
+    assert abs(points[2] - 1.0 - quadpack._XGK21[1]) < 1e-15
+
+
+@pytest.mark.parametrize("fn,a,b", [
+    (lambda x: math.inf, 0.0, 1.0),
+    (lambda x: math.nan, 0.0, math.inf),
+    (lambda x: 1e308 if x < 0.3 else -1e308, 0.0, 1.0),
+    (lambda x: 1e300 * x ** 7, -math.inf, math.inf),
+    (lambda x: 1.0 / x if x else 0.0, -1.0, 2.0),
+    (lambda x: 1.0 / (1.0 + x), 0.0, math.inf),
+    (lambda x: 1e-310 * math.sin(x), -math.inf, math.inf),
+    (lambda x: 0.0, 0.0, 1.0),
+    (lambda x: 1.0 if x <= 0 else 0.0, -1.0, 10000.0),
+], ids=["inf", "nan", "huge-step", "huge-tail", "pole", "divergent", "subnormal",
+        "zero", "narrow-step"])
+def test_no_arithmetic_exception_escapes(fn, a, b):
+    for limit in (1, 2, 50, 400):
+        result = quad(fn, a, b, epsabs=1e-300, epsrel=1e-12, limit=limit)
+        assert 0 <= result.ier <= 5
+
+
+def test_ieee_results_where_python_raises():
+    # the divergence test's result/area and the rule's (200*abserr/resasc)^1.5
+    assert quadpack._div(1.0, 0.0) == math.inf
+    assert quadpack._div(-1.0, 0.0) == -math.inf
+    assert quadpack._div(1.0, -0.0) == -math.inf
+    assert math.isnan(quadpack._div(0.0, 0.0))
+    assert quadpack._pow15(1e300) == math.inf
+    assert quadpack._rule_error(1e200, 0.0, 1.0, 0.0, 1e-10) == 1e-10
