@@ -481,13 +481,12 @@ def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
     else:
         # subdivision may have increased the error estimate: move it up
         errmax = elist[maxerr]
-        if nrmax != 1:
-            for _ in range(nrmax - 1):
-                isucc = iord[nrmax - 1]
-                if errmax <= elist[isucc]:
-                    break
-                iord[nrmax] = isucc
-                nrmax -= 1
+        for _ in range(nrmax - 1):
+            isucc = iord[nrmax - 1]
+            if errmax <= elist[isucc]:
+                break
+            iord[nrmax] = isucc
+            nrmax -= 1
         # only the part of the list that can still be bisected stays sorted
         jupbn = last
         if last > limit // 2 + 2:
