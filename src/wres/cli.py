@@ -175,6 +175,12 @@ def cmd_heat(args) -> int:
         # the heat-formula convention: leaf dimension 2p, trace dim 2^(p+q)
         p, q = int(meta["p"]), int(meta["q"])
         n, total_dim = 2 * p + q, 2 ** (p + q)
+        clash = [f"{k} = {meta[k]}" for k, v in (("n", n), ("total_dim", total_dim))
+                 if k in meta and meta[k] != v]
+        if clash:
+            print(f"error: config gives {', '.join(clash)} but p = {p}, q = {q} give "
+                  f"n = 2p+q = {n}, total_dim = 2^(p+q) = {total_dim}", file=sys.stderr)
+            return 2
     elif "n" in meta and "total_dim" in meta:
         n, total_dim = int(meta["n"]), int(meta["total_dim"])
     else:

@@ -201,7 +201,6 @@ class CurvatureData:
     bvol: Fraction = Fraction(0)
     # interior
     r: Fraction = Fraction(0)
-    delta_r: Fraction = Fraction(0)       # total divergence; kept for bounded runs
     r2: Fraction = Fraction(0)
     ric2: Fraction = Fraction(0)          # R_ijik R_ljlk
     riem2: Fraction = Fraction(0)         # R_ijkl^2

@@ -191,27 +191,21 @@ class ScalarPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Mono, GaussianRational] | None = None, _clean=True):
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
-        else:
-            self.terms = dict(terms)
+    def __init__(self, terms: Mapping[Mono, GaussianRational] | None = None):
+        self.terms = {m: c for m, c in terms.items() if not c.is_zero()} if terms else {}
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def const(cls, c) -> "ScalarPoly":
-        c = _as_gr(c)
-        return cls({} if c.is_zero() else {_EMPTY: c}, _clean=False)
+        return cls({_EMPTY: _as_gr(c)})
 
     @classmethod
     def symbol(cls, name: str, exp: int = 1) -> "ScalarPoly":
-        return cls({((name, exp),): GR_ONE}, _clean=False)
+        return cls({((name, exp),): GR_ONE})
 
     @classmethod
     def zero(cls) -> "ScalarPoly":
-        return cls({}, _clean=False)
+        return cls()
 
     @classmethod
     def one(cls) -> "ScalarPoly":
@@ -221,18 +215,14 @@ class ScalarPoly:
     def __add__(self, other):
         other = _as_poly(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, GR_ZERO) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return ScalarPoly(out, _clean=False)
+        for m, x in other.terms.items():
+            out[m] = out[m] + x if m in out else x
+        return ScalarPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarPoly({m: -c for m, c in self.terms.items()}, _clean=False)
+        return ScalarPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -246,12 +236,9 @@ class ScalarPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = out.get(m, GR_ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return ScalarPoly(out, _clean=False)
+                x = c1 * c2
+                out[m] = out[m] + x if m in out else x
+        return ScalarPoly(out)
 
     __rmul__ = __mul__
 
@@ -266,9 +253,11 @@ class ScalarPoly:
         if other.is_zero():
             raise ZeroDivisionError("division by structurally-zero polynomial")
         inv = other.inverse()
-        return ScalarPoly({m: c * inv for m, c in self.terms.items()}, _clean=False)
+        return ScalarPoly({m: c * inv for m, c in self.terms.items()})
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"negative power {k} of a polynomial")
         out = ScalarPoly.one()
         for _ in range(k):
             out = out * self
@@ -309,27 +298,10 @@ class ScalarPoly:
         for m, c in self.terms.items():
             for i, (n, e) in enumerate(m):
                 if n == name:
-                    newm = m[:i] + ((n, e - 1),) if e > 1 else m[:i] + m[i + 1:]
-                    newm = tuple(sorted(newm))
-                    s = out.get(newm, GR_ZERO) + c * e
-                    if s.is_zero():
-                        out.pop(newm, None)
-                    else:
-                        out[newm] = s
-        return ScalarPoly(out, _clean=False)
-
-    def subs(self, name: str, value: "ScalarPoly | GaussianRational | int") -> "ScalarPoly":
-        value = _as_poly(value)
-        out = ScalarPoly.zero()
-        for m, c in self.terms.items():
-            piece = ScalarPoly({_EMPTY: c}, _clean=False)
-            for n, e in m:
-                if n == name:
-                    piece = piece * value ** e
-                else:
-                    piece = piece * ScalarPoly.symbol(n, e)
-            out = out + piece
-        return out
+                    newm = m[:i] + (((n, e - 1),) if e > 1 else ()) + m[i + 1:]
+                    x = c * e
+                    out[newm] = out[newm] + x if newm in out else x
+        return ScalarPoly(out)
 
     def subs_many(self, table: Mapping[str, "ScalarPoly"]) -> "ScalarPoly":
         """Substitute every name of ``table`` in one pass over the monomials.
@@ -343,18 +315,14 @@ class ScalarPoly:
             if len(kept) == len(m):
                 pieces = ((m, c),)
             else:
-                value = ScalarPoly({_EMPTY: c}, _clean=False)
+                value = ScalarPoly({_EMPTY: c})
                 for n, e in m:
                     if n in table:
                         value = value * _as_poly(table[n]) ** e
                 pieces = ((_mono_mul(kept, m2), c2) for m2, c2 in value.terms.items())
-            for m2, c2 in pieces:
-                s = out.get(m2, GR_ZERO) + c2
-                if s.is_zero():
-                    out.pop(m2, None)
-                else:
-                    out[m2] = s
-        return ScalarPoly(out, _clean=False)
+            for m2, x in pieces:
+                out[m2] = out[m2] + x if m2 in out else x
+        return ScalarPoly(out)
 
     def evaluate(self, env: Mapping[str, complex]) -> complex:
         total = 0j
@@ -398,7 +366,7 @@ def reduce_unit_norm(poly: ScalarPoly, coords: Iterable[str]) -> ScalarPoly:
         rest = rest - ScalarPoly.symbol(n, 2)
     out = ScalarPoly.zero()
     for m, c in poly.terms.items():
-        piece = ScalarPoly({_EMPTY: c}, _clean=False)
+        piece = ScalarPoly({_EMPTY: c})
         for n, e in m:
             if n == target and e >= 2:
                 piece = piece * rest ** (e // 2)
@@ -472,9 +440,7 @@ class RationalXi:
         other = _as_rx(other)
         mp = max(self.mp, other.mp)
         mm = max(self.mm, other.mm)
-        a = _poly_mul(self.num, _pole_poly(mp - self.mp, mm - self.mm))
-        b = _poly_mul(other.num, _pole_poly(mp - other.mp, mm - other.mm))
-        return RationalXi(_poly_add(a, b), mp, mm)
+        return RationalXi(_poly_add(self._raised(mp, mm), other._raised(mp, mm)), mp, mm)
 
     __radd__ = __add__
 
@@ -508,6 +474,15 @@ class RationalXi:
     def is_zero(self) -> bool:
         return not self.num
 
+    def _raised(self, mp: int, mm: int):
+        """The numerator over (xi - i)^mp * (xi + i)^mm, for mp, mm at least the orders."""
+        num = self.num
+        for _ in range(mp - self.mp):
+            num = _times_linear(num, GR_I)
+        for _ in range(mm - self.mm):
+            num = _times_linear(num, -GR_I)
+        return num
+
     # -- structure ------------------------------------------------------------
     def degree_gap(self) -> int:
         """Denominator degree minus numerator degree (decay order at infinity)."""
@@ -527,10 +502,10 @@ class RationalXi:
             return self
         dnum = [c * (k + 1) for k, c in enumerate(self.num[1:])]
         # N' * (xi-i)(xi+i) - N * (mp*(xi+i) + mm*(xi-i))
-        a = _poly_mul(dnum, (_as_poly(1), _as_poly(0), _as_poly(1)))  # (1 + xi^2)
-        b = _poly_mul(self.num,
-                      [_as_poly(GR_I * (self.mp - self.mm)), _as_poly(self.mp + self.mm)])
-        return RationalXi(_poly_sub(a, b), self.mp + 1, self.mm + 1)
+        a = _poly_add(dnum, [ScalarPoly.zero()] * 2 + dnum)  # N' * (1 + xi^2)
+        b = _poly_mul(self.num, [ScalarPoly.const(GR_I * (self.mm - self.mp)),
+                                 ScalarPoly.const(-(self.mp + self.mm))])
+        return RationalXi(_poly_add(a, b), self.mp + 1, self.mm + 1)
 
     # -- the half-plane projection and line integral ---------------------------
     def _upper_taylor(self, order: int) -> list[ScalarPoly]:
@@ -554,14 +529,9 @@ class RationalXi:
             raise DivergentSymbol("divergent symbol")
         if self.mp == 0:
             return RationalXi.zero()
-        coeffs = self._upper_taylor(self.mp)
-        # pi+ f = sum_{k=1..mp} A_k/(xi-i)^k with A_{mp-j} = coeffs[j]
-        num: list[ScalarPoly] = [ScalarPoly.zero()] * self.mp
-        basis = [_as_poly(1)]
-        for j in range(self.mp):
-            num = _poly_add(num, [coeffs[j] * b for b in basis])
-            basis = _poly_mul(basis, [_as_poly(-GR_I), _as_poly(1)])  # *(xi - i)
-        return RationalXi(num, self.mp, 0)
+        # pi+ f = sum_j coeffs[j] (xi-i)^j / (xi-i)^mp: the numerator is the
+        # truncated Taylor polynomial in u = xi - i, shifted back to xi
+        return RationalXi(_shift_poly(self._upper_taylor(self.mp), -GR_I), self.mp, 0)
 
     def pi_minus(self) -> "RationalXi":
         return (self - self.pi_plus())._normalize()
@@ -609,18 +579,12 @@ def _as_rx(x) -> RationalXi:
     raise TypeError(f"cannot coerce {type(x).__name__} to RationalXi")
 
 
+# Dense coefficient lists of ScalarPoly, constant term first.
+
 def _poly_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        x = a[k] if k < len(a) else ScalarPoly.zero()
-        y = b[k] if k < len(b) else ScalarPoly.zero()
-        out.append(_as_poly(x) + _as_poly(y))
-    return out
-
-
-def _poly_sub(a, b):
-    return _poly_add(a, [-_as_poly(c) for c in b])
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + list(a[len(b):])
 
 
 def _poly_mul(a, b):
@@ -628,22 +592,21 @@ def _poly_mul(a, b):
         return []
     out = [ScalarPoly.zero()] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        x = _as_poly(x)
         if x.is_zero():
             continue
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * _as_poly(y)
+            out[i + j] = out[i + j] + x * y
     return out
 
 
-def _pole_poly(kp: int, km: int):
-    """Coefficients of (xi - i)^kp * (xi + i)^km."""
-    out = [_as_poly(1)]
-    for _ in range(kp):
-        out = _poly_mul(out, [_as_poly(-GR_I), _as_poly(1)])
-    for _ in range(km):
-        out = _poly_mul(out, [_as_poly(GR_I), _as_poly(1)])
-    return out
+def _times_linear(coeffs, root: GaussianRational):
+    """Coefficients of (xi - root) * p(xi) given those of p(xi)."""
+    if not coeffs:
+        return []
+    neg = -root
+    return ([coeffs[0] * neg]
+            + [lo + hi * neg for lo, hi in zip(coeffs, coeffs[1:])]
+            + [coeffs[-1]])
 
 
 def _shift_poly(coeffs, a: GaussianRational):
@@ -904,9 +867,6 @@ def sphere_integrate(poly: ScalarPoly, coords: list[str], m: int) -> ScalarPoly:
         ratio = sphere_moment_ratio([exps.get(n, 0) for n in coords], m)
         if ratio == 0:
             continue
-        s = out.get(rest, GR_ZERO) + c * ratio
-        if s.is_zero():
-            out.pop(rest, None)
-        else:
-            out[rest] = s
-    return ScalarPoly(out, _clean=False)
+        x = c * ratio
+        out[rest] = out[rest] + x if rest in out else x
+    return ScalarPoly(out)

@@ -202,6 +202,14 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
                  id="heat-huge-q"),
     pytest.param(["heat"], "n = 1000000000\ntotal_dim = 4\nr = 1\n", {}, 2,
                  "n must be at most", id="heat-huge-n"),
+    pytest.param(["heat"], "p = 2\nq = 2\nn = 5\nr = 1\n", {}, 2,
+                 "config gives n = 5 but p = 2, q = 2 give", id="heat-n-disagrees-with-p-q"),
+    pytest.param(["heat"], "p = 2\nq = 2\ntotal_dim = 3\nr = 1\n", {}, 2,
+                 "config gives total_dim = 3 but", id="heat-total-dim-disagrees-with-p-q"),
+    pytest.param(["heat"], "p = 2\nq = 2\nn = 6\ntotal_dim = 16\nr = 1\n", {}, 0, "",
+                 id="heat-n-total-dim-agree-with-p-q"),
+    pytest.param(["heat"], "p = 2\nq = 2\nr = 1\ndelta_r = 1\n", {}, 2,
+                 "unknown curvature keys: ['delta_r']", id="heat-delta-r-unknown"),
     pytest.param(["verify-boundary", "--dim", "4", "--powers", "1,1", "--p", "4", "--q", "0"],
                  None, {}, 2, "signature", id="verify-q-zero"),
     pytest.param(["verify-boundary", "--dim", "4", "--powers", "1,1", "--p", "-1", "--q", "5"],

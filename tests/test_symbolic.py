@@ -156,7 +156,49 @@ def test_poly_derivative_and_subs():
     x = ScalarPoly.symbol("x")
     p = x * x * 3 + x * 2 + 5
     assert p.derivative("x") == x * 6 + 2
-    assert p.subs("x", ScalarPoly.const(2)) == ScalarPoly.const(21)
+    assert p.subs_many({"x": ScalarPoly.const(2)}) == ScalarPoly.const(21)
+
+
+def test_poly_derivative_keeps_later_symbols():
+    x, y = ScalarPoly.symbol("x"), ScalarPoly.symbol("y")
+    assert (x * x * y).derivative("x") == x * y * 2
+    assert (x * y * y).derivative("y") == x * y * 2
+
+
+def test_poly_negative_power_raises():
+    with pytest.raises(ValueError):
+        ScalarPoly.symbol("x") ** -1
+
+
+def _assert_no_zero_terms(p):
+    assert all(not c.is_zero() for c in p.terms.values()), p.terms
+
+
+def test_poly_terms_hold_no_zero_after_cancellation():
+    # zero coefficients are dropped once, at construction; each operation
+    # below cancels a monomial and must not leave it behind as a zero
+    x, y, h = ScalarPoly.symbol("x"), ScalarPoly.symbol("y"), ScalarPoly.symbol("h1")
+    assert ScalarPoly({(("x", 1),): GaussianRational(0)}).terms == {}
+    assert ScalarPoly.const(0).terms == {}
+    cases = [
+        ((x + y) + (-x), y),                                   # +
+        ((x + y) * (x - y), x * x - y * y),                    # *, the xy terms cancel
+        ((x * y + 3).derivative("x"), y),                      # d/dx drops the constant
+        ((x + y + h).subs_many({"x": -y}), h),                 # substitution cancels y
+        (sphere_integrate(ScalarPoly.symbol("a1", 2) * h - ScalarPoly.symbol("a2", 2) * h
+                          + h, ["a1", "a2"], 2), h),           # moments cancel
+    ]
+    for got, want in cases:
+        _assert_no_zero_terms(got)
+        assert got.terms == want.terms
+    assert (x - x).terms == {} and (x * 0).terms == {}
+    rng = random.Random(17)
+    for _ in range(60):
+        a, b = _rand_poly(rng), _rand_poly(rng)
+        v = _rand_poly(rng, ("y", "h1"))
+        for p in (a + b, a * b, (a + b) * (a - b), a.derivative("x"),
+                  (a + v).subs_many({"x": -v}), sphere_integrate(a - b, ["x", "y"], 2)):
+            _assert_no_zero_terms(p)
 
 
 def test_poly_division_guard():
@@ -183,6 +225,37 @@ def test_unit_norm_reduction():
 def test_derivative_closed_form():
     f = RationalXi.inv_norm_sq(1)
     assert f.derivative() == RationalXi([0, -2], 2, 2)
+
+
+def _rand_rational_xi(rng):
+    """Not necessarily proper, with symbolic coefficients; sometimes zero."""
+    deg = rng.randint(-1, 4)  # -1: zero numerator
+    return RationalXi([_rand_poly(rng) for _ in range(deg + 1)],
+                      rng.randint(0, 4), rng.randint(0, 4))
+
+
+def test_rational_xi_arithmetic_against_evaluation():
+    # RationalXi.evaluate divides by (xi-i)^mp (xi+i)^mm in floats and shares
+    # no code with the exact numerator kernel behind +, -, * and derivative
+    rng = random.Random(23)
+    env = {"x": 0.3 - 0.7j, "y": 1.1 + 0.2j, "h1": -0.6 + 0.4j}
+    points = [complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.5)) for _ in range(4)]
+    seen_unequal = seen_zero = 0
+    for _ in range(80):
+        f, g = _rand_rational_xi(rng), _rand_rational_xi(rng)
+        seen_unequal += (f.mp, f.mm) != (g.mp, g.mm)
+        seen_zero += f.is_zero() or g.is_zero()
+        df = f.derivative()
+        for xi in points:
+            fv, gv = f.evaluate(xi, env), g.evaluate(xi, env)
+            scale = 1 + abs(fv) + abs(gv)
+            assert (f + g).evaluate(xi, env) == pytest.approx(fv + gv, abs=1e-12 * scale)
+            assert (f - g).evaluate(xi, env) == pytest.approx(fv - gv, abs=1e-12 * scale)
+            assert (f * g).evaluate(xi, env) == pytest.approx(fv * gv, abs=1e-12 * scale ** 2)
+            h = 1e-5
+            central = (f.evaluate(xi + h, env) - f.evaluate(xi - h, env)) / (2 * h)
+            assert df.evaluate(xi, env) == pytest.approx(central, rel=1e-6, abs=1e-6)
+    assert seen_unequal > 40 and seen_zero > 5
 
 
 def test_rational_xi_reduces_only_on_demand():

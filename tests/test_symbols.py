@@ -32,7 +32,7 @@ def _zero_connection(expr: CliffordElement, drop_h1=False) -> CliffordElement:
         out = poly
         for s in sorted(poly.symbols()):
             if s.startswith("g_") or (drop_h1 and s == "h1"):
-                out = out.subs(s, ScalarPoly.zero())
+                out = out.subs_many({s: ScalarPoly.zero()})
         return out
     return expr.map_coeffs(lambda c: c.map_coeffs(clean))
 
