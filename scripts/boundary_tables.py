@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print every registered boundary scenario table and the leftover-term
-functionals in human-readable form."""
+functionals in human-readable form.  Exits 1 if any scenario's expected
+checks or any functional fail (each is printed as MISMATCH)."""
 
 import sys
 
@@ -9,7 +10,8 @@ sys.path.insert(0, "src")
 from wres.boundary import get_scenario, phi_total, registered_scenarios, res_partial
 
 
-def main():
+def main() -> int:
+    failed = 0
     for key in registered_scenarios():
         scenario = get_scenario(*key)
         report = phi_total(scenario)
@@ -20,6 +22,7 @@ def main():
         print(f"  total            {report.total}")
         print(f"  over boundary    {report.total_over_boundary}")
         status = "ok" if report.all_pass else "MISMATCH"
+        failed += not report.all_pass
         print(f"  expected checks  {status}")
         print()
 
@@ -27,9 +30,11 @@ def main():
     for kind in ("res11", "res21", "res22", "res23", "res21_51", "res22_51"):
         r = res_partial(kind)
         flag = "ok" if r.passes else "MISMATCH"
+        failed += not r.passes
         print(f"  {kind:>9}: {r.raw}")
         print(f"             = {r.igrb_multiple}  [{flag}]")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

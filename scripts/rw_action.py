@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Evaluate the warped-model spectral action for a few warp functions and
 print the coefficient tables, both a4 boundary readings, and the asymptotic
-action for an exponential cutoff."""
+action for an exponential cutoff.  Exits 1 if a0..a3 differ from the generic
+bounded-manifold formulas fed the same data by more than RESIDUAL_TOL relative
+to max(1, |generic|)."""
 
 import math
 import sys
@@ -17,15 +19,21 @@ RUNS = [
     ("2+sin(t)", -1.0, (0.5, 1.5)),
     ("cosh(t)", 1.0, (-0.5, 0.5)),
 ]
+RESIDUAL_TOL = 1e-12
 
 
-def main():
+def main() -> int:
+    failed = 0
     moments = spectral_moments(lambda s: math.exp(-s))
     scale = 2.0
     for text, curv, (a, b) in RUNS:
         model = RWModel(a, b, parse_warp(text), curv=curv)
         co = rw_spectral_coeffs(model)
-        vols = rw_lower_volumes(model)
+        vols = rw_lower_volumes(model, co)
+        diag = co.diagnostics
+        off = [k for k in range(4) if diag[f"residual_a{k}"]
+               > RESIDUAL_TOL * max(1.0, abs(diag[f"generic_a{k}"]))]
+        failed += bool(off)
         print(f"=== f(t) = {text}, base curvature {curv}, interval [{a}, {b}] ===")
         for key, value in co.as_dict().items():
             print(f"  {key:>20}: {value: .12g}")
@@ -33,6 +41,9 @@ def main():
               f"a0 {co.diagnostics['residual_a0']:.1e}, "
               f"a2 {co.diagnostics['residual_a2']:.1e}, "
               f"a3 {co.diagnostics['residual_a3']:.1e}")
+        if off:
+            print(f"  MISMATCH: residual above {RESIDUAL_TOL:g} relative in "
+                  + ", ".join(f"a{k}" for k in off))
         for name, a4 in (("printed", co.a4_printed), ("derived", co.a4_derived)):
             action = (scale ** 4 * moments[4] * co.a0 + scale ** 3 * moments[3] * co.a1
                       + scale ** 2 * moments[2] * co.a2 + scale * moments[1] * co.a3
@@ -42,7 +53,8 @@ def main():
               f"top weighted {vols['vol_top_weighted']:.10g}, "
               f"top plain {vols['vol_top_plain']:.10g}")
         print()
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -242,7 +242,7 @@ def _rw_report(args) -> tuple[str, bool]:
     a, b = args.interval
     model = warped.RWModel(a, b, warp, curv=args.curv, base_vol=args.base_vol)
     coeffs = warped.rw_spectral_coeffs(model)
-    volumes = warped.rw_lower_volumes(model)
+    volumes = warped.rw_lower_volumes(model, coeffs)
     # node-doubling convergence diagnostic on the volume integrand
     g1, g2 = warped.gauss_legendre_check(
         lambda t: warp(t) ** 3 * args.base_vol, a, b)

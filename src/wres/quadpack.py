@@ -9,6 +9,9 @@ value and error estimate equal, bit for bit, those of the compiled QUADPACK
 behind ``scipy.integrate.quad``.  Where Python would raise on a division by
 zero or an overflowing power, the IEEE value is used, as compiled code gets.
 
+The module also holds the 64- and 128-point Gauss-Legendre rules that the
+``rw`` report's node-doubling check uses.
+
 Arrays keep QUADPACK's 1-based indexing (slot 0 unused) so that the index
 arithmetic of dqpsrt and dqelg reads as published.
 """
@@ -96,6 +99,110 @@ _GAUSS21 = tuple((2 * j + 1, _XGK21[2 * j + 1], _WGK21[2 * j + 1], _WG10[j]) for
 _KRONROD21 = tuple((2 * j, _XGK21[2 * j], _WGK21[2 * j]) for j in range(5))
 _NODES15 = tuple(zip(_XGK15[:7], _WGK15[:7], _WG7[:7]))
 
+# Gauss-Legendre rules of 64 and 128 points for warped.gauss_legendre_check:
+# the nodes in (0, 1), largest first, with their weights, as the shortest reprs
+# of numpy.polynomial.legendre.leggauss(n).  leggauss symmetrises both rules
+# exactly, so the nodes in (-1, 0) are the negated ones with the same weights.
+_GAUSS_LEGENDRE = {64: (
+    (0.9993050417357722, 0.00178328072169414),
+    (0.9963401167719552, 0.004147033260564499),
+    (0.9910133714767443, 0.006504457968978502),
+    (0.983336253884626, 0.008846759826363397),
+    (0.973326827789911, 0.011168139460131028),
+    (0.9610087996520538, 0.01346304789671786),
+    (0.9464113748584028, 0.01572603047602503),
+    (0.9295691721319396, 0.017951715775697284),
+    (0.9105221370785028, 0.020134823153530088),
+    (0.8893154459951141, 0.02227017380838297),
+    (0.8659993981540928, 0.0243527025687112),
+    (0.8406292962525803, 0.02637746971505491),
+    (0.8132653151227975, 0.028339672614259535),
+    (0.7839723589433414, 0.030234657072402554),
+    (0.7528199072605319, 0.032057928354851495),
+    (0.7198818501716109, 0.033805161837141794),
+    (0.6852363130542333, 0.0354722132568823),
+    (0.6489654712546573, 0.03705512854024009),
+    (0.6111553551723933, 0.03855015317861564),
+    (0.571895646202634, 0.039953741132720544),
+    (0.5312794640198946, 0.041262563242623576),
+    (0.48940314570705296, 0.04247351512365361),
+    (0.4463660172534641, 0.04358372452932355),
+    (0.4022701579639916, 0.044590558163756566),
+    (0.3572201583376681, 0.045491627927418184),
+    (0.31132287199021097, 0.04628479658131447),
+    (0.2646871622087674, 0.046968182816210076),
+    (0.21742364374000708, 0.04754016571483042),
+    (0.16964442042399283, 0.04799938859645842),
+    (0.12146281929612054, 0.048344762234802996),
+    (0.07299312178779904, 0.04857546744150351),
+    (0.02435029266342443, 0.048690957009139814),
+), 128: (
+    (0.9998248879471319, 0.00044938096029840415),
+    (0.999077459977376, 0.001045812679339503),
+    (0.997733248625514, 0.0016425030186673034),
+    (0.9957927585349812, 0.0022382884309627396),
+    (0.9932571129002129, 0.002832751471458722),
+    (0.9901278184917344, 0.0034255260409105683),
+    (0.9864067427245862, 0.00401625498373918),
+    (0.9820961084357185, 0.00460458425670373),
+    (0.9771984914639074, 0.005190161832676652),
+    (0.9717168187471366, 0.005772637542865853),
+    (0.9656543664319652, 0.006351663161707444),
+    (0.9590147578536999, 0.0069268925668985095),
+    (0.9518019613412644, 0.007497981925634543),
+    (0.9440202878302202, 0.00806458989048577),
+    (0.9356743882779164, 0.008626377798616598),
+    (0.9267692508789478, 0.009183009871660687),
+    (0.9173101980809605, 0.009734153415007031),
+    (0.9073028834017568, 0.010279479015832234),
+    (0.8967532880491582, 0.010818660739502797),
+    (0.8856677173453972, 0.011351376324080608),
+    (0.8740527969580318, 0.011877307372739933),
+    (0.8619154689395485, 0.012396139543950505),
+    (0.8492629875779689, 0.012907562739267471),
+    (0.8361029150609068, 0.013411271288616303),
+    (0.8224431169556439, 0.01390696413295181),
+    (0.8082917575079136, 0.01439434500416672),
+    (0.7936572947621933, 0.014873122602147326),
+    (0.7785484755064119, 0.015343010768865193),
+    (0.7629743300440948, 0.015803728659399094),
+    (0.746944166797062, 0.016255000909785),
+    (0.7304675667419088, 0.016696557801588987),
+    (0.7135543776835874, 0.01712813542311128),
+    (0.6962147083695144, 0.01754947582711747),
+    (0.6784589224477192, 0.01796032718500865),
+    (0.660297632272646, 0.018360443937331248),
+    (0.6417416925623075, 0.018749586940544658),
+    (0.6228021939105849, 0.01912752360995088),
+    (0.6034904561585486, 0.019494028058706498),
+    (0.5838180216287631, 0.0198488812328308),
+    (0.5637966482266181, 0.020191871042129824),
+    (0.5434383024128103, 0.020522792486960022),
+    (0.5227551520511755, 0.020841447780751005),
+    (0.5017595591361445, 0.021147646468221246),
+    (0.48046407240417205, 0.02144120553920827),
+    (0.4588814198335522, 0.021721949538051975),
+    (0.43702450103710416, 0.021989710668460342),
+    (0.414906379552275, 0.02224432889379961),
+    (0.39254027503326744, 0.02248565203274481),
+    (0.369939555349859, 0.02271353585023634),
+    (0.3471177285976355, 0.022927844143686663),
+    (0.32408843502441337, 0.0231284488243869),
+    (0.3008654388776772, 0.023315229994062582),
+    (0.2774626201779044, 0.023488076016535752),
+    (0.2538939664226943, 0.02364688358444749),
+    (0.23017356422666, 0.02379155778100324),
+    (0.2063155909020792, 0.02392201213670332),
+    (0.18233430598533718, 0.02403816868102389),
+    (0.15824404271422493, 0.024139957989019144),
+    (0.13405919946118777, 0.024227319222815093),
+    (0.10979423112764375, 0.0243002001679717),
+    (0.0854636405045155, 0.024358557264690488),
+    (0.06108196960413957, 0.02440235563384944),
+    (0.0366637909687335, 0.024431569097849878),
+    (0.012223698960615766, 0.024446180196262345),
+)}
+
 
 class QuadResult(NamedTuple):
     """``ier`` is QUADPACK's code: 0 converged, 1 subdivision limit reached,
@@ -132,6 +239,14 @@ def quad(fn: Callable[[float], float], a: float, b: float, *,
         a, b = 0.0, 1.0
     value, abserr, ier, last = _qags(rule, a, b, epsabs, epsrel, limit)
     return QuadResult(-value if flip else value, abserr, ier, npts * (2 * last - 1) if last else 0)
+
+
+def gauss_legendre(n: int) -> list[tuple[float, float]]:
+    """The ``n``-point Gauss-Legendre rule on [-1, 1], n = 64 or 128, as
+    (node, weight) pairs in ascending node order: numpy's
+    ``leggauss(n)`` to the bit."""
+    half = _GAUSS_LEGENDRE[n]
+    return [(-x, w) for x, w in half] + list(reversed(half))
 
 
 # ---------------------------------------------------------------------------

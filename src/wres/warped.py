@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .heat import (
     CurvatureData,
@@ -492,17 +492,20 @@ def quad_adaptive(fn: Callable[[float], float], a: float, b: float,
     return val
 
 
-def gauss_legendre_check(fn: Callable[[float], float], a: float, b: float,
-                         nodes: int = 64) -> tuple[float, float]:
-    """Composite Gauss-Legendre at N and 2N nodes (convergence diagnostic)."""
-    import numpy as np
+def gauss_legendre_check(fn: Callable[[float], float], a: float,
+                         b: float) -> tuple[float, float]:
+    """Gauss-Legendre at 64 and 128 nodes (convergence diagnostic)."""
+    from .quadpack import gauss_legendre
+
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
 
     def with_n(n):
-        x, w = np.polynomial.legendre.leggauss(n)
-        xs = 0.5 * (b - a) * x + 0.5 * (a + b)
-        return 0.5 * (b - a) * float(sum(wi * fn(xi) for xi, wi in zip(xs, w)))
+        total = 0
+        for x, w in gauss_legendre(n):
+            total += w * fn(half * x + mid)
+        return half * total
 
-    return with_n(nodes), with_n(2 * nodes)
+    return with_n(64), with_n(128)
 
 
 def _volume_element(model: RWModel, t: float) -> float:
@@ -523,9 +526,20 @@ def _boundary_sum(model: RWModel, pointwise: Callable[[CurvatureData], float]) -
     return total
 
 
+class InteriorIntegrals(NamedTuple):
+    """The raw interior integrals behind a0, a2 and a4 against the warped
+    volume element, and the quadrature tolerance they were computed at."""
+
+    vol: float      # integral of 1
+    r: float        # integral of the scalar curvature
+    a4: float       # integral of the interior a4 bracket
+    tol: float
+
+
 @dataclass
 class RWCoeffs:
-    """Spectral-action coefficients; a4 carries the two boundary readings."""
+    """Spectral-action coefficients; a4 carries the two boundary readings.
+    ``interior`` holds the raw integrals that ``rw_lower_volumes`` reuses."""
 
     a0: float
     a1: float
@@ -535,6 +549,7 @@ class RWCoeffs:
     a4_printed: float   # stated closed-form boundary bracket
     a4_derived: float   # bracket re-derived from the general heat formula
     diagnostics: dict
+    interior: InteriorIntegrals
 
     def as_dict(self):
         return {
@@ -558,6 +573,7 @@ def rw_spectral_coeffs(model: RWModel, total_dim: int = 8,
     T = float(total_dim)
     c_i = T * (4.0 * math.pi) ** (-m / 2)
     c_b = T * (4.0 * math.pi) ** (-(m - 1) / 2)
+    tol = quad_tolerance(tol)
 
     vol = _interior_integral(model, lambda t: 1.0, tol)
     a0 = c_i * vol
@@ -566,8 +582,9 @@ def rw_spectral_coeffs(model: RWModel, total_dim: int = 8,
     a2 = (c_i / 12.0) * (-r_int + 4.0 * _boundary_sum(model, lambda d: float(d.L_aa)))
     a3 = (-c_b / 384.0) * _boundary_sum(model, lambda d: float(a3_boundary_bracket(d)))
 
-    a4_int = (c_i / 360.0) * _interior_integral(
+    i4 = _interior_integral(
         model, lambda t: float(interior_a4_bracket(warped_geometry(model, t))), tol)
+    a4_int = (c_i / 360.0) * i4
     a4_derived = a4_int + (c_i / 360.0) * _boundary_sum(
         model, lambda d: float(a4_boundary_bracket(d, printed=False)))
     a4_printed = a4_int + (c_i / 360.0) * _boundary_sum(
@@ -576,7 +593,8 @@ def rw_spectral_coeffs(model: RWModel, total_dim: int = 8,
     # consistency of the assembled a0..a2 against the generic bounded-manifold
     # formulas fed the same warped data (reported; asserted by the test suite)
     diag = _consistency_against_generic(model, total_dim, (a0, a1, a2, a3), vol, r_int)
-    return RWCoeffs(a0, a1, a2, a3, a4_int, a4_printed, a4_derived, diag)
+    return RWCoeffs(a0, a1, a2, a3, a4_int, a4_printed, a4_derived, diag,
+                    InteriorIntegrals(vol, r_int, i4, tol))
 
 
 def _consistency_against_generic(model: RWModel, total_dim: int, got, vol, r_int):
@@ -606,22 +624,22 @@ def _consistency_against_generic(model: RWModel, total_dim: int, got, vol, r_int
     }
 
 
-def rw_lower_volumes(model: RWModel, total_dim: int = 8,
-                     tol: float | None = None) -> dict:
+def rw_lower_volumes(model: RWModel, coeffs: RWCoeffs, total_dim: int = 8) -> dict:
     """The three lower-volume lines for the circle-times-base model (closed,
     no boundary terms).  The top line is emitted in both volume-element
     readings: 'weighted' integrates f^3 against the warped volume element,
-    'plain' reads the f^3 as the volume element itself."""
+    'plain' reads the f^3 as the volume element itself.
+
+    ``coeffs`` is ``rw_spectral_coeffs`` of the same model: its interior
+    integrals are reused, and only the weighted f^3 is integrated here, at
+    the same tolerance."""
     n = 3
     m = n + 1
     T = float(total_dim)
     c_i = T * (4.0 * math.pi) ** (-m / 2)
 
-    r_int = _interior_integral(model, lambda t: float(warped_geometry(model, t).r), tol)
-    i4 = _interior_integral(
-        model, lambda t: float(interior_a4_bracket(warped_geometry(model, t))), tol)
+    f3_plain, r_int, i4, tol = coeffs.interior
     f3_weighted = _interior_integral(model, lambda t: model.warp(t) ** 3, tol)
-    f3_plain = _interior_integral(model, lambda t: 1.0, tol)
 
     def vconst(k):
         if k < 1:

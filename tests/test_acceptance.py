@@ -236,7 +236,7 @@ def test_criterion_9_warped():
 
     frozen_ok = all(co.as_dict()[k] == pytest.approx(v, rel=1e-9)
                     for k, v in FROZEN_EXP_RUN.items())
-    vols = rw_lower_volumes(RWModel(0.0, 1.0, parse_warp("exp(t)"), curv=1.0))
+    vols = rw_lower_volumes(RWModel(0.0, 1.0, parse_warp("exp(t)"), curv=1.0), co)
     frozen_ok &= all(vols[k] == pytest.approx(v, rel=1e-9)
                      for k, v in FROZEN_EXP_VOLUMES.items())
     dual_ok = (co.a4_printed != co.a4_derived

@@ -317,15 +317,23 @@ def test_rw_and_oracle_do_not_import_scipy(tmp_path):
 
 
 def test_verify_boundary_imports_neither_numpy_nor_scipy(tmp_path):
-    code = ("import sys\n"
-            "from wres.cli import main\n"
-            "assert main(['verify-boundary', '--dim', '3', '--powers', '1,1',"
-            " '--json', 'out.json']) == 0\n"
-            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_cli_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    """verify-boundary, rw and heat each load neither numpy nor scipy, each
+    checked in a fresh process."""
+    (tmp_path / "closed.cfg").write_text("p = 2\nq = 2\nr = 1\nr2 = 3/2\nvol = 2\n")
+    commands = (
+        ["verify-boundary", "--dim", "3", "--powers", "1,1"],
+        ["rw", "--f", "exp(t)", "--interval", "0,1", "--curv", "1", "--lambda", "2"],
+        ["heat", "--config", "closed.cfg"],
+    )
+    for argv in commands:
+        code = ("import sys\n"
+                "from wres.cli import main\n"
+                f"assert main({argv + ['--json', 'out.json']!r}) == 0\n"
+                "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_cli_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout.strip() == "[]", argv
 
 
 CONFIG_KEYS = ["p", "q", "n", "total_dim", "r", "r2", "riem2", "vol", "bvol", "L_aa",

@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wres import warped
 from wres.oracles import fd_jet, run_ad_oracle
+from wres.quadpack import gauss_legendre
 from wres.warped import (
     RWModel,
     WarpDomainError,
@@ -268,17 +270,58 @@ def test_frozen_regression_exp_run():
     got = co.as_dict()
     for key, want in FROZEN_EXP_RUN.items():
         assert got[key] == pytest.approx(want, rel=1e-9), key
-    vols = rw_lower_volumes(RWModel(0.0, 1.0, parse_warp("exp(t)"), curv=1.0))
+    vols = rw_lower_volumes(RWModel(0.0, 1.0, parse_warp("exp(t)"), curv=1.0), co)
     for key, want in FROZEN_EXP_VOLUMES.items():
         assert vols[key] == pytest.approx(want, rel=1e-9), key
     assert vols["vol_low_parity_flag"] is True
 
 
 def test_lower_volumes_flat():
-    vols = rw_lower_volumes(RWModel(0.0, 1.0, parse_warp("1"), curv=0.0))
+    model = RWModel(0.0, 1.0, parse_warp("1"), curv=0.0)
+    vols = rw_lower_volumes(model, rw_spectral_coeffs(model))
     assert vols["vol_mid"] == pytest.approx(0.0, abs=1e-14)
     assert vols["vol_low"] == 0.0
     assert vols["vol_top_weighted"] == pytest.approx(vols["vol_top_plain"], rel=1e-12)
+
+
+# The lower volumes of the four scripts/rw_action.py models as computed when
+# rw_lower_volumes ran its own four quad_adaptive calls (against the warped
+# volume element: 1, the scalar curvature, the interior a4 bracket and f^3).
+SEPARATE_LOWER_VOLUMES = [
+    (("1", 0.0, 0.0, 1.0),
+     {"vol_top_weighted": 0.05066059182116889, "vol_top_plain": 0.05066059182116889,
+      "vol_mid": -0.0}),
+    (("exp(t)", 1.0, 0.0, 1.0),
+     {"vol_top_weighted": 3.3978801407034878, "vol_top_plain": 0.3222948652511527,
+      "vol_mid": -0.04116915272310072}),
+    (("2+sin(t)", -1.0, 0.5, 1.5),
+     {"vol_top_weighted": 25.87369332698407, "vol_top_plain": 1.1304578591859904,
+      "vol_mid": 0.024063143128820415}),
+    (("cosh(t)", 1.0, -0.5, 0.5),
+     {"vol_top_weighted": 0.06625121602842735, "vol_top_plain": 0.05757692108194564,
+      "vol_mid": -0.006479680185520715}),
+]
+
+
+@pytest.mark.parametrize("run, want", SEPARATE_LOWER_VOLUMES,
+                         ids=[run[0] for run, _ in SEPARATE_LOWER_VOLUMES])
+def test_lower_volumes_reuse_coefficient_integrals(run, want, monkeypatch):
+    text, curv, a, b = run
+    model = RWModel(a, b, parse_warp(text), curv=curv)
+    coeffs = rw_spectral_coeffs(model)
+    calls = []
+    inner = warped.quad_adaptive
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(warped, "quad_adaptive", counted)
+    vols = rw_lower_volumes(model, coeffs)
+    assert len(calls) == 1  # only f^3 against the volume element
+    assert vols == {"vol_top_k": 4, "vol_mid_k": 2, "vol_low_k": 0, "vol_low": 0.0,
+                    "vol_low_parity_flag": True, **want}
+    assert str(vols["vol_mid"]) == str(want["vol_mid"])  # the sign of -0.0 too
 
 
 def test_interior_a4_matches_stated_warped_bracket():
@@ -322,6 +365,70 @@ def test_quadrature_node_doubling_invariance():
     g1, g2 = gauss_legendre_check(integrand, 0.0, 1.0)
     assert abs(g1 - g2) <= 1e-10 * max(1.0, abs(g2))
     assert adaptive == pytest.approx(g2, rel=1e-10)
+
+
+def _numpy_gauss_legendre_check(fn, a, b, nodes=64):
+    """The node-doubling check as it was computed with numpy (the reference)."""
+    def with_n(n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        xs = 0.5 * (b - a) * x + 0.5 * (a + b)
+        return 0.5 * (b - a) * float(sum(wi * fn(xi) for xi, wi in zip(xs, w)))
+
+    return with_n(nodes), with_n(2 * nodes)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_gauss_legendre_table_is_numpys(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    rule = gauss_legendre(n)
+    assert len(rule) == n
+    for i, (xi, wi) in enumerate(rule):
+        assert type(xi) is float and type(wi) is float
+        assert xi == x[i] and wi == w[i], i
+
+
+def _warp_volume(text, base_vol=1.0):
+    """The integrand the rw report checks: f^3 times the base volume."""
+    f = parse_warp(text)
+    return lambda t: f(t) ** 3 * base_vol
+
+
+GAUSS_LEGENDRE_CASES = [
+    # the four scripts/rw_action.py runs
+    (_warp_volume("1"), 0.0, 1.0),
+    (_warp_volume("exp(t)"), 0.0, 1.0),
+    (_warp_volume("2+sin(t)"), 0.5, 1.5),
+    (_warp_volume("cosh(t)"), -0.5, 0.5),
+    # one warp of each seeded benchmark family
+    (_warp_volume("2.25+0.75*sin(1.5*t)", 0.5), -1.0, 0.25),
+    (_warp_volume("3-1.25*sin(2.75*t)", 2.0), 0.5, 2.0),
+    (_warp_volume("exp(1.25*t)"), -0.75, 0.75),
+    (_warp_volume("cosh(0.5*t)", 2.0), -1.0, -0.25),
+    # plain integrands, including negative ends, integer ends and b < a
+    (math.exp, -2.0, 3.0),
+    (math.sin, -1.0, 2.0),
+    (lambda t: math.cos(10.0 * t), -math.pi, math.pi),
+    (lambda t: 1.0 / (1.0 + t * t), -5.0, 5.0),
+    (lambda t: t ** 5 - 3.0 * t, -1.5, 0.5),
+    (lambda t: t ** 20, -1.0, 1.0),
+    (lambda t: math.exp(-t * t), -3.0, 3.0),
+    (math.sqrt, 0.0, 2.0),
+    (math.log1p, 0.0, 1.0),
+    (abs, -1.0, 2.0),
+    (lambda t: 1.0, 0, 1),
+    (lambda t: 2, -3, 4),
+    (math.exp, 1.0, 0.0),
+    (lambda t: math.sinh(t) * math.cos(3.0 * t), -0.3, 1e-3),
+]
+
+
+@pytest.mark.parametrize("case", GAUSS_LEGENDRE_CASES)
+def test_gauss_legendre_check_equals_numpy_reference(case):
+    fn, a, b = case
+    got = gauss_legendre_check(fn, a, b)
+    want = _numpy_gauss_legendre_check(fn, a, b)
+    assert got == want
+    assert all(type(v) is float for v in got)
 
 
 def test_quad_tolerance_env(monkeypatch):
