@@ -11,7 +11,8 @@ import sys
 sys.path.insert(0, "src")
 
 from wres.heat import spectral_moments
-from wres.warped import RWModel, parse_warp, rw_lower_volumes, rw_spectral_coeffs
+from wres.warped import (RWModel, asymptotic_action, parse_warp, rw_lower_volumes,
+                         rw_spectral_coeffs)
 
 RUNS = [
     ("1", 0.0, (0.0, 1.0)),
@@ -44,10 +45,7 @@ def main() -> int:
         if off:
             print(f"  MISMATCH: residual above {RESIDUAL_TOL:g} relative in "
                   + ", ".join(f"a{k}" for k in off))
-        for name, a4 in (("printed", co.a4_printed), ("derived", co.a4_derived)):
-            action = (scale ** 4 * moments[4] * co.a0 + scale ** 3 * moments[3] * co.a1
-                      + scale ** 2 * moments[2] * co.a2 + scale * moments[1] * co.a3
-                      + moments[0] * a4)
+        for name, action in asymptotic_action(co, moments, scale).items():
             print(f"  action (cutoff exp, scale {scale}, {name} bracket): {action:.10g}")
         print(f"  lower volumes: mid {vols['vol_mid']:.10g}, "
               f"top weighted {vols['vol_top_weighted']:.10g}, "

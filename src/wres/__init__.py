@@ -16,7 +16,7 @@ from .heat import (
     wres_power,
 )
 from .symbolic import GaussianRational, RationalXi, ScalarPoly, UnitValue, integrate_line, sphere_moment
-from .warped import RWModel, parse_warp, rw_lower_volumes, rw_spectral_coeffs, warp_derivatives
+from .warped import RWModel, parse_warp, rw_lower_volumes, rw_spectral_coeffs
 
 __version__ = "0.1.0"
 
@@ -27,5 +27,5 @@ __all__ = [
     "integrate_line", "interior_coeffs", "lichnerowicz_E", "lower_volume",
     "matrix_rep", "parse_warp", "phi_total", "res_partial", "rw_lower_volumes",
     "rw_spectral_coeffs", "spectral_moments", "sphere_moment",
-    "sub_dirac_algebra", "v_nk", "warp_derivatives", "wres_power",
+    "sub_dirac_algebra", "v_nk", "wres_power",
 ]

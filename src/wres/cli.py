@@ -244,8 +244,7 @@ def _rw_report(args) -> tuple[str, bool]:
     coeffs = warped.rw_spectral_coeffs(model)
     volumes = warped.rw_lower_volumes(model, coeffs)
     # node-doubling convergence diagnostic on the volume integrand
-    g1, g2 = warped.gauss_legendre_check(
-        lambda t: warp(t) ** 3 * args.base_vol, a, b)
+    g1, g2 = warped.gauss_legendre_check(model.volume_element, a, b)
 
     converged = abs(g1 - g2) <= max(abs(g2), 1.0) * max(1e3 * tol, 1e-12)
     payload = {
@@ -263,15 +262,8 @@ def _rw_report(args) -> tuple[str, bool]:
     if args.cutoff_scale is not None:
         L = args.cutoff_scale
         moments = heat.spectral_moments(lambda s: math.exp(-s))
-        series = {}
-        for name, a4 in (("printed", coeffs.a4_printed), ("derived", coeffs.a4_derived)):
-            series[name] = (L ** 4 * moments[4] * coeffs.a0
-                            + L ** 3 * moments[3] * coeffs.a1
-                            + L ** 2 * moments[2] * coeffs.a2
-                            + L * moments[1] * coeffs.a3
-                            + moments[0] * a4)
         payload["spectral_action"] = {"cutoff": "exp(-s)", "scale": L,
-                                      "asymptotic": series}
+                                      "asymptotic": warped.asymptotic_action(coeffs, moments, L)}
     # a value that overflowed to inf makes json.dumps raise ValueError
     return _json_dump(payload, args.json), converged
 

@@ -256,11 +256,11 @@ class HeatCoeffs:
 _A4_INTERIOR = interior_a4_bracket_coefficients()
 
 
-def interior_a4_bracket(data: CurvatureData) -> Fraction:
-    """The interior a4 integrand before the 1/360 prefactor, with derived coefficients."""
+def interior_a4_bracket(r2, ric2, riem2, rfperp2) -> Fraction:
+    """The interior a4 integrand before the 1/360 prefactor: an exact sum, floats included."""
     c = _A4_INTERIOR
-    return (c["r2"] * data.r2 + c["ric2"] * data.ric2
-            + c["riem2"] * data.riem2 + c["rfperp2"] * data.rfperp2)
+    return (c["r2"] * _fr(r2) + c["ric2"] * _fr(ric2)
+            + c["riem2"] * _fr(riem2) + c["rfperp2"] * _fr(rfperp2))
 
 
 def _inv_4pi_pow(m: int) -> UnitValue:
@@ -274,19 +274,25 @@ def _tdim_factor(total_dim) -> UnitValue:
     return UnitValue(_fr(total_dim))
 
 
-def interior_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
-                    n: int | None = None, total_dim=None) -> HeatCoeffs:
-    """Closed-manifold coefficients a0, a2, a4 (a1 = a3 = 0)."""
+def _dimensions(sig: AlgebraSignature | None, n: int | None, total_dim):
     if sig is not None:
         n = sig.p + sig.q if n is None else n
         total_dim = sig.total_dim if total_dim is None else total_dim
     if n is None:
         raise ValueError("need a signature or an explicit dimension")
+    return n, total_dim
+
+
+def interior_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
+                    n: int | None = None, total_dim=None) -> HeatCoeffs:
+    """Closed-manifold coefficients a0, a2, a4 (a1 = a3 = 0)."""
+    n, total_dim = _dimensions(sig, n, total_dim)
     v = data.vol
     pref = _inv_4pi_pow(n) * _tdim_factor(total_dim)
     a0 = pref * v
     a2 = pref * (Fraction(-1, 12) * data.r * v)
-    a4 = pref * (Fraction(1, 360) * interior_a4_bracket(data) * v)
+    interior4 = interior_a4_bracket(data.r2, data.ric2, data.riem2, data.rfperp2)
+    a4 = pref * (Fraction(1, 360) * interior4 * v)
     zero = UnitValue.zero()
     return HeatCoeffs(a0, zero, a2, zero, a4)
 
@@ -314,12 +320,7 @@ def a4_boundary_bracket(data: CurvatureData, printed: bool = True) -> Fraction:
 def boundary_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
                     n: int | None = None, total_dim=None) -> HeatCoeffs:
     """Dirichlet-condition coefficients a0..a4 for a bounded manifold."""
-    if sig is not None:
-        n = sig.p + sig.q if n is None else n
-        total_dim = sig.total_dim if total_dim is None else total_dim
-    if n is None:
-        raise ValueError("need a signature or an explicit dimension")
-    m = n
+    m, total_dim = _dimensions(sig, n, total_dim)
     pref_i = _inv_4pi_pow(m) * _tdim_factor(total_dim)
     pref_b = _inv_4pi_pow(m - 1) * _tdim_factor(total_dim)
     v, bv = data.vol, data.bvol
@@ -328,7 +329,7 @@ def boundary_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
     a1 = pref_b * (Fraction(-1, 4) * bv)
     a2 = pref_i * (Fraction(1, 12) * (-data.r * v + 4 * data.L_aa * bv))
     a3 = pref_b * (Fraction(-1, 384) * a3_boundary_bracket(data) * bv)
-    interior4 = interior_a4_bracket(data)
+    interior4 = interior_a4_bracket(data.r2, data.ric2, data.riem2, data.rfperp2)
     a4 = pref_i * (Fraction(1, 360) * (interior4 * v + a4_boundary_bracket(data, True) * bv))
     a4_alt = pref_i * (Fraction(1, 360) * (interior4 * v + a4_boundary_bracket(data, False) * bv))
     return HeatCoeffs(a0, a1, a2, a3, a4, a4_alt)

@@ -235,6 +235,11 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
     # an integrand of rounding noise: the quadrature ends with ier != 0 but prints nothing
     pytest.param(["rw", "--f", "t", "--interval", "0.5,1.5", "--curv", "-1"], None, {}, 0, "",
                  id="rw-noise-integrand-silent"),
+    # f = (t-0.5)^2 + 1e-120 is positive, but f^3 underflows to 0 at the midpoint
+    # node: only the boundary-only r_{;N} formula divides by it, and that formula
+    # is evaluated at the two ends alone
+    pytest.param(["rw", "--f", "(t-0.5)^2+0." + "0" * 119 + "1", "--interval", "0,1"],
+                 None, {}, 0, "", id="rw-interior-cube-underflow"),
     pytest.param(RW_EXP + ["--base-vol", "0"], None, {}, 2, "--base-vol must be positive",
                  id="rw-base-vol-zero"),
     pytest.param(RW_EXP + ["--base-vol", "-1"], None, {}, 2, "--base-vol must be positive",

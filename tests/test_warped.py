@@ -1,8 +1,11 @@
 """Warped-product model: parser, order-3 jets, the curvature contractions
 against a finite-difference oracle, and the spectral-action coefficients."""
 
+import importlib.util
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +23,10 @@ from wres.warped import (
     quad_tolerance,
     rw_lower_volumes,
     rw_spectral_coeffs,
-    warp_derivatives,
     warped_geometry,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # frozen regression values for f = exp(t), c = 1, vol = 1 on [0, 1]
 # (computed once by the adaptive-quadrature path at the default tolerance)
@@ -64,6 +68,9 @@ def test_constant_and_exponential_jets():
     assert d[1] == pytest.approx(0.5 * d[0], abs=1e-15)
     for k in range(4):
         assert d[k] == pytest.approx(0.5 ** k, abs=1e-15)
+    d = parse_warp("exp(2*t)").derivatives(0.5)
+    for k in range(4):
+        assert d[k] == pytest.approx(2.0 ** k * math.exp(1.0), rel=1e-14)
 
 
 def test_third_derivative_against_finite_differences():
@@ -350,6 +357,47 @@ def test_interior_a4_matches_stated_warped_bracket():
     assert g == pytest.approx(s, rel=1e-10)
 
 
+def test_rw_builds_each_end_geometry_once(monkeypatch):
+    # the exact CurvatureData is built at t = a and t = b only; the interior
+    # quadrature points use the float formulas
+    calls = []
+    inner = warped.warped_geometry
+
+    def counted(model, t, normal_sign=1):
+        calls.append((t, normal_sign))
+        return inner(model, t, normal_sign)
+
+    monkeypatch.setattr(warped, "warped_geometry", counted)
+    rw_spectral_coeffs(RWModel(0.0, 1.0, parse_warp("exp(t)"), curv=1.0))
+    assert calls == [(0.0, 1), (1.0, -1)]
+
+
+def _seeded_curvature_points(count=240, seed=20261018):
+    """(warp, curv, t) drawn from the benchmark's four seeded warp families,
+    plus f = t with curv = -1 across [0.5, 1.5]."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = random.Random(seed)
+    points = [(workloads.seeded_warp(rng)["text"], rng.choice([-1.0, 0.0, 0.5, 1.0]),
+               rng.uniform(-1.0, 2.0)) for _ in range(count)]
+    return points + [("t", -1.0, 0.5 + k / 40) for k in range(41)]
+
+
+def test_float_integrands_equal_the_exact_geometry_path():
+    # the interior integrands must give, to the bit, what the exact
+    # CurvatureData path gave: r~ from the float prelude, and the a4 bracket
+    # summed exactly and rounded once (a float-arithmetic bracket moves last bits)
+    for text, curv, t in _seeded_curvature_points():
+        model = RWModel(-1.0, 2.0, parse_warp(text), curv=curv)
+        d = warped_geometry(model, t)
+        assert warped._warp_curvature(model, t)[6] == float(d.r), (text, curv, t)
+        assert warped._a4_integrand(model, t) == float(
+            Fraction(5, 4) * d.r2 - 2 * d.ric2 - Fraction(7, 4) * d.riem2
+            + Fraction(15, 2) * d.rfperp2), (text, curv, t)
+
+
 def test_model_guards():
     with pytest.raises(ValueError):
         RWModel(1.0, 0.0, parse_warp("1"))
@@ -437,13 +485,6 @@ def test_quad_tolerance_env(monkeypatch):
     monkeypatch.delenv("WRES_QUAD_TOL")
     assert quad_tolerance() == 1e-10
     assert quad_tolerance(1e-4) == 1e-4
-
-
-def test_warp_derivatives_helper():
-    f = parse_warp("exp(2*t)")
-    d = warp_derivatives(f, 0.5)
-    for k in range(4):
-        assert d[k] == pytest.approx(2.0 ** k * math.exp(1.0), rel=1e-14)
 
 
 def test_no_unary_minus_in_grammar():
