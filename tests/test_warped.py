@@ -68,9 +68,6 @@ def test_constant_and_exponential_jets():
     assert d[1] == pytest.approx(0.5 * d[0], abs=1e-15)
     for k in range(4):
         assert d[k] == pytest.approx(0.5 ** k, abs=1e-15)
-    d = parse_warp("exp(2*t)").derivatives(0.5)
-    for k in range(4):
-        assert d[k] == pytest.approx(2.0 ** k * math.exp(1.0), rel=1e-14)
 
 
 def test_third_derivative_against_finite_differences():
@@ -485,6 +482,13 @@ def test_quad_tolerance_env(monkeypatch):
     monkeypatch.delenv("WRES_QUAD_TOL")
     assert quad_tolerance() == 1e-10
     assert quad_tolerance(1e-4) == 1e-4
+
+
+def test_warp_derivatives_helper():
+    f = parse_warp("exp(2*t)")
+    d = f.derivatives(0.5)
+    for k in range(4):
+        assert d[k] == pytest.approx(2.0 ** k * math.exp(1.0), rel=1e-14)
 
 
 def test_no_unary_minus_in_grammar():
