@@ -3,8 +3,10 @@
 Three families for the sub-Dirac setting: c(f_i) and c(h_s) square to -1,
 the hatted actions square to +1; all distinct generators anticommute.  The
 trace functional is totalDim times the identity-word coefficient, which makes
-every nonempty canonical word traceless.  A dense-matrix Jordan-Wigner
-representation serves as the test oracle.
+every nonempty canonical word traceless.  The oracle that checks the normal
+ordering is a Jordan-Wigner representation by exact monomial matrices: each
+word acts as a signed permutation with entries in {0, +-1, +-i}, kept as a
+column and a power of i per row in plain ints.
 """
 
 from __future__ import annotations
@@ -207,16 +209,48 @@ def normalize(algebra: Algebra, gens: Iterable[Gen], coeff=1) -> CliffordElement
 
 
 # ---------------------------------------------------------------------------
-# Dense matrix oracle (Jordan-Wigner construction)
+# Matrix oracle (Jordan-Wigner construction on exact monomial matrices)
 # ---------------------------------------------------------------------------
 
 # Jordan-Wigner needs ceil(g/2) qubits for g generators; 20 generators
 # (p <= 8, q <= 6) give 1024 x 1024 matrices.
 MAX_MATRIX_GENS = 20
 
-# Sums of Gaussian-integer multiples of words stay exact in float64 while the
-# coefficient magnitudes add up to less than this.
+# element_matrix takes Gaussian-integer coefficients whose magnitudes add up
+# to less than this.
 _EXACT_WEIGHT = 2 ** 53
+
+# A monomial matrix is a pair (cols, phases): row r holds i^phases[r] in
+# column cols[r] and zeros elsewhere.
+_PAULI_X = ((1, 0), (0, 0))
+_PAULI_Y = ((1, 0), (3, 1))  # [[0, -i], [i, 0]]
+_PAULI_Z = ((0, 1), (0, 2))
+_ONE = ((0, 1), (0, 0))
+# i^k as (re, im)
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _kron(a, b):
+    """Kronecker product of two monomial matrices (numpy.kron's row order)."""
+    (ca, pa), (cb, pb) = a, b
+    n = len(cb)
+    return (tuple(i * n + j for i in ca for j in cb),
+            tuple((x + y) & 3 for x in pa for y in pb))
+
+
+class GaussianMatrix(dict):
+    """Sparse square matrix over the Gaussian integers, ``{(row, col): (re,
+    im)}`` without zero entries, so that equal matrices are equal dicts."""
+
+    __slots__ = ()
+
+    def __mul__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        return GaussianMatrix({k: (re * n, im * n) for k, (re, im) in self.items()}
+                              if n else {})
+
+    __rmul__ = __mul__
 
 
 class MatrixRep:
@@ -226,45 +260,49 @@ class MatrixRep:
     square -1 are the JW gammas times i.  Coincides with a totalDim-dim
     module exactly when the leaf dimension is even.
 
-    Matrices are complex128 numpy arrays.  Every word matrix is monomial with
-    entries in {0, +-1, +-i}, so products of word matrices and their sums with
-    Gaussian-integer weights are exact integers in floating point.
+    Every word matrix is monomial with entries in {0, +-1, +-i}.  A generator
+    is kept in ``gen_matrices`` as its column per row and the phase k of each
+    entry i^k, built as Kronecker products of Pauli monomials; a product of
+    generators composes the columns and adds the phases mod 4.  The matrices
+    handed out are ``GaussianMatrix`` dicts of plain ints, so every product,
+    sum and trace is exact.
     """
 
     def __init__(self, algebra: Algebra):
-        import numpy as np
-
         g = sum(count for _, count, _ in algebra.families)
         if g > MAX_MATRIX_GENS:
             raise ValueError("representation size guard exceeded")
         self.algebra = algebra
         m = max((g + 1) // 2, 1)
         self.dim = 2 ** m
-        px = np.array([[0, 1], [1, 0]], dtype=complex)
-        py = np.array([[0, -1j], [1j, 0]])
-        pz = np.diag([1, -1]).astype(complex)
-        one = np.eye(2, dtype=complex)
         self.gen_matrices = {}
         for k, gen in enumerate(algebra.gens()):
             qubit, kind = divmod(k, 2)
-            ops = [pz] * qubit + [px if kind == 0 else py] + [one] * (m - qubit - 1)
-            mat = functools.reduce(np.kron, ops)
-            self.gen_matrices[gen] = mat * 1j if algebra.square(gen) == -1 else mat
+            ops = ([_PAULI_Z] * qubit + [_PAULI_X if kind == 0 else _PAULI_Y]
+                   + [_ONE] * (m - qubit - 1))
+            cols, phases = functools.reduce(_kron, ops)
+            if algebra.square(gen) == -1:
+                phases = tuple((x + 1) & 3 for x in phases)
+            self.gen_matrices[gen] = (cols, phases)
 
-    def word_matrix(self, word: Iterable[Gen]):
-        import numpy as np
-
-        out = np.eye(self.dim, dtype=complex)
+    def _monomial(self, word: Iterable[Gen]):
+        """The word's product as (cols, phases)."""
+        cols = range(self.dim)
+        phases = [0] * self.dim
         for g in word:
-            out = out @ self.gen_matrices[g]
-        return out
+            gc, gp = self.gen_matrices[g]
+            phases = [(x + gp[c]) & 3 for x, c in zip(phases, cols)]
+            cols = [gc[c] for c in cols]
+        return cols, phases
 
-    def element_matrix(self, elem: CliffordElement):
+    def word_matrix(self, word: Iterable[Gen]) -> GaussianMatrix:
+        cols, phases = self._monomial(word)
+        return GaussianMatrix(zip(enumerate(cols), (_UNITS[k] for k in phases)))
+
+    def element_matrix(self, elem: CliffordElement) -> GaussianMatrix:
         """Requires constant Gaussian-integer coefficients whose magnitudes
-        sum to less than 2^53, so that the result is exact."""
-        import numpy as np
-
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        sum to less than 2^53."""
+        out = {}
         weight = 0
         for w, c in elem.terms.items():
             cv = c.constant_value()
@@ -272,21 +310,28 @@ class MatrixRep:
                 raise ValueError("element has formal-symbol coefficients")
             if cv.d != 1:
                 raise ValueError("matrix oracle needs Gaussian-integer coefficients")
-            weight += abs(cv.a) + abs(cv.b)
+            a, b = cv.a, cv.b
+            weight += abs(a) + abs(b)
             if weight >= _EXACT_WEIGHT:
                 raise ValueError("coefficients too large for an exact matrix")
-            out += self.word_matrix(w) * complex(cv.a, cv.b)
-        return out
+            rotated = ((a, b), (-b, a), (-a, -b), (b, -a))  # (a + b i) i^k
+            cols, phases = self._monomial(w)
+            for key, k in zip(enumerate(cols), phases):
+                re, im = rotated[k]
+                if key in out:
+                    re0, im0 = out[key]
+                    re, im = re + re0, im + im0
+                out[key] = (re, im)
+        return GaussianMatrix({key: v for key, v in out.items() if v != (0, 0)})
 
-    def normalized_trace(self, mat) -> GaussianRational:
-        """The exact trace over dim; the diagonal must hold Gaussian integers."""
-        import numpy as np
-
-        diag = np.diagonal(mat)
-        if not (np.round(diag) == diag).all():
-            raise ValueError("trace is not a Gaussian integer")
-        tr = GaussianRational(sum(int(x) for x in diag.real), sum(int(x) for x in diag.imag))
-        return tr / GaussianRational(self.dim)
+    def normalized_trace(self, mat: GaussianMatrix) -> GaussianRational:
+        """The exact trace over dim."""
+        re = im = 0
+        for (row, col), (x, y) in mat.items():
+            if row == col:
+                re += x
+                im += y
+        return GaussianRational(re, im) / GaussianRational(self.dim)
 
 
 def matrix_rep(sig: AlgebraSignature) -> MatrixRep:

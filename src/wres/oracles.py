@@ -1,6 +1,6 @@
 """Independent numeric oracles: adaptive quadrature for line integrals and the
-half-plane projection, finite differences for jets, Monte-Carlo sphere
-moments, and seeded random generators for the randomized suites.
+half-plane projection, finite differences for jets, and seeded random
+generators for the randomized suites.
 
 These deliberately avoid the exact code paths they check: integrals go
 through adaptive quadrature on the real line (or a shifted contour), never
@@ -9,6 +9,7 @@ through residues.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -22,8 +23,10 @@ def _quad_complex(fn, a=-math.inf, b=math.inf, limit=400):
     from .quadpack import quad
 
     kw = {"limit": limit, "epsabs": 1e-12, "epsrel": 1e-11}
-    re = quad(lambda t: fn(t).real, a, b, **kw).value
-    im = quad(lambda t: fn(t).imag, a, b, **kw).value
+    # the two integrations share many nodes; fn is evaluated once per node
+    value = functools.cache(fn)
+    re = quad(lambda t: value(t).real, a, b, **kw).value
+    im = quad(lambda t: value(t).imag, a, b, **kw).value
     return complex(re, im)
 
 
@@ -76,21 +79,6 @@ def fd_jet(fn, t: float, h: float = 1e-3):
     d2 = (f_p1 - 2 * f_0 + f_m1) / (h * h)
     d3 = (f_p2 - 2 * f_p1 + 2 * f_m1 - f_m2) / (2 * h ** 3)
     return f_0, d1, d2, d3
-
-
-def mc_sphere_moment(exponents, m: int, samples: int = 400_000, seed: int = 0) -> float:
-    """Monte-Carlo estimate of the normalized sphere moment (ratio to the
-    total measure)."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((samples, m))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    vals = np.ones(samples)
-    for i, e in enumerate(exponents):
-        if e:
-            vals = vals * x[:, i] ** e
-    return float(vals.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +185,7 @@ def random_warp_ast(rng: random.Random, max_depth: int = 4,
 # ---------------------------------------------------------------------------
 
 def run_trace_oracle(seed: int, count: int) -> dict:
-    """Random words: symbolic normal ordering against the dense matrices.
+    """Random words: symbolic normal ordering against the monomial matrices.
 
     A failing run names its first failing input: the index of the word in the
     seeded sequence, the signature and the word as generator names.
@@ -216,7 +204,7 @@ def run_trace_oracle(seed: int, count: int) -> dict:
         sym = normalize(alg, word)
         mat = rep.word_matrix(word)
         sym_tr = sym.trace(sig.total_dim).constant_value()
-        if ((rep.element_matrix(sym) == mat).all()
+        if (rep.element_matrix(sym) == mat
                 and sym_tr == rep.normalized_trace(mat) * GaussianRational(sig.total_dim)):
             continue
         failures += 1

@@ -159,7 +159,7 @@ def test_criterion_6_clifford_traces():
     t5 = (len(t5_val.num) == 1 and
           model.reduce_coeff(t5_val.num[0]) == h1_poly() * (-4))
     report("criterion 6", oracle["pass"] and t1 and t2 and t3 and t4 and t5,
-           f"trace identities exact; 500 random words vs dense matrices "
+           f"trace identities exact; 500 random words vs Jordan-Wigner matrices "
            f"({oracle['failures']} failures)")
 
 

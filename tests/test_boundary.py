@@ -123,7 +123,7 @@ def test_unknown_scenario():
 
 
 def _eval_case_with_matrix_trace(scenario, case) -> UnitValue:
-    """Trace-path swap: word traces through the dense-matrix oracle."""
+    """Trace-path swap: word traces through the Jordan-Wigner matrix oracle."""
     from wres.boundary import case_prefactor, _poly_to_unitvalue, U_PI, U_DX
     from wres.symbolic import sphere_measure
     from wres.symbols import symbol_jet
@@ -160,7 +160,7 @@ def _eval_case_with_matrix_trace(scenario, case) -> UnitValue:
 
 
 def test_trace_path_swap_dim4_and_dim3():
-    # the dense-matrix trace path reproduces every case value exactly
+    # the matrix-oracle trace path reproduces every case value exactly
     for key in ((4, 1, 1), (3, 1, 1)):
         scenario = get_scenario(*key)
         for case in scenario.cases():

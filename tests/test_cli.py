@@ -322,13 +322,14 @@ def test_rw_and_oracle_do_not_import_scipy(tmp_path):
 
 
 def test_verify_boundary_imports_neither_numpy_nor_scipy(tmp_path):
-    """verify-boundary, rw and heat each load neither numpy nor scipy, each
-    checked in a fresh process."""
+    """verify-boundary, rw, heat and oracle each load neither numpy nor scipy,
+    each checked in a fresh process."""
     (tmp_path / "closed.cfg").write_text("p = 2\nq = 2\nr = 1\nr2 = 3/2\nvol = 2\n")
     commands = (
         ["verify-boundary", "--dim", "3", "--powers", "1,1"],
         ["rw", "--f", "exp(t)", "--interval", "0,1", "--curv", "1", "--lambda", "2"],
         ["heat", "--config", "closed.cfg"],
+        ["oracle", "--seed", "7", "--count", "5"],
     )
     for argv in commands:
         code = ("import sys\n"

@@ -1,11 +1,12 @@
-"""Generator algebra: normal ordering, the trace functional, and the dense
-matrix oracle."""
+"""Generator algebra: normal ordering, the trace functional, and the
+Jordan-Wigner matrix oracle."""
 
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,12 +185,57 @@ def test_matrix_rep_relations_and_guard():
     ident = rep.word_matrix([])
     for g in alg.gens():
         sq = rep.word_matrix([g, g])
-        assert (sq == ident * alg.square(g)).all()
+        assert sq == ident * alg.square(g)
     # hatted generator squares contribute the full dimension to the trace
     m = rep.word_matrix([(2, 0), (2, 0)])
     assert rep.normalized_trace(m) * GaussianRational(8) == GaussianRational(8)
     with pytest.raises(ValueError):
         matrix_rep(AlgebraSignature(9, 1))
+
+
+def _dense_jordan_wigner(alg):
+    """The generator matrices as complex numpy arrays: Kronecker products of
+    Pauli matrices, times i for the generators that square to -1."""
+    px = np.array([[0, 1], [1, 0]], dtype=complex)
+    py = np.array([[0, -1j], [1j, 0]])
+    pz = np.diag([1, -1]).astype(complex)
+    one = np.eye(2, dtype=complex)
+    gens = alg.gens()
+    m = max((len(gens) + 1) // 2, 1)
+    out = {}
+    for k, g in enumerate(gens):
+        qubit, kind = divmod(k, 2)
+        mat = np.eye(1, dtype=complex)
+        for op in [pz] * qubit + [px if kind == 0 else py] + [one] * (m - qubit - 1):
+            mat = np.kron(mat, op)
+        out[g] = mat * 1j if alg.square(g) == -1 else mat
+    return out
+
+
+def test_monomial_rep_matches_dense_jordan_wigner():
+    rng = random.Random(2024)
+    for p, q in itertools.product(range(4), repeat=2):
+        if p + q == 0:
+            continue
+        alg = sub_dirac_algebra(p, q)
+        rep = MatrixRep(alg)
+        dense = _dense_jordan_wigner(alg)
+        dim = rep.dim
+        for g, (cols, phases) in rep.gen_matrices.items():
+            got = np.zeros((dim, dim), dtype=complex)
+            for row, (col, k) in enumerate(zip(cols, phases)):
+                got[row, col] = 1j ** k
+            assert np.array_equal(got, dense[g]), (p, q, g)
+        gens = alg.gens()
+        for _ in range(200):
+            word = [rng.choice(gens) for _ in range(rng.randint(0, 8))]
+            want = np.eye(dim, dtype=complex)
+            for g in word:
+                want = want @ dense[g]
+            got = np.zeros((dim, dim), dtype=complex)
+            for (row, col), (re, im) in rep.word_matrix(word).items():
+                got[row, col] = complex(re, im)
+            assert np.array_equal(got, want), (p, q, word)
 
 
 def test_words_against_matrix_oracle_500():
@@ -203,7 +249,7 @@ def test_words_against_matrix_oracle_500():
             reps[key] = MatrixRep(alg)
         rep = reps[key]
         sym = normalize(alg, word)
-        assert (rep.element_matrix(sym) == rep.word_matrix(word)).all()
+        assert rep.element_matrix(sym) == rep.word_matrix(word)
 
 
 def test_element_traces_against_matrix_oracle():
@@ -238,7 +284,7 @@ def test_element_matrix_needs_small_gaussian_integer_coefficients():
         with pytest.raises(ValueError):
             rep.element_matrix(bad)
     big = rep.element_matrix(word * (2 ** 53 - 1))
-    assert (big == rep.word_matrix([(0, 0), (1, 0)]) * (2 ** 53 - 1)).all()
+    assert big == rep.word_matrix([(0, 0), (1, 0)]) * (2 ** 53 - 1)
 
 
 def test_trace_oracle_names_its_first_failure(monkeypatch):

@@ -5,13 +5,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wres.clifford import sub_dirac_algebra
 from wres.oracles import (
-    mc_sphere_moment,
     numeric_line_integral,
     numeric_pi_plus,
     random_rational_xi,
@@ -349,6 +349,19 @@ def test_sphere_moment_odd_vanishes():
 def test_sphere_moment_total_and_quadratic():
     assert sphere_moment([0, 0, 0], 3) == UnitValue.unit("Omega2")
     assert sphere_moment([2, 0, 0, 0], 4) == UnitValue(Fraction(1, 4), {"Omega3": 1})
+
+
+def mc_sphere_moment(exponents, m: int, samples: int = 400_000, seed: int = 0) -> float:
+    """Monte-Carlo estimate of the normalized sphere moment (ratio to the
+    total measure)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((samples, m))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    vals = np.ones(samples)
+    for i, e in enumerate(exponents):
+        if e:
+            vals = vals * x[:, i] ** e
+    return float(vals.mean())
 
 
 def test_sphere_moment_vs_monte_carlo():
