@@ -2,22 +2,23 @@
 curvature endomorphism derived from the Lichnerowicz identity, lower-volume
 constants, and spectral-action moments.
 
-Interior coefficients follow the closed-manifold reduction (total-divergence
-terms dropped); bounded manifolds keep them as explicit normal-derivative
-boundary inputs.  The a4 boundary bracket is returned in two variants: the
-printed closed form and the one re-derived from the general bracket with the
-trace identities (they differ in the r_{;N} coefficient; both are reported).
+Every coefficient comes from one table of the general Laplace-type heat
+coefficients (``_GENERAL``) composed with the Lichnerowicz trace identities
+(``_TRACES``, which ``endomorphism_traces`` and ``omega_squared_trace`` check).
+The one hand-typed deviation is the paper's printed a4 boundary reading,
+-51 r_{;N} where the table gives +12; both readings are reported.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
 from .clifford import Algebra, AlgebraSignature, CliffordElement, sub_dirac_algebra
-from .symbolic import ScalarPoly, UnitValue, _as_poly
+from .symbolic import ScalarPoly, UnitValue, _as_poly, _double_factorial
 
 U_PI = "pi"
 U_TDIM = "l~2^q"
@@ -115,11 +116,12 @@ def endomorphism_traces(sig: AlgebraSignature, total_dim=None) -> dict:
     tr_e = (-minus_e).trace(td)
     tr_e2 = (minus_e * minus_e).trace(td)
     r = ScalarPoly.symbol(R_M)
+    tr = _TRACES["E2"]
     return {
         "tr_E": tr_e,
-        "tr_E_expected": -td * r * Fraction(1, 4),
+        "tr_E_expected": td * r * _TRACES["E"]["r"],
         "tr_E2": tr_e2,
-        "tr_E2_expected": td * (r * r + rfperp_norm_sq(sig)) * Fraction(1, 16),
+        "tr_E2_expected": td * (r * r * tr["r2"] + rfperp_norm_sq(sig) * tr["rfperp2"]),
     }
 
 
@@ -137,7 +139,7 @@ def omega_squared_trace(n: int, q: int, total_dim=None) -> dict:
     def rp(i, j, s, t):
         return _anti_pair(f"RP_{i}_{j}", s, t)
 
-    total = ScalarPoly.zero()
+    total = riem2 = rfperp2 = ScalarPoly.zero()  # |R|^2 and |RF|^2 for the expected form
     for i in range(n):
         for j in range(n):
             om = alg.scalar(0)
@@ -146,44 +148,74 @@ def omega_squared_trace(n: int, q: int, total_dim=None) -> dict:
                     c = rm(i, j, k, l)
                     if not c.is_zero():
                         om = om + alg.gen((0, k)) * alg.gen((0, l)) * (c * Fraction(-1, 4))
+                        riem2 = riem2 + c ** 2
             for s in range(q):
                 for t in range(q):
                     c = rp(i, j, s, t)
                     if not c.is_zero():
                         om = om + alg.gen((1, s)) * alg.gen((1, t)) * (c * Fraction(-1, 4))
+                        rfperp2 = rfperp2 + c ** 2
             total = total + (om * om).trace(td)
-
-    expected = ScalarPoly.zero()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    expected = expected + rm(i, j, k, l) ** 2
-            for s in range(q):
-                for t in range(q):
-                    expected = expected + rp(i, j, s, t) ** 2
-    return {"tr_Omega2": total, "tr_Omega2_expected": -td * expected * Fraction(1, 8)}
-
-
-def interior_a4_bracket_coefficients() -> dict[str, Fraction]:
-    """Derive the interior a4 bracket from the general heat formula and the
-    trace identities; the +60*tau*E orientation is the one consistent with
-    the closed form (the alternative sign gives 125/4 instead of 5/4).
-
-    Per unit trace dimension and before the 1/360 prefactor, using
-    tr E = -T r/4, tr E^2 = (T/16)(r^2 + |RF|^2), tr Omega^2 = -(T/8)(|R|^2 + |RF|^2):
-        5 r^2 - 2 ric2 + 2 riem2 + 60 r E + 180 E^2 + 30 Omega^2.
-    """
-    r2 = Fraction(5) + Fraction(60, 1) * Fraction(-1, 4) + Fraction(180, 16)
-    ric2 = Fraction(-2)
-    riem2 = Fraction(2) + Fraction(30) * Fraction(-1, 8)
-    rf2 = Fraction(180, 16) + Fraction(30) * Fraction(-1, 8)
-    return {"r2": r2, "ric2": ric2, "riem2": riem2, "rfperp2": rf2}
+    tr = _TRACES["Omega2"]
+    return {"tr_Omega2": total,
+            "tr_Omega2_expected": td * (riem2 * tr["riem2"] + rfperp2 * tr["rfperp2"])}
 
 
 # ---------------------------------------------------------------------------
-# Curvature data and the coefficient formulas
+# The heat-coefficient table, curvature data and the coefficient formulas
 # ---------------------------------------------------------------------------
+
+# a0..a4 of -(g^{ij} nabla_i nabla_j + E) per unit trace, Dirichlet condition,
+# total divergences dropped (Vassilevich, Phys. Rep. 388 (2003) sections
+# 4.1-4.2; Branson-Gilkey, Comm. PDE 15 (1990)), as (prefactor, interior
+# bracket, boundary bracket).  A bracket maps an invariant to its coefficient:
+# a CurvatureData field name, "1" for the volume, or E, rE = r E, E2 = E^2,
+# Omega2 = Omega_ij Omega_ij, E_N = E_{;N}, E_L_aa = E L_aa.
+_GENERAL = {
+    0: (Fraction(1), {"1": 1}, {}),
+    1: (Fraction(-1, 4), {}, {"1": 1}),
+    2: (Fraction(1, 6), {"E": 6, "r": 1}, {"L_aa": 2}),
+    3: (Fraction(-1, 384), {},
+        {"E": 96, "r": 16, "R_aNaN": 8, "L2_aabb": 7, "L2_abab": -10}),
+    4: (Fraction(1, 360),
+        {"rE": 60, "E2": 180, "Omega2": 30, "r2": 5, "ric2": -2, "riem2": 2},
+        {"E_N": -120, "E_L_aa": 120, "r_N": -18, "r_L_aa": 20, "R_aNaN_L_bb": 4,
+         "R_aNbN_L_ab": -12, "R_abcb_L_ac": 4, "L_aa_bb": 24,
+         "L3_aabbcc": Fraction(40, 21), "L3_ababcc": Fraction(-88, 7),
+         "L3_abbcac": Fraction(320, 21)}),
+}
+
+# Per unit trace for the sub-Dirac E and Omega, as endomorphism_traces and
+# omega_squared_trace derive them: tr E = -r/4, tr E^2 = (r^2 + |RF|^2)/16,
+# tr Omega^2 = -(|R|^2 + |RF|^2)/8.  rE, E_N and E_L_aa are linear in E, so
+# their traces carry tr E's factor onto r^2, r_{;N} and r L_aa.
+_TR_E = Fraction(-1, 4)
+_TRACES = {
+    "E": {"r": _TR_E}, "rE": {"r2": _TR_E}, "E_N": {"r_N": _TR_E}, "E_L_aa": {"r_L_aa": _TR_E},
+    "E2": {"r2": Fraction(1, 16), "rfperp2": Fraction(1, 16)},
+    "Omega2": {"riem2": Fraction(-1, 8), "rfperp2": Fraction(-1, 8)},
+}
+
+TableEntry = namedtuple("TableEntry", "prefactor interior boundary")
+
+
+def _reduce(general: dict) -> dict[str, Fraction]:
+    """A general bracket with each E and Omega invariant replaced by its trace."""
+    out: dict[str, Fraction] = {}
+    for name, c in general.items():
+        for key, t in _TRACES.get(name, {name: 1}).items():
+            out[key] = out.get(key, Fraction(0)) + Fraction(c) * t
+    return out
+
+
+# the squared sub-Dirac operator's coefficients, k -> TableEntry
+SPINOR = {k: TableEntry(pref, _reduce(interior), _reduce(boundary))
+          for k, (pref, interior, boundary) in _GENERAL.items()}
+
+# The paper prints the a4 boundary bracket with -51 r_{;N}; the table gives
+# -120 tr E_{;N} - 18 r_{;N} = +12 r_{;N}.  Every other term agrees.
+A4_BOUNDARY_PRINTED = {**SPINOR[4].boundary, "r_N": Fraction(-51)}
+
 
 def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -249,18 +281,20 @@ class HeatCoeffs:
     a4: UnitValue
     a4_alt: UnitValue | None = None  # derived-bracket variant of the boundary part
 
-    def as_list(self):
-        return [self.a0, self.a1, self.a2, self.a3, self.a4]
 
-
-_A4_INTERIOR = interior_a4_bracket_coefficients()
-
-
-def interior_a4_bracket(r2, ric2, riem2, rfperp2) -> Fraction:
-    """The interior a4 integrand before the 1/360 prefactor: an exact sum, floats included."""
-    c = _A4_INTERIOR
-    return (c["r2"] * _fr(r2) + c["ric2"] * _fr(ric2)
-            + c["riem2"] * _fr(riem2) + c["rfperp2"] * _fr(rfperp2))
+def bracket(coeffs: dict, data, boundary: bool) -> Fraction:
+    """The exact sum of coefficient * invariant over a bracket (floats included);
+    ``data`` has the invariants as attributes, and on the boundary r is boundary_r."""
+    total = Fraction(0)
+    for name, c in coeffs.items():
+        if name == "1":
+            value = 1
+        elif boundary and name == "r":
+            value = data.boundary_r
+        else:
+            value = getattr(data, name)
+        total += c * _fr(value)
+    return total
 
 
 def _inv_4pi_pow(m: int) -> UnitValue:
@@ -268,71 +302,37 @@ def _inv_4pi_pow(m: int) -> UnitValue:
     return UnitValue(1, {"2": Fraction(-m), U_PI: Fraction(-m, 2)})
 
 
-def _tdim_factor(total_dim) -> UnitValue:
-    if total_dim is None:
-        return UnitValue.unit(U_TDIM)
-    return UnitValue(_fr(total_dim))
-
-
-def _dimensions(sig: AlgebraSignature | None, n: int | None, total_dim):
+def _assemble(sig, data: CurvatureData, n, total_dim, terms) -> list[UnitValue]:
+    """T (4 pi)^{-(n - k mod 2)/2} prefactor (interior bracket vol + boundary
+    bracket bvol) for each (k, boundary bracket) of ``terms``."""
     if sig is not None:
         n = sig.p + sig.q if n is None else n
         total_dim = sig.total_dim if total_dim is None else total_dim
     if n is None:
         raise ValueError("need a signature or an explicit dimension")
-    return n, total_dim
+    tdim = UnitValue.unit(U_TDIM) if total_dim is None else UnitValue(_fr(total_dim))
+    out = []
+    for k, boundary in terms:
+        entry = SPINOR[k]
+        value = (bracket(entry.interior, data, False) * data.vol
+                 + bracket(boundary, data, True) * data.bvol)
+        out.append(_inv_4pi_pow(n - k % 2) * tdim * (entry.prefactor * value))
+    return out
 
 
 def interior_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
                     n: int | None = None, total_dim=None) -> HeatCoeffs:
     """Closed-manifold coefficients a0, a2, a4 (a1 = a3 = 0)."""
-    n, total_dim = _dimensions(sig, n, total_dim)
-    v = data.vol
-    pref = _inv_4pi_pow(n) * _tdim_factor(total_dim)
-    a0 = pref * v
-    a2 = pref * (Fraction(-1, 12) * data.r * v)
-    interior4 = interior_a4_bracket(data.r2, data.ric2, data.riem2, data.rfperp2)
-    a4 = pref * (Fraction(1, 360) * interior4 * v)
-    zero = UnitValue.zero()
-    return HeatCoeffs(a0, zero, a2, zero, a4)
-
-
-def a3_boundary_bracket(data: CurvatureData) -> Fraction:
-    """The a3 boundary integrand before the -1/384 prefactor."""
-    return (-8 * data.boundary_r + 8 * data.R_aNaN
-            + 7 * data.L2_aabb - 10 * data.L2_abab)
-
-
-def a4_boundary_bracket(data: CurvatureData, printed: bool = True) -> Fraction:
-    """The a4 boundary integrand after the trace reductions.
-
-    printed=True uses the stated closed form (r_{;N} coefficient -51);
-    printed=False re-derives it from the general bracket (-120 E_{;N} - 18 r_{;N}
-    with tr E = -T r / 4 gives +12 r_{;N}); all other terms coincide.
-    """
-    r_n_coeff = Fraction(-51) if printed else Fraction(12)
-    return (r_n_coeff * data.r_N - 10 * data.r_L_aa + 4 * data.R_aNaN_L_bb
-            - 12 * data.R_aNbN_L_ab + 4 * data.R_abcb_L_ac + 24 * data.L_aa_bb
-            + Fraction(40, 21) * data.L3_aabbcc - Fraction(88, 7) * data.L3_ababcc
-            + Fraction(320, 21) * data.L3_abbcac)
+    return HeatCoeffs(*_assemble(sig, data, n, total_dim, [(k, {}) for k in SPINOR]))
 
 
 def boundary_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
                     n: int | None = None, total_dim=None) -> HeatCoeffs:
-    """Dirichlet-condition coefficients a0..a4 for a bounded manifold."""
-    m, total_dim = _dimensions(sig, n, total_dim)
-    pref_i = _inv_4pi_pow(m) * _tdim_factor(total_dim)
-    pref_b = _inv_4pi_pow(m - 1) * _tdim_factor(total_dim)
-    v, bv = data.vol, data.bvol
-
-    a0 = pref_i * v
-    a1 = pref_b * (Fraction(-1, 4) * bv)
-    a2 = pref_i * (Fraction(1, 12) * (-data.r * v + 4 * data.L_aa * bv))
-    a3 = pref_b * (Fraction(-1, 384) * a3_boundary_bracket(data) * bv)
-    interior4 = interior_a4_bracket(data.r2, data.ric2, data.riem2, data.rfperp2)
-    a4 = pref_i * (Fraction(1, 360) * (interior4 * v + a4_boundary_bracket(data, True) * bv))
-    a4_alt = pref_i * (Fraction(1, 360) * (interior4 * v + a4_boundary_bracket(data, False) * bv))
-    return HeatCoeffs(a0, a1, a2, a3, a4, a4_alt)
+    """Dirichlet-condition coefficients a0..a4 for a bounded manifold; a4 takes
+    the printed boundary bracket and a4_alt the table's."""
+    terms = [(k, entry.boundary) for k, entry in SPINOR.items()]
+    return HeatCoeffs(*_assemble(sig, data, n, total_dim,
+                                 terms[:4] + [(4, A4_BOUNDARY_PRINTED), terms[4]]))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +370,7 @@ def _gamma_exact(two_z: int) -> tuple[Fraction, Fraction]:
         return Fraction(math.factorial(two_z // 2 - 1)), Fraction(0)
     # Gamma(m + 1/2) = (2m-1)!! / 2^m * sqrt(pi)
     mhalf = two_z // 2
-    dd = 1
-    for k in range(2 * mhalf - 1, 1, -2):
-        dd *= k
-    return Fraction(dd, 2 ** mhalf), Fraction(1, 2)
+    return Fraction(_double_factorial(2 * mhalf - 1), 2 ** mhalf), Fraction(1, 2)
 
 
 def v_nk(n: int, k: int) -> UnitValue:
@@ -428,13 +425,15 @@ def lower_volume(sig: AlgebraSignature | None, n: int, k: int, data: CurvatureDa
 
 def wres_power(n: int, total_dim=None) -> UnitValue:
     """Coefficient of the scalar-curvature integral in the residue of the
-    (2-n)-th power: -totalDim / (6 (n/2-2)! (4 pi)^{n/2}).  Even n only."""
+    (2-n)-th power.  By the zeta-residue identity Wres(P^{-s}) = 2 a_{n-2s} / Gamma(s)
+    at s = n/2 - 1, it is 2 a2 / Gamma(n/2 - 1) with a2 at unit r.  Even n only."""
     if n % 2:
-        raise ValueError("the closed form needs even dimension")
+        raise ValueError("need even dimension")
     if n < 4:
         raise ValueError("need n >= 4")
-    c = UnitValue(Fraction(-1, 6 * math.factorial(n // 2 - 2)))
-    return c * _inv_4pi_pow(n) * _tdim_factor(total_dim)
+    a2 = interior_coeffs(None, CurvatureData(r=1), n=n, total_dim=total_dim).a2
+    gamma, _ = _gamma_exact(n - 2)  # Gamma(n/2 - 1), an integer for even n
+    return a2 * 2 / gamma
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,10 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .heat import (
-    CurvatureData,
-    a3_boundary_bracket,
-    a4_boundary_bracket,
-    boundary_coeffs,
-    interior_a4_bracket,
-    v_nk,
-)
+from .heat import A4_BOUNDARY_PRINTED, SPINOR, CurvatureData, boundary_coeffs, bracket, v_nk
 
 DEFAULT_QUAD_TOL = 1e-10
 QUAD_TOL_ENV = "WRES_QUAD_TOL"
@@ -445,7 +439,8 @@ def _warp_curvature(model: RWModel, t: float):
 def _a4_integrand(model: RWModel, t: float) -> float:
     """The interior a4 bracket at an interior point, rounded once."""
     *_, r_tilde, riem2 = _warp_curvature(model, t)
-    return float(interior_a4_bracket(r_tilde ** 2, riem2, riem2, model.base_rfperp2))
+    point = SimpleNamespace(r2=r_tilde ** 2, ric2=riem2, riem2=riem2, rfperp2=model.base_rfperp2)
+    return float(bracket(SPINOR[4].interior, point, False))
 
 
 def warped_geometry(model: RWModel, t: float, normal_sign: int = 1) -> CurvatureData:
@@ -582,13 +577,14 @@ def rw_spectral_coeffs(model: RWModel, total_dim: int = 8,
     a1 = -0.25 * c_b * _boundary_sum(ends, lambda d: 1.0)
     r_int = _interior_integral(model, lambda t: _warp_curvature(model, t)[6], tol)
     a2 = (c_i / 12.0) * (-r_int + 4.0 * _boundary_sum(ends, lambda d: float(d.L_aa)))
-    a3 = (-c_b / 384.0) * _boundary_sum(ends, lambda d: float(a3_boundary_bracket(d)))
+    a3 = (-c_b / 384.0) * _boundary_sum(
+        ends, lambda d: float(bracket(SPINOR[3].boundary, d, True)))
 
     a4_int = (c_i / 360.0) * _interior_integral(model, lambda t: _a4_integrand(model, t), tol)
     a4_derived = a4_int + (c_i / 360.0) * _boundary_sum(
-        ends, lambda d: float(a4_boundary_bracket(d, printed=False)))
+        ends, lambda d: float(bracket(SPINOR[4].boundary, d, True)))
     a4_printed = a4_int + (c_i / 360.0) * _boundary_sum(
-        ends, lambda d: float(a4_boundary_bracket(d, printed=True)))
+        ends, lambda d: float(bracket(A4_BOUNDARY_PRINTED, d, True)))
 
     # consistency of the assembled a0..a2 against the generic bounded-manifold
     # formulas fed the same warped data (reported; asserted by the test suite)

@@ -15,9 +15,9 @@ from wres.boundary import get_scenario, phi_total, res_partial
 from wres.cli import main as cli_main
 from wres.clifford import AlgebraSignature
 from wres.heat import (
+    SPINOR,
     CurvatureData,
     endomorphism_traces,
-    interior_a4_bracket_coefficients,
     interior_coeffs,
     lower_volume,
     omega_squared_trace,
@@ -171,9 +171,8 @@ def test_criterion_7_heat_closed_forms():
         ok &= tr["tr_E2"] == tr["tr_E2_expected"]
     om = omega_squared_trace(4, 2)
     ok &= om["tr_Omega2"] == om["tr_Omega2_expected"]
-    bracket = interior_a4_bracket_coefficients()
-    ok &= bracket == {"r2": Fraction(5, 4), "ric2": Fraction(-2),
-                      "riem2": Fraction(-7, 4), "rfperp2": Fraction(15, 2)}
+    ok &= SPINOR[4].interior == {"r2": Fraction(5, 4), "ric2": Fraction(-2),
+                                 "riem2": Fraction(-7, 4), "rfperp2": Fraction(15, 2)}
     # a0/a2 prefactors: trace dimension 2^{p+q} in dimension 2p+q
     hc = interior_coeffs(None, CurvatureData(r=1, vol=1), n=6, total_dim=16)
     ok &= hc.a0 == UnitValue(Fraction(1, 4), {"pi": Fraction(-3)})

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, report schema, and determinism."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -306,6 +307,18 @@ def test_report_matches_reference(op, monkeypatch, capsys):
         assert main(op["argv"]) == 0
     reference = (ROOT / "perfbench" / "reference" / f"{op['ref']}.json").read_bytes()
     assert capsys.readouterr().out.encode() == reference
+
+
+@pytest.mark.parametrize("script, digest", [
+    ("boundary_tables.py", "98a8f52ec6f3104b3425519819070ac4d9205882957ee9f0e904ea67ec4f5eb3"),
+    ("rw_action.py", "6ee85823dec4372e10cf43adbfac94ae9bf26e80741b4e94d3bf64c67f4de1a5"),
+], ids=["boundary_tables", "rw_action"])
+def test_example_script_output(script, digest):
+    # each example script exits 0 and prints its recorded tables byte for byte
+    proc = subprocess.run([sys.executable, str(Path("scripts") / script)], cwd=ROOT,
+                          env=_cli_env(), capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_rw_and_oracle_do_not_import_scipy(tmp_path):

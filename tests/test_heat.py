@@ -8,11 +8,12 @@ import pytest
 
 from wres.clifford import AlgebraSignature
 from wres.heat import (
+    A4_BOUNDARY_PRINTED,
+    SPINOR,
     CurvatureData,
-    a4_boundary_bracket,
     boundary_coeffs,
+    bracket,
     endomorphism_traces,
-    interior_a4_bracket_coefficients,
     interior_coeffs,
     lichnerowicz_E,
     lower_volume,
@@ -48,9 +49,15 @@ def test_omega_squared_trace():
 
 
 def test_interior_bracket_coefficients():
-    got = interior_a4_bracket_coefficients()
-    assert got == {"r2": Fraction(5, 4), "ric2": Fraction(-2),
-                   "riem2": Fraction(-7, 4), "rfperp2": Fraction(15, 2)}
+    # the table composed with the trace identities gives the reduced spinor
+    # constants of the closed forms
+    assert SPINOR[0] == (1, {"1": 1}, {})
+    pref, interior, boundary = SPINOR[2]
+    assert {k: pref * c for k, c in interior.items()} == {"r": Fraction(-1, 12)}
+    assert {k: pref * c for k, c in boundary.items()} == {"L_aa": Fraction(1, 3)}
+    assert SPINOR[4].prefactor == Fraction(1, 360)
+    assert SPINOR[4].interior == {"r2": Fraction(5, 4), "ric2": Fraction(-2),
+                                  "riem2": Fraction(-7, 4), "rfperp2": Fraction(15, 2)}
 
 
 def test_interior_coefficient_prefactors():
@@ -95,16 +102,26 @@ def test_boundary_a1_and_a3_factors():
     assert hc.a1 == UnitValue(-2, {"2": Fraction(-3), "pi": Fraction(-3, 2)})
     # a3 bracket: -8 r + 8 R_aNaN + 7 L_aa L_bb - 10 L_ab L_ab = -3 here
     assert hc.a3 == UnitValue(Fraction(8, 384) * 3, {"2": Fraction(-3), "pi": Fraction(-3, 2)})
+    assert SPINOR[1] == (Fraction(-1, 4), {}, {"1": 1})
+    assert SPINOR[3] == (Fraction(-1, 384), {},
+                         {"r": -8, "R_aNaN": 8, "L2_aabb": 7, "L2_abab": -10})
+    # on the boundary r is the boundary scalar curvature
+    assert bracket(SPINOR[3].boundary, CurvatureData(r=5, r_bd=1), True) == -8
 
 
 def test_a4_boundary_bracket_variants():
     data = CurvatureData(r_N=1)
-    assert a4_boundary_bracket(data, printed=True) == Fraction(-51)
-    assert a4_boundary_bracket(data, printed=False) == Fraction(12)
+    assert bracket(A4_BOUNDARY_PRINTED, data, True) == Fraction(-51)
+    assert bracket(SPINOR[4].boundary, data, True) == Fraction(12)
     # every non-r_N term agrees between the two variants
     data2 = CurvatureData(r_L_aa=1, R_aNaN_L_bb=1, R_aNbN_L_ab=1, R_abcb_L_ac=1,
                           L_aa_bb=1, L3_aabbcc=1, L3_ababcc=1, L3_abbcac=1)
-    assert a4_boundary_bracket(data2, True) == a4_boundary_bracket(data2, False)
+    assert bracket(A4_BOUNDARY_PRINTED, data2, True) == bracket(SPINOR[4].boundary, data2, True)
+    others = {"r_L_aa": -10, "R_aNaN_L_bb": 4, "R_aNbN_L_ab": -12, "R_abcb_L_ac": 4,
+              "L_aa_bb": 24, "L3_aabbcc": Fraction(40, 21), "L3_ababcc": Fraction(-88, 7),
+              "L3_abbcac": Fraction(320, 21)}
+    assert SPINOR[4].boundary == {"r_N": 12, **others}
+    assert A4_BOUNDARY_PRINTED == {"r_N": -51, **others}
 
 
 def test_curvature_data_mapping_guard():
@@ -135,7 +152,20 @@ def test_lower_volume_composition():
     assert top.value == v_nk(4, 4) * UnitValue(Fraction(8, 16), {"pi": Fraction(-2)})
 
 
+def _wres_closed_form(n, total_dim=None):
+    """The Kastler-Kalau-Walze closed form -T / (6 (n/2-2)! (4 pi)^{n/2})."""
+    t = UnitValue.unit("l~2^q") if total_dim is None else UnitValue(total_dim)
+    four_pi = UnitValue(1, {"2": Fraction(-n), "pi": Fraction(-n, 2)})  # (4 pi)^{-n/2}
+    return t * four_pi * Fraction(-1, 6 * math.factorial(n // 2 - 2))
+
+
 def test_wres_power():
+    # 2 a2 / Gamma(n/2 - 1) against the closed form, for symbolic T and for
+    # T = 2^(p+q) with n = 2p + q, q = 2
+    for n in (4, 6, 8, 10):
+        assert wres_power(n) == _wres_closed_form(n)
+        total_dim = 2 ** ((n - 2) // 2 + 2)
+        assert wres_power(n, total_dim) == _wres_closed_form(n, total_dim)
     # symbolic trace dimension: -T/(6 (4 pi)^3) = -T/(384 pi^3)
     assert wres_power(6) == UnitValue(Fraction(-1, 384),
                                       {"pi": Fraction(-3), "l~2^q": Fraction(1)})
