@@ -15,8 +15,8 @@ import random
 from fractions import Fraction
 
 from .clifford import AlgebraSignature, MatrixRep, normalize, sub_dirac_algebra
-from .symbolic import GaussianRational, RationalXi
-from .warped import Jet3, _eval_ast
+from .symbolic import GaussianRational, RationalXi, _frac_str
+from .warped import Jet3, _ast_to_string, compile_ast
 
 
 def _quad_complex(fn, a=-math.inf, b=math.inf, limit=400):
@@ -45,7 +45,10 @@ def _rational_function(f: RationalXi):
     mp, mm = f.mp, f.mm
 
     def value(xi):
-        num = sum(c * xi ** k for k, c in enumerate(coeffs))
+        # sum()'s additions, from the int 0, without its generator
+        num = 0
+        for k, c in enumerate(coeffs):
+            num += c * xi ** k
         return num / ((xi - 1j) ** mp * (xi + 1j) ** mm)
     return value
 
@@ -116,21 +119,50 @@ def random_word(rng: random.Random, sig: AlgebraSignature, max_len: int = 8):
     return alg, [rng.choice(gens) for _ in range(rng.randint(1, max_len))]
 
 
-def _subtrees(ast):
-    yield ast
-    for child in ast[1:]:
-        if isinstance(child, tuple):
-            yield from _subtrees(child)
-
-
-def random_warp_ast(rng: random.Random, max_depth: int = 4,
-                    probes=(0.2, 0.7, 1.3)) -> tuple:
-    """Random warp AST that is finite and tame at the probe points.
+def tame_warp_jets(ast, probes) -> dict[float, Jet3] | None:
+    """The jets of a warp AST that is finite and tame at the probe points,
+    keyed by point: each probe and the points of its finite-difference
+    stencils at steps 2e-3 and 1e-3.  None for any other AST.
 
     Besides the bound on the final jet, every subtree must stay below 1e8 in
     magnitude: in exp(64) + t the t is lost to rounding, so finite
-    differences would see a constant.
+    differences would see a constant.  The subtree values are collected
+    during the probe's own evaluation, and each point is evaluated once.
     """
+    subtree_values: list[float] = []
+    probe_jet = compile_ast(ast, subtree_values.append)
+    point_jet = compile_ast(ast)
+    jets: dict[float, Jet3] = {}
+
+    def value(x):
+        jet = jets.get(x)
+        if jet is None:
+            jet = jets[x] = point_jet(Jet3.variable(x))
+        return jet.value
+
+    try:
+        for t in probes:
+            subtree_values.clear()
+            jet = jets[t] = probe_jet(Jet3.variable(t))
+            if not all(math.isfinite(v) and abs(v) < 1e4 for v in jet.derivatives()):
+                return None
+            if any(abs(v) >= 1e8 for v in subtree_values):
+                return None
+            # reject functions whose finite differences are not yet in the
+            # asymptotic regime at step 1e-3 (wild fifth derivatives)
+            coarse = fd_jet(value, t, h=2e-3)
+            fine = fd_jet(value, t, h=1e-3)
+            scale = max(1.0, *(abs(v) for v in fine))
+            if max(abs(a - b) for a, b in zip(coarse, fine)) > 2.5e-7 * scale:
+                return None
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return None
+    return jets
+
+
+def random_warp_ast(rng: random.Random, max_depth: int = 4,
+                    probes=(0.2, 0.7, 1.3)) -> tuple[tuple, dict[float, Jet3]]:
+    """Random warp AST that passes ``tame_warp_jets``, and its jets."""
 
     def build(depth):
         if depth <= 0 or rng.random() < 0.3:
@@ -151,33 +183,11 @@ def random_warp_ast(rng: random.Random, max_depth: int = 4,
             return ("/", build(depth - 1), denom)
         return (op, build(depth - 1), build(depth - 1))
 
-    def value(ast, t):
-        return _eval_ast(ast, Jet3.variable(t)).value
-
     while True:
         ast = build(max_depth)
-        try:
-            ok = True
-            for t in probes:
-                jet = _eval_ast(ast, Jet3.variable(t))
-                if not all(math.isfinite(v) and abs(v) < 1e4 for v in jet.derivatives()):
-                    ok = False
-                    break
-                if any(abs(value(sub, t)) >= 1e8 for sub in _subtrees(ast)):
-                    ok = False
-                    break
-                # reject functions whose finite differences are not yet in the
-                # asymptotic regime at step 1e-3 (wild fifth derivatives)
-                coarse = fd_jet(lambda x: value(ast, x), t, h=2e-3)
-                fine = fd_jet(lambda x: value(ast, x), t, h=1e-3)
-                scale = max(1.0, *(abs(v) for v in fine))
-                if max(abs(a - b) for a, b in zip(coarse, fine)) > 2.5e-7 * scale:
-                    ok = False
-                    break
-            if ok:
-                return ast
-        except (ValueError, OverflowError, ZeroDivisionError):
-            continue
+        jets = tame_warp_jets(ast, probes)
+        if jets is not None:
+            return ast, jets
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +229,17 @@ def run_trace_oracle(seed: int, count: int) -> dict:
 
 
 def run_quadrature_oracle(seed: int, count: int, rel_tol: float = 1e-8) -> dict:
-    """Random proper rational functions: exact residue integral vs quadrature."""
+    """Random proper rational functions: exact residue integral vs quadrature.
+
+    A failing run names its first failing input: its index in the seeded
+    sequence, the pole orders and the numerator's coefficients, constant
+    term first.
+    """
     rng = random.Random(seed)
     worst = 0.0
     failures = 0
-    for _ in range(count):
+    first_failure = None
+    for index in range(count):
         f = random_rational_xi(rng)
         exact = complex(f.integrate_pi_coefficient().constant_value()) * math.pi
         approx = numeric_line_integral(f)
@@ -231,28 +247,45 @@ def run_quadrature_oracle(seed: int, count: int, rel_tol: float = 1e-8) -> dict:
         worst = max(worst, err)
         if err > rel_tol:
             failures += 1
-    return {"name": "residue-quadrature", "count": count, "failures": failures,
-            "worst_rel_err": worst, "pass": failures == 0}
+            if first_failure is None:
+                coeffs = [poly.constant_value() for poly in f.num]
+                first_failure = {"index": index, "mp": f.mp, "mm": f.mm,
+                                 "coefficients": [{"re": _frac_str(c.re), "im": _frac_str(c.im)}
+                                                  for c in coeffs]}
+    report = {"name": "residue-quadrature", "count": count, "failures": failures,
+              "worst_rel_err": worst, "pass": failures == 0}
+    if first_failure is not None:
+        report["first_failure"] = first_failure
+    return report
 
 
 def run_ad_oracle(seed: int, count: int, tol: float = 1e-6) -> dict:
-    """Random warp expressions: order-3 jets vs central finite differences."""
+    """Random warp expressions: order-3 jets vs central finite differences.
+
+    The generator's filter has already evaluated the jet at every probe and
+    stencil point this needs.  A failing run names its first failing input:
+    its index in the seeded sequence, the probe t and the warp as text that
+    ``wres rw --f`` parses.
+    """
     rng = random.Random(seed)
     worst = 0.0
     failures = 0
+    first_failure = None
     probes = (0.2, 0.7, 1.3)
-    for _ in range(count):
-        ast = random_warp_ast(rng, probes=probes)
+    for index in range(count):
+        ast, jets = random_warp_ast(rng, probes=probes)
         t = probes[rng.randrange(len(probes))]
-        try:
-            jet = _eval_ast(ast, Jet3.variable(t)).derivatives()
-            fd = fd_jet(lambda x: _eval_ast(ast, Jet3.variable(x)).value, t)
-        except (ValueError, OverflowError):
-            continue
+        jet = jets[t].derivatives()
+        fd = fd_jet(lambda x: jets[x].value, t)
         scale = max(1.0, *(abs(v) for v in jet))
         err = max(abs(a - b) for a, b in zip(jet, fd)) / scale
         worst = max(worst, err)
         if err > tol:
             failures += 1
-    return {"name": "jet-finite-difference", "count": count, "failures": failures,
-            "worst_rel_err": worst, "pass": failures == 0}
+            if first_failure is None:
+                first_failure = {"index": index, "t": t, "warp": _ast_to_string(ast)}
+    report = {"name": "jet-finite-difference", "count": count, "failures": failures,
+              "worst_rel_err": worst, "pass": failures == 0}
+    if first_failure is not None:
+        report["first_failure"] = first_failure
+    return report

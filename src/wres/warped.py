@@ -10,6 +10,7 @@ two slices.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -194,8 +195,8 @@ _FUNCTIONS = {
 # base   := number | 't' | ident '(' expr ')' | '(' expr ')'
 
 # Deepest AST, and deepest nesting of parentheses and calls, that a warp may
-# have.  Parsing and evaluation recurse once per level, so this keeps both
-# well inside the interpreter's recursion limit.
+# have.  Parsing, compiling and evaluation recurse once per level, so this
+# keeps them well inside the interpreter's recursion limit.
 MAX_WARP_DEPTH = 100
 
 
@@ -350,25 +351,46 @@ def _ast_to_string(node) -> str:
     return f"({_ast_to_string(node[1])} {op} {_ast_to_string(node[2])})"
 
 
-def _eval_ast(node, t: Jet3) -> Jet3:
+def compile_ast(node, record: Callable[[float], object] | None = None) -> Callable[[Jet3], Jet3]:
+    """The AST as nested closures from the variable's jet to the warp's jet.
+
+    Constants become jets once, here; a call makes the same ``Jet3``
+    operations in the same order as a walk of the tree, and raises the same
+    exceptions.  With ``record``, every node passes its value to it as it is
+    computed, children before their parent.
+    """
     op = node[0]
     if op == "num":
-        return Jet3.const(float(node[1]))
-    if op == "t":
-        return t
-    if op == "+":
-        return _eval_ast(node[1], t) + _eval_ast(node[2], t)
-    if op == "-":
-        return _eval_ast(node[1], t) - _eval_ast(node[2], t)
-    if op == "*":
-        return _eval_ast(node[1], t) * _eval_ast(node[2], t)
-    if op == "/":
-        return _eval_ast(node[1], t) / _eval_ast(node[2], t)
-    if op == "pow":
-        return _eval_ast(node[1], t) ** node[2]
-    if op == "call":
-        return _FUNCTIONS[node[1]](_eval_ast(node[2], t))
-    raise ValueError(f"bad AST node {op!r}")
+        const = Jet3.const(float(node[1]))
+        fn = lambda t: const
+    elif op == "t":
+        fn = lambda t: t
+    elif op == "pow":
+        base, k = compile_ast(node[1], record), node[2]
+        fn = lambda t: base(t) ** k
+    elif op == "call":
+        outer, arg = _FUNCTIONS[node[1]], compile_ast(node[2], record)
+        fn = lambda t: outer(arg(t))
+    elif op in ("+", "-", "*", "/"):
+        lhs, rhs = compile_ast(node[1], record), compile_ast(node[2], record)
+        if op == "+":
+            fn = lambda t: lhs(t) + rhs(t)
+        elif op == "-":
+            fn = lambda t: lhs(t) - rhs(t)
+        elif op == "*":
+            fn = lambda t: lhs(t) * rhs(t)
+        else:
+            fn = lambda t: lhs(t) / rhs(t)
+    else:
+        raise ValueError(f"bad AST node {op!r}")
+    if record is None:
+        return fn
+
+    def recorded(t):
+        jet = fn(t)
+        record(jet.d[0])
+        return jet
+    return recorded
 
 
 @dataclass
@@ -376,8 +398,12 @@ class WarpFunction:
     ast: tuple
     source: str = ""
 
+    @functools.cached_property
+    def _compiled(self) -> Callable[[Jet3], Jet3]:
+        return compile_ast(self.ast)
+
     def jet(self, t: float) -> Jet3:
-        return _eval_ast(self.ast, Jet3.variable(float(t)))
+        return self._compiled(Jet3.variable(float(t)))
 
     def derivatives(self, t: float):
         """(f, f', f'', f''') at t."""
@@ -425,9 +451,10 @@ class RWModel:
         return self.warp(t) ** 3 * self.base_vol
 
 
-def _warp_curvature(model: RWModel, t: float):
-    """(f, f', f'', f''', f'/f, f''/f, r~, |Riem|^2 = |Ric|^2) at t, in floats."""
-    f0, f1, f2, f3 = model.warp.derivatives(t)
+def _warp_curvature(model: RWModel, t: float, jet: tuple):
+    """(f, f', f'', f''', f'/f, f''/f, r~, |Riem|^2 = |Ric|^2) at t, in floats,
+    from the warp's jet (f, f', f'', f''') at t."""
+    f0, f1, f2, f3 = jet
     if f0 <= 0:
         raise WarpDomainError(f"warp function must be positive (f({t}) = {f0})")
     lf = f1 / f0
@@ -436,9 +463,9 @@ def _warp_curvature(model: RWModel, t: float):
     return f0, f1, f2, f3, lf, ff, r_tilde, model.base_riem2 + 12.0 * ff * ff
 
 
-def _a4_integrand(model: RWModel, t: float) -> float:
+def _a4_integrand(model: RWModel, t: float, jet: tuple) -> float:
     """The interior a4 bracket at an interior point, rounded once."""
-    *_, r_tilde, riem2 = _warp_curvature(model, t)
+    *_, r_tilde, riem2 = _warp_curvature(model, t, jet)
     point = SimpleNamespace(r2=r_tilde ** 2, ric2=riem2, riem2=riem2, rfperp2=model.base_rfperp2)
     return float(bracket(SPINOR[4].interior, point, False))
 
@@ -449,7 +476,7 @@ def warped_geometry(model: RWModel, t: float, normal_sign: int = 1) -> Curvature
     ``normal_sign`` is +1 when the inward normal is +d/dt (the t = a slice)
     and -1 at the opposite end; odd-in-normal entries flip accordingly.
     """
-    f0, f1, f2, f3, lf, ff, r_tilde, riem2 = _warp_curvature(model, t)
+    f0, f1, f2, f3, lf, ff, r_tilde, riem2 = _warp_curvature(model, t, model.warp.derivatives(t))
     s = float(normal_sign)
     r_base = model.base_r
     # d/dt of r_tilde, then projected on the inward normal
@@ -508,10 +535,15 @@ def gauss_legendre_check(fn: Callable[[float], float], a: float,
     return with_n(64), with_n(128)
 
 
-def _interior_integral(model: RWModel, pointwise: Callable[[float], float],
+def _interior_integral(model: RWModel, pointwise: Callable[[float, tuple], float],
                        tol: float | None = None) -> float:
-    return quad_adaptive(lambda t: pointwise(t) * model.volume_element(t),
-                         model.a, model.b, tol)
+    """The integral of ``pointwise(t, jet)`` against the warped volume element,
+    where ``jet`` is the warp's (f, f', f'', f''') at t, evaluated once per point."""
+
+    def integrand(t):
+        jet = model.warp.derivatives(t)
+        return pointwise(t, jet) * (jet[0] ** 3 * model.base_vol)
+    return quad_adaptive(integrand, model.a, model.b, tol)
 
 
 def _boundary_sum(ends: list, pointwise: Callable[[CurvatureData], float]) -> float:
@@ -569,28 +601,37 @@ def rw_spectral_coeffs(model: RWModel, total_dim: int = 8,
     c_b = T * (4.0 * math.pi) ** (-(m - 1) / 2)
     tol = quad_tolerance(tol)
 
-    vol = _interior_integral(model, lambda t: 1.0, tol)
+    vol = _interior_integral(model, lambda t, jet: 1.0, tol)
     a0 = c_i * vol
     # the exact curvature data at t = a and at t = b, each with its volume element
     ends = [(warped_geometry(model, t, sign), model.volume_element(t))
             for t, sign in ((model.a, 1), (model.b, -1))]
-    a1 = -0.25 * c_b * _boundary_sum(ends, lambda d: 1.0)
-    r_int = _interior_integral(model, lambda t: _warp_curvature(model, t)[6], tol)
-    a2 = (c_i / 12.0) * (-r_int + 4.0 * _boundary_sum(ends, lambda d: float(d.L_aa)))
-    a3 = (-c_b / 384.0) * _boundary_sum(
-        ends, lambda d: float(bracket(SPINOR[3].boundary, d, True)))
 
-    a4_int = (c_i / 360.0) * _interior_integral(model, lambda t: _a4_integrand(model, t), tol)
-    a4_derived = a4_int + (c_i / 360.0) * _boundary_sum(
-        ends, lambda d: float(bracket(SPINOR[4].boundary, d, True)))
-    a4_printed = a4_int + (c_i / 360.0) * _boundary_sum(
-        ends, lambda d: float(bracket(A4_BOUNDARY_PRINTED, d, True)))
+    def boundary(coeffs):
+        return _boundary_sum(ends, lambda d: float(bracket(coeffs, d, True)))
+
+    # a_k = c * prefactor * (brackets), the prefactors read from the table
+    a1 = c_b * float(SPINOR[1].prefactor) * boundary(SPINOR[1].boundary)
+    r_int = _interior_integral(model, lambda t, jet: _warp_curvature(model, t, jet)[6], tol)
+    a2 = c_i * float(SPINOR[2].prefactor) * (_a2_interior(r_int) + boundary(SPINOR[2].boundary))
+    a3 = c_b * float(SPINOR[3].prefactor) * boundary(SPINOR[3].boundary)
+
+    c4 = c_i * float(SPINOR[4].prefactor)
+    a4_int = c4 * _interior_integral(model, lambda t, jet: _a4_integrand(model, t, jet), tol)
+    a4_derived = a4_int + c4 * boundary(SPINOR[4].boundary)
+    a4_printed = a4_int + c4 * boundary(A4_BOUNDARY_PRINTED)
 
     # consistency of the assembled a0..a2 against the generic bounded-manifold
     # formulas fed the same warped data (reported; asserted by the test suite)
     diag = _consistency_against_generic(ends, total_dim, (a0, a1, a2, a3), vol, r_int)
     return RWCoeffs(a0, a1, a2, a3, a4_int, a4_printed, a4_derived, diag,
                     InteriorIntegrals(vol, r_int, tol))
+
+
+def _a2_interior(r_int: float) -> float:
+    """a2's interior bracket, -r/2, on the integrated scalar curvature (in
+    floats, not through ``bracket``: a Fraction would drop the sign of a zero)."""
+    return float(SPINOR[2].interior["r"]) * r_int
 
 
 def _consistency_against_generic(ends: list, total_dim: int, got, vol, r_int):
@@ -643,7 +684,7 @@ def rw_lower_volumes(model: RWModel, coeffs: RWCoeffs, total_dim: int = 8) -> di
     c_i = T * (4.0 * math.pi) ** (-m / 2)
 
     f3_plain, r_int, tol = coeffs.interior
-    f3_weighted = _interior_integral(model, lambda t: model.warp(t) ** 3, tol)
+    f3_weighted = _interior_integral(model, lambda t, jet: jet[0] ** 3, tol)
 
     def vconst(k):
         return complex(v_nk(m, k).numeric()).real
@@ -653,7 +694,7 @@ def rw_lower_volumes(model: RWModel, coeffs: RWCoeffs, total_dim: int = 8) -> di
         "vol_top_weighted": vconst(m) * c_i * f3_weighted,
         "vol_top_plain": vconst(m) * c_i * f3_plain,
         "vol_mid_k": m - 2,
-        "vol_mid": -vconst(m - 2) * (c_i / 12.0) * r_int,
+        "vol_mid": vconst(m - 2) * (c_i * float(SPINOR[2].prefactor)) * _a2_interior(r_int),
         # the a4 line would need v_{4,0}, which does not exist (v_{n,k} needs k >= 1)
         "vol_low_k": m - 4,
         "vol_low": 0.0,

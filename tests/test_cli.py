@@ -309,6 +309,13 @@ def test_report_matches_reference(op, monkeypatch, capsys):
     assert capsys.readouterr().out.encode() == reference
 
 
+def test_oracle_seed7_count100_matches_reference(capsys):
+    # the timed oracle runs' report, from the compiled warps and shared stencils
+    assert main(["oracle", "--seed", "7", "--count", "100"]) == 0
+    reference = (ROOT / "perfbench" / "reference" / "oracle_seed7.json").read_bytes()
+    assert capsys.readouterr().out.encode() == reference
+
+
 @pytest.mark.parametrize("script, digest", [
     ("boundary_tables.py", "98a8f52ec6f3104b3425519819070ac4d9205882957ee9f0e904ea67ec4f5eb3"),
     ("rw_action.py", "6ee85823dec4372e10cf43adbfac94ae9bf26e80741b4e94d3bf64c67f4de1a5"),

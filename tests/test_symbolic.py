@@ -15,6 +15,7 @@ from wres.oracles import (
     numeric_line_integral,
     numeric_pi_plus,
     random_rational_xi,
+    run_quadrature_oracle,
 )
 from wres.symbolic import (
     GR_I,
@@ -327,6 +328,20 @@ def test_integrate_against_quadrature_200():
         exact = complex(f.integrate_pi_coefficient().constant_value()) * math.pi
         approx = numeric_line_integral(f)
         assert abs(exact - approx) <= 1e-8 * max(abs(exact), 1e-6)
+
+
+def test_residue_oracle_names_its_first_failure():
+    assert "first_failure" not in run_quadrature_oracle(seed=5, count=3)
+    # a negative tolerance fails every input
+    report = run_quadrature_oracle(seed=5, count=3, rel_tol=-1.0)
+    assert report["failures"] == 3 and not report["pass"]
+    f = random_rational_xi(random.Random(5))
+    failure = report["first_failure"]
+    assert (failure["index"], failure["mp"], failure["mm"]) == (0, f.mp, f.mm)
+    # the coefficients, constant term first, rebuild the input exactly
+    replayed = RationalXi([GaussianRational(Fraction(c["re"]), Fraction(c["im"]))
+                           for c in failure["coefficients"]], failure["mp"], failure["mm"])
+    assert replayed.num == f.num and len(f.num) == len(failure["coefficients"])
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=4))

@@ -3,6 +3,7 @@ against a finite-difference oracle, and the spectral-action coefficients."""
 
 import importlib.util
 import math
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,11 +12,14 @@ import numpy as np
 import pytest
 
 from wres import warped
-from wres.oracles import fd_jet, run_ad_oracle
+from wres.heat import SPINOR, bracket, v_nk
+from wres.oracles import fd_jet, random_warp_ast, run_ad_oracle, tame_warp_jets
 from wres.quadpack import gauss_legendre
 from wres.warped import (
+    Jet3,
     RWModel,
     WarpDomainError,
+    WarpFunction,
     WarpSyntaxError,
     gauss_legendre_check,
     parse_warp,
@@ -111,6 +115,76 @@ def test_ad_oracle_skips_subtrees_lost_to_rounding():
     # this seed used to draw sin(exp(4^3)+t), where exp(64)+t rounds to exp(64)
     report = run_ad_oracle(seed=1148509388, count=100)
     assert report["failures"] == 0, report
+
+
+def test_tame_filter_bounds_every_subtree_in_its_single_pass():
+    probes = (0.2, 0.7, 1.3)
+    steps = (-4e-3, -2e-3, -1e-3, 0.0, 1e-3, 2e-3, 4e-3)
+    warp = parse_warp("sin(exp(4^3) + t)")
+    # every jet is tame, and exp(64) + t rounds to exp(64), so both stencils
+    # see a constant and agree: only the bound on the subtree exp(64) rejects it
+    for t in probes:
+        assert all(abs(v) <= 1 for v in warp.derivatives(t))
+        assert len({warp(t + k) for k in steps}) == 1
+    assert tame_warp_jets(warp.ast, probes) is None
+    # an accepted warp comes with the jet at each probe and stencil point
+    jets = tame_warp_jets(parse_warp("t^2").ast, probes)
+    assert set(jets) == {t + k for t in probes for k in steps}
+
+
+def test_ad_oracle_names_its_first_failure():
+    assert "first_failure" not in run_ad_oracle(seed=3, count=3)
+    # a negative tolerance fails every input
+    report = run_ad_oracle(seed=3, count=3, tol=-1.0)
+    assert report["failures"] == 3 and not report["pass"]
+    rng = random.Random(3)
+    probes = (0.2, 0.7, 1.3)
+    ast, _ = random_warp_ast(rng, probes=probes)
+    t = probes[rng.randrange(len(probes))]
+    assert report["first_failure"] == {"index": 0, "t": t, "warp": warped._ast_to_string(ast)}
+    # the text replays: rw --f parses it to a warp with the same values
+    replayed = parse_warp(report["first_failure"]["warp"])
+    assert replayed.derivatives(t) == pytest.approx(WarpFunction(ast).derivatives(t), rel=1e-12)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _walk(node, t):
+    """A walk of the warp AST node by node, the reference for its compiled form."""
+    op = node[0]
+    if op == "num":
+        return Jet3.const(float(node[1]))
+    if op == "t":
+        return t
+    if op == "pow":
+        return _walk(node[1], t) ** node[2]
+    if op == "call":
+        return warped._FUNCTIONS[node[1]](_walk(node[2], t))
+    lhs = _walk(node[1], t)
+    return _BINARY[op](lhs, _walk(node[2], t))
+
+
+def _bits(jet):
+    return tuple(float(v).hex() for v in jet.derivatives())
+
+
+def test_compiled_warp_matches_a_walk_of_the_tree():
+    rng = random.Random(77)
+    probes = (0.2, 0.7, 1.3)
+    for _ in range(300):
+        ast, jets = random_warp_ast(rng, probes=probes)
+        warp = WarpFunction(ast)
+        # the probes and their stencil points, as the jet suite evaluates them
+        for x, jet in jets.items():
+            expected = _bits(_walk(ast, Jet3.variable(x)))
+            assert _bits(warp.jet(x)) == expected == _bits(jet), (warp.to_string(), x)
+    for text, exc in (("ln(t-2)", WarpDomainError), ("1/(t-t)", WarpDomainError),
+                      ("exp(exp(exp(t)))", OverflowError)):
+        with pytest.raises(exc):
+            _walk(parse_warp(text).ast, Jet3.variable(2.0))
+        with pytest.raises(exc):
+            parse_warp(text).jet(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +443,58 @@ def test_rw_builds_each_end_geometry_once(monkeypatch):
     assert calls == [(0.0, 1), (1.0, -1)]
 
 
+def test_rw_evaluates_the_warp_once_per_quadrature_point(monkeypatch):
+    jets, points = [], []
+    jet, quad = WarpFunction.jet, warped.quad_adaptive
+
+    def counted_jet(self, t):
+        jets.append(t)
+        return jet(self, t)
+
+    def counted_quad(fn, *args, **kwargs):
+        return quad(lambda t: points.append(t) or fn(t), *args, **kwargs)
+
+    monkeypatch.setattr(WarpFunction, "jet", counted_jet)
+    monkeypatch.setattr(warped, "quad_adaptive", counted_quad)
+    rw_spectral_coeffs(RWModel(0.0, 1.0, parse_warp("exp(t)"), curv=1.0))
+    # and at each end once for its geometry and once for its volume element
+    assert len(jets) == len(points) + 4
+
+
+@pytest.mark.parametrize("total_dim", [4, 8, 16])
+def test_rw_table_prefactors_keep_the_float_forms(total_dim):
+    # at a power-of-two trace dimension, c * float(prefactor) gives the bits of
+    # the former literal forms -c_b / 4, c_i / 12, -c_b / 384 and c_i / 360
+    T = float(total_dim)
+    c_i = T * (4.0 * math.pi) ** -2.0
+    c_b = T * (4.0 * math.pi) ** -1.5
+    v2 = complex(v_nk(4, 2).numeric()).real
+    assert c_i * float(SPINOR[4].prefactor) == c_i / 360.0
+    for text, curv, a, b in (("1", 0.0, 0.0, 1.0), ("exp(t)", 1.0, 0.0, 1.0),
+                             ("2+sin(t)", -1.0, 0.5, 1.5)):
+        model = RWModel(a, b, parse_warp(text), curv=curv)
+        co = rw_spectral_coeffs(model, total_dim=total_dim)
+        r_int = co.interior.r
+        ends = [(warped_geometry(model, t, s), model.volume_element(t))
+                for t, s in ((a, 1), (b, -1))]
+
+        def end_sum(pointwise):
+            return warped._boundary_sum(ends, pointwise)
+
+        a3_bracket = end_sum(lambda d: float(bracket(SPINOR[3].boundary, d, True)))
+        a4_bracket = end_sum(lambda d: float(bracket(SPINOR[4].boundary, d, True)))
+        want = {
+            "a1": -0.25 * c_b * end_sum(lambda d: 1.0),
+            "a2": (c_i / 12.0) * (-r_int + 4.0 * end_sum(lambda d: float(d.L_aa))),
+            "a3": (-c_b / 384.0) * a3_bracket,
+            "a4_derived": co.a4_interior + (c_i / 360.0) * a4_bracket,
+            "vol_mid": -v2 * (c_i / 12.0) * r_int,
+        }
+        got = {**vars(co), **rw_lower_volumes(model, co, total_dim=total_dim)}
+        for name, value in want.items():
+            assert got[name].hex() == value.hex(), (text, name)
+
+
 def _seeded_curvature_points(count=240, seed=20261018):
     """(warp, curv, t) drawn from the benchmark's four seeded warp families,
     plus f = t with curv = -1 across [0.5, 1.5]."""
@@ -389,8 +515,9 @@ def test_float_integrands_equal_the_exact_geometry_path():
     for text, curv, t in _seeded_curvature_points():
         model = RWModel(-1.0, 2.0, parse_warp(text), curv=curv)
         d = warped_geometry(model, t)
-        assert warped._warp_curvature(model, t)[6] == float(d.r), (text, curv, t)
-        assert warped._a4_integrand(model, t) == float(
+        jet = model.warp.derivatives(t)
+        assert warped._warp_curvature(model, t, jet)[6] == float(d.r), (text, curv, t)
+        assert warped._a4_integrand(model, t, jet) == float(
             Fraction(5, 4) * d.r2 - 2 * d.ric2 - Fraction(7, 4) * d.riem2
             + Fraction(15, 2) * d.rfperp2), (text, curv, t)
 
