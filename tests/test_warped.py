@@ -457,7 +457,7 @@ def test_rw_evaluates_the_warp_once_per_quadrature_point(monkeypatch):
     monkeypatch.setattr(WarpFunction, "jet", counted_jet)
     monkeypatch.setattr(warped, "quad_adaptive", counted_quad)
     rw_spectral_coeffs(RWModel(0.0, 1.0, parse_warp("exp(t)"), curv=1.0))
-    # and at each end once for its geometry and once for its volume element
+    # one jet per quadrature point, plus two at each end: its geometry and its volume element
     assert len(jets) == len(points) + 4
 
 
