@@ -10,7 +10,7 @@ and acceptance suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -41,16 +41,11 @@ U_TDIM = "l~2^q"
 U_IGRB = "I_Gr,b"
 
 
-@dataclass(frozen=True, order=True)
-class CaseIndex:
+class CaseIndex(namedtuple("CaseIndex", "r l k j alpha")):
     """One term of the boundary sum: symbol orders (r, l) and derivative
     counts (k in xi_n, j in x_n, alpha tangential)."""
 
-    r: int
-    l: int
-    k: int
-    j: int
-    alpha: int
+    __slots__ = ()
 
     def degree_check(self, n: int, p1: int, p2: int) -> bool:
         return (self.k + self.j + self.alpha - self.r - self.l == n - 1
@@ -90,22 +85,24 @@ def case_prefactor(case: CaseIndex, bare: bool) -> GaussianRational:
     return num * Fraction(1, factorial(case.alpha) * factorial(case.j + case.k + 1))
 
 
-@dataclass
 class Scenario:
     """A registered boundary computation with its expected closed forms."""
 
-    name: str
-    n: int
-    powers: tuple[int, int]
-    model: BoundaryModel
-    sphere_unit: str | None  # opaque measure label, or None to expand in pi
-    bare_prefactor: bool
-    labels: dict[CaseIndex, str]
-    expected_cases: dict[str, tuple[UnitValue, str]]
-    expected_total: UnitValue
-    total_integrated: bool = False  # expected total already has dx' -> Vol
-    igrb: UnitValue | None = None   # I_Gr,b in h'(0) Vol units
-    notes: str = ""
+    def __init__(self, name: str, n: int, powers: tuple[int, int], model: BoundaryModel,
+                 sphere_unit: str | None, bare_prefactor: bool,
+                 labels: dict[CaseIndex, str],
+                 expected_cases: dict[str, tuple[UnitValue, str]],
+                 expected_total: UnitValue, total_integrated: bool = False,
+                 igrb: UnitValue | None = None, notes: str = ""):
+        self.name, self.n, self.powers, self.model = name, n, powers, model
+        self.sphere_unit = sphere_unit  # opaque measure label, or None to expand in pi
+        self.bare_prefactor = bare_prefactor
+        self.labels = labels
+        self.expected_cases = expected_cases
+        self.expected_total = expected_total
+        self.total_integrated = total_integrated  # expected total already has dx' -> Vol
+        self.igrb = igrb  # I_Gr,b in h'(0) Vol units
+        self.notes = notes
 
     def cases(self) -> list[CaseIndex]:
         return enumerate_cases(self.n, *self.powers)
@@ -168,13 +165,18 @@ def eval_case(scenario: Scenario, case: CaseIndex) -> UnitValue:
     return value
 
 
-@dataclass
 class BoundaryReport:
-    scenario: str
-    cases: list[tuple[str, CaseIndex, UnitValue]] = field(default_factory=list)
-    total: UnitValue = field(default_factory=UnitValue.zero)
-    total_over_boundary: UnitValue = field(default_factory=UnitValue.zero)
-    checks: list[tuple[str, str, str, bool]] = field(default_factory=list)
+    def __init__(self, scenario: str,
+                 cases: list[tuple[str, CaseIndex, UnitValue]] | None = None,
+                 total: UnitValue | None = None,
+                 total_over_boundary: UnitValue | None = None,
+                 checks: list[tuple[str, str, str, bool]] | None = None):
+        self.scenario = scenario
+        self.cases = [] if cases is None else cases
+        self.total = UnitValue.zero() if total is None else total
+        self.total_over_boundary = (UnitValue.zero() if total_over_boundary is None
+                                    else total_over_boundary)
+        self.checks = [] if checks is None else checks
 
     @property
     def all_pass(self) -> bool:
@@ -385,12 +387,13 @@ _RES_KINDS = {
 }
 
 
-@dataclass
 class ResPartial:
-    kind: str
-    raw: UnitValue           # exact value integrated over the boundary
-    igrb_multiple: UnitValue  # the same value expressed through I_Gr,b
-    expected: UnitValue
+    def __init__(self, kind: str, raw: UnitValue, igrb_multiple: UnitValue,
+                 expected: UnitValue):
+        self.kind = kind
+        self.raw = raw                      # exact value integrated over the boundary
+        self.igrb_multiple = igrb_multiple  # the same value expressed through I_Gr,b
+        self.expected = expected
 
     @property
     def passes(self) -> bool:

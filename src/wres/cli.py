@@ -61,7 +61,6 @@ def cmd_verify_boundary(args) -> int:
             return 2
         from .clifford import AlgebraSignature
         from .symbols import foliation_model
-        import dataclasses
         p = args.p if args.p is not None else scenario.model.algebra.families[0][1]
         q = args.q if args.q is not None else scenario.model.algebra.families[1][1]
         if p < 0 or q < 1:
@@ -71,11 +70,11 @@ def cmd_verify_boundary(args) -> int:
             print(f"error: signature ({p},{q}) does not match dimension {args.dim}",
                   file=sys.stderr)
             return 2
-        scenario = dataclasses.replace(
-            scenario, name=scenario.name + f"-sig{p}.{q}",
-            model=foliation_model(p, q, AlgebraSignature(p, q).total_dim),
-            expected_cases={}, labels=dict(scenario.labels),
-            notes="unverified extrapolation beyond the pinned signature")
+        scenario = boundary.Scenario(**{
+            **vars(scenario), "name": scenario.name + f"-sig{p}.{q}",
+            "model": foliation_model(p, q, AlgebraSignature(p, q).total_dim),
+            "expected_cases": {}, "labels": dict(scenario.labels),
+            "notes": "unverified extrapolation beyond the pinned signature"})
         extrapolation = True
 
     t0 = time.perf_counter()

@@ -12,19 +12,17 @@ column and a power of i per row in plain ints.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .symbolic import GaussianRational, ScalarPoly, _as_poly
 
 
-@dataclass(frozen=True)
-class AlgebraSignature:
+class AlgebraSignature(namedtuple("AlgebraSignature", "p q")):
     """Leaf dimension p and codimension q of the splitting TM = F + F_perp."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
     @property
     def leaf_dim(self) -> int:

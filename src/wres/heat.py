@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -221,43 +220,43 @@ def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass
+# CurvatureData's fields, in its positional order
+CURVATURE_FIELDS = (
+    "vol", "bvol",
+    # interior
+    "r", "r2",
+    "ric2",         # R_ijik R_ljlk
+    "riem2",        # R_ijkl^2
+    "rfperp2",      # ||R^{F-perp}||^2
+    # boundary
+    "L_aa", "L2_abab", "L2_aabb", "L3_aabbcc", "L3_ababcc", "L3_abbcac",
+    "R_aNaN", "R_aNaN_L_bb", "R_aNbN_L_ab", "R_abcb_L_ac",
+    "L_aa_bb",      # L_aa;bb
+    "r_N",          # r_{;N}, inward normal
+    "r_L_aa",
+    "r_bd",         # scalar curvature on the boundary, None for the interior r
+)
+
+
 class CurvatureData:
     """Pointwise curvature invariants (interior and boundary) and the volumes.
 
     Interior entries are per unit volume and multiplied by ``vol``; boundary
-    entries by ``bvol``.  All fields accept exact rationals or floats.
+    entries by ``bvol``.  All fields accept exact rationals or floats, and
+    are kept as Fractions.
     """
 
-    vol: Fraction = Fraction(1)
-    bvol: Fraction = Fraction(0)
-    # interior
-    r: Fraction = Fraction(0)
-    r2: Fraction = Fraction(0)
-    ric2: Fraction = Fraction(0)          # R_ijik R_ljlk
-    riem2: Fraction = Fraction(0)         # R_ijkl^2
-    rfperp2: Fraction = Fraction(0)       # ||R^{F-perp}||^2
-    # boundary
-    L_aa: Fraction = Fraction(0)
-    L2_abab: Fraction = Fraction(0)
-    L2_aabb: Fraction = Fraction(0)
-    L3_aabbcc: Fraction = Fraction(0)
-    L3_ababcc: Fraction = Fraction(0)
-    L3_abbcac: Fraction = Fraction(0)
-    R_aNaN: Fraction = Fraction(0)
-    R_aNaN_L_bb: Fraction = Fraction(0)
-    R_aNbN_L_ab: Fraction = Fraction(0)
-    R_abcb_L_ac: Fraction = Fraction(0)
-    L_aa_bb: Fraction = Fraction(0)       # L_aa;bb
-    r_N: Fraction = Fraction(0)           # r_{;N}, inward normal
-    r_L_aa: Fraction = Fraction(0)
-    r_bd: Fraction | None = None          # scalar curvature on the boundary
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                setattr(self, f.name, _fr(v))
+    def __init__(self, vol=Fraction(1), bvol=Fraction(0), r=Fraction(0), r2=Fraction(0),
+                 ric2=Fraction(0), riem2=Fraction(0), rfperp2=Fraction(0),
+                 L_aa=Fraction(0), L2_abab=Fraction(0), L2_aabb=Fraction(0),
+                 L3_aabbcc=Fraction(0), L3_ababcc=Fraction(0), L3_abbcac=Fraction(0),
+                 R_aNaN=Fraction(0), R_aNaN_L_bb=Fraction(0), R_aNbN_L_ab=Fraction(0),
+                 R_abcb_L_ac=Fraction(0), L_aa_bb=Fraction(0), r_N=Fraction(0),
+                 r_L_aa=Fraction(0), r_bd=None):
+        given = locals()
+        for name in CURVATURE_FIELDS:
+            v = given[name]
+            setattr(self, name, None if v is None else _fr(v))
 
     @property
     def boundary_r(self) -> Fraction:
@@ -265,21 +264,17 @@ class CurvatureData:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "CurvatureData":
-        names = {f.name for f in fields(cls)}
-        unknown = set(mapping) - names
+        unknown = set(mapping).difference(CURVATURE_FIELDS)
         if unknown:
             raise KeyError(f"unknown curvature keys: {sorted(unknown)}")
         return cls(**mapping)
 
 
-@dataclass
 class HeatCoeffs:
-    a0: UnitValue
-    a1: UnitValue
-    a2: UnitValue
-    a3: UnitValue
-    a4: UnitValue
-    a4_alt: UnitValue | None = None  # derived-bracket variant of the boundary part
+    def __init__(self, a0: UnitValue, a1: UnitValue, a2: UnitValue, a3: UnitValue,
+                 a4: UnitValue, a4_alt: UnitValue | None = None):
+        self.a0, self.a1, self.a2, self.a3, self.a4 = a0, a1, a2, a3, a4
+        self.a4_alt = a4_alt  # derived-bracket variant of the boundary part
 
 
 def bracket(coeffs: dict, data, boundary: bool) -> Fraction:
@@ -404,10 +399,10 @@ def v_nk_numeric(n: int, k: int) -> float:
     return k / n * 2 ** ((k - n) * (n + 1) / (2 * n)) * math.pi ** ((k - n) / 2) * g
 
 
-@dataclass
 class LowerVolume:
-    value: UnitValue
-    parity_zero: bool = False
+    def __init__(self, value: UnitValue, parity_zero: bool = False):
+        self.value = value
+        self.parity_zero = parity_zero
 
 
 def lower_volume(sig: AlgebraSignature | None, n: int, k: int, data: CurvatureData,

@@ -12,7 +12,6 @@ error, so the cancellation is verified, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -96,7 +95,6 @@ def trace_product(e1: CliffordElement, e2: CliffordElement, total_dim) -> Ration
 # The boundary model
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BoundaryModel:
     """Collar-metric data at a boundary point, on the unit cosphere.
 
@@ -105,19 +103,18 @@ class BoundaryModel:
     ``total_dim`` may be an integer or a formal symbol (ScalarPoly).
     """
 
-    n: int
-    algebra: Algebra
-    tangential: list[Gen]
-    coords: list[str]
-    normal: Gen
-    total_dim: object  # int | ScalarPoly
-    gamma_n: Fraction = Fraction(5, 2)  # Gamma^n(x0) as a multiple of h'(0)
-    _subs: dict = field(default_factory=dict, repr=False)
-    _jets: dict = field(default_factory=dict, repr=False, compare=False)  # symbol_jet memo
-
-    def __post_init__(self):
-        if len(self.tangential) != self.n - 1 or len(self.coords) != self.n - 1:
+    def __init__(self, n: int, algebra: Algebra, tangential: list[Gen], coords: list[str],
+                 normal: Gen, total_dim, gamma_n: Fraction = Fraction(5, 2)):
+        if len(tangential) != n - 1 or len(coords) != n - 1:
             raise ValueError("need n-1 tangential generators and coordinates")
+        self.n = n
+        self.algebra = algebra
+        self.tangential = tangential
+        self.coords = coords
+        self.normal = normal
+        self.total_dim = total_dim  # int | ScalarPoly
+        self.gamma_n = gamma_n  # Gamma^n(x0) as a multiple of h'(0)
+        self._jets = {}  # symbol_jet memo
         self._subs = self._normal_coordinate_table()
 
     # -- index helpers -------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -70,8 +69,8 @@ class Jet3:
         return cls(c)
 
     def __add__(self, o):
-        o = _as_jet(o)
-        return Jet3(*(a + b for a, b in zip(self.d, o.d)))
+        a, b = self.d, _as_jet(o).d
+        return Jet3(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
     __radd__ = __add__
 
@@ -79,10 +78,12 @@ class Jet3:
         return Jet3(*(-a for a in self.d))
 
     def __sub__(self, o):
-        return self + (-_as_jet(o))
+        a, b = self.d, _as_jet(o).d
+        return Jet3(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
     def __rsub__(self, o):
-        return _as_jet(o) + (-self)
+        a, b = _as_jet(o).d, self.d
+        return Jet3(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
     def __mul__(self, o):
         o = _as_jet(o)
@@ -393,10 +394,10 @@ def compile_ast(node, record: Callable[[float], object] | None = None) -> Callab
     return recorded
 
 
-@dataclass
 class WarpFunction:
-    ast: tuple
-    source: str = ""
+    def __init__(self, ast: tuple, source: str = ""):
+        self.ast = ast
+        self.source = source
 
     @functools.cached_property
     def _compiled(self) -> Callable[[Jet3], Jet3]:
@@ -420,21 +421,19 @@ class WarpFunction:
 # The warped model and its curvature data
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RWModel:
     """Interval times a constant-curvature 3-manifold, warped metric."""
 
-    a: float
-    b: float
-    warp: WarpFunction
-    curv: float = 0.0       # constant sectional curvature of the base
-    base_vol: float = 1.0
-
-    def __post_init__(self):
-        if not self.a < self.b:
+    def __init__(self, a: float, b: float, warp: WarpFunction, curv: float = 0.0,
+                 base_vol: float = 1.0):
+        if not a < b:
             raise ValueError("need a < b")
-        if not self.base_vol > 0:
-            raise ValueError(f"--base-vol must be positive (got {self.base_vol})")
+        if not base_vol > 0:
+            raise ValueError(f"--base-vol must be positive (got {base_vol})")
+        self.a, self.b = a, b
+        self.warp = warp
+        self.curv = curv        # constant sectional curvature of the base
+        self.base_vol = base_vol
 
     # base contractions for R_ijkl = c (delta delta - delta delta): r = 6c, the squares 12c^2
     @property
@@ -562,20 +561,19 @@ class InteriorIntegrals(NamedTuple):
     tol: float
 
 
-@dataclass
 class RWCoeffs:
     """Spectral-action coefficients; a4 carries the two boundary readings.
     ``interior`` holds the raw integrals that ``rw_lower_volumes`` reuses."""
 
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-    a4_interior: float
-    a4_printed: float   # stated closed-form boundary bracket
-    a4_derived: float   # bracket re-derived from the general heat formula
-    diagnostics: dict
-    interior: InteriorIntegrals
+    def __init__(self, a0: float, a1: float, a2: float, a3: float, a4_interior: float,
+                 a4_printed: float, a4_derived: float, diagnostics: dict,
+                 interior: InteriorIntegrals):
+        self.a0, self.a1, self.a2, self.a3 = a0, a1, a2, a3
+        self.a4_interior = a4_interior
+        self.a4_printed = a4_printed    # stated closed-form boundary bracket
+        self.a4_derived = a4_derived    # bracket re-derived from the general heat formula
+        self.diagnostics = diagnostics
+        self.interior = interior
 
     def as_dict(self):
         return {

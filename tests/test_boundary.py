@@ -177,14 +177,13 @@ def test_integrate_over_boundary_substitution():
 def test_normal_coordinate_contract_is_load_bearing():
     # with the contract substitutions disabled, the curvature-piece case no
     # longer reduces to a pure closed form: connection placeholders leak
-    import dataclasses
-    from wres.boundary import PlaceholderLeak
+    from wres.boundary import PlaceholderLeak, Scenario
     from wres.symbols import foliation_model
 
     scenario = get_scenario(4, 1, 1)
     broken_model = foliation_model(2, 2, 8)
     broken_model._subs = {}
-    broken = dataclasses.replace(scenario, model=broken_model)
+    broken = Scenario(**{**vars(scenario), "model": broken_model})
     case_b = next(c for c in scenario.cases() if scenario.label(c) == "b")
     with pytest.raises(PlaceholderLeak):
         eval_case(broken, case_b)

@@ -362,7 +362,31 @@ def test_verify_boundary_imports_neither_numpy_nor_scipy(tmp_path):
         assert proc.stdout.strip() == "[]", argv
 
 
-CONFIG_KEYS = ["p", "q", "n", "total_dim", "r", "r2", "riem2", "vol", "bvol", "L_aa",
+def test_cli_generates_no_code_at_import(tmp_path):
+    """A bare ``import wres.cli`` and verify-boundary, rw, heat and oracle
+    each leave dataclasses and inspect unloaded, each in a fresh process."""
+    (tmp_path / "closed.cfg").write_text("p = 2\nq = 2\nr = 1\nr2 = 3/2\nvol = 2\n")
+    commands = (
+        None,
+        ["verify-boundary", "--dim", "3", "--powers", "1,1"],
+        ["rw", "--f", "exp(t)", "--interval", "0,1", "--curv", "1", "--lambda", "2"],
+        ["heat", "--config", "closed.cfg"],
+        ["oracle", "--seed", "7", "--count", "5"],
+    )
+    for argv in commands:
+        run = "" if argv is None else f"assert main({argv + ['--json', 'out.json']!r}) == 0\n"
+        code = ("import sys\n"
+                "import wres.cli\n"
+                "from wres.cli import main\n"
+                f"{run}"
+                "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_cli_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout.strip() == "[]", argv
+
+
+CONFIG_KEYS =["p", "q", "n", "total_dim", "r", "r2", "riem2", "vol", "bvol", "L_aa",
                "r_N", "r_bd", "nope"]
 text_chars = st.characters(blacklist_categories=("Cs",))
 exact_values = st.one_of(
