@@ -9,7 +9,6 @@ through residues.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
@@ -19,15 +18,12 @@ from .symbolic import GaussianRational, RationalXi, _frac_str
 from .warped import Jet3, _ast_to_string, compile_ast
 
 
-def _quad_complex(fn, a=-math.inf, b=math.inf, limit=400):
-    from .quadpack import quad
+def _quad_complex(fn):
+    """Integral of the complex-valued fn over the real line."""
+    from .quadpack import quad_complex
 
-    kw = {"limit": limit, "epsabs": 1e-12, "epsrel": 1e-11}
-    # the two integrations share many nodes; fn is evaluated once per node
-    value = functools.cache(fn)
-    re = quad(lambda t: value(t).real, a, b, **kw).value
-    im = quad(lambda t: value(t).imag, a, b, **kw).value
-    return complex(re, im)
+    re, im = quad_complex(fn, epsabs=1e-12, epsrel=1e-11, limit=400)
+    return complex(re.value, im.value)
 
 
 def _rational_function(f: RationalXi):

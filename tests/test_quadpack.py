@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from wres import heat, oracles, quadpack, warped
-from wres.quadpack import quad
+from wres.quadpack import quad, quad_complex
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +56,33 @@ class Differential:
         return got
 
 
+class ComplexDifferential:
+    """Stands in for ``quadpack.quad_complex`` at the call sites.  Each call
+    runs the port, then scipy on the real and on the imaginary part of the
+    same integrand; each part must come back with the same bits.  The port
+    evaluates both parts at once, so its points cannot be replayed one
+    scipy run at a time as ``Differential`` does."""
+
+    def __init__(self, scipy_quad):
+        self.scipy_quad = scipy_quad
+        self.port = quadpack.quad_complex
+        self.count = 0
+
+    def __call__(self, fn, **kw):
+        got = self.port(fn, **kw)
+        for result, part in zip(got, ("real", "imag")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = self.scipy_quad(lambda t: getattr(fn(t), part), -math.inf, math.inf,
+                                       full_output=1, **kw)
+            assert result.value.hex() == want[0].hex() and result.abserr.hex() == want[1].hex(), \
+                (part, kw, result, want[:2])
+            assert result.neval == want[2]["neval"]
+            assert (result.ier == 0) == (len(want) == 3)
+            self.count += 1
+        return got
+
+
 RW_WARPS = ["exp(t)", "2+sin(t)", "1+t^2/4", "cosh(t)", "1+t/10", "ln(3+t)",
             "1+1/exp(t)", "3-t^2/5", "2+cos(3*t)", "sinh(t)+1"]
 RW_INTERVALS = [(0.0, 1.0), (0.5, 1.5), (0.1, 0.3), (1.0, 2.5)]
@@ -70,21 +97,25 @@ MOMENT_CUTOFFS = (
 
 def test_port_is_bit_identical_to_scipy_quad(monkeypatch):
     scipy_integrate = pytest.importorskip("scipy.integrate")
+    complex_diff = ComplexDifferential(scipy_integrate.quad)
+    monkeypatch.setattr(quadpack, "quad_complex", complex_diff)
     diff = Differential(scipy_integrate.quad)
     monkeypatch.setattr(quadpack, "quad", diff)
 
-    # residue-oracle integrands over the real line (dqagie, inf = 2)
+    # residue-oracle integrands over the real line (dqagie, inf = 2), each
+    # part of each integrand against its own scipy run
     for seed in range(1, 11):
         oracles.run_quadrature_oracle(seed, 100)
-    numeric = diff.count
-    assert numeric == 2000
+    assert complex_diff.count == 2000
+    assert diff.count == 0
 
-    # spectral-moment integrands over [0, inf) (dqagie, inf = 1)
+    # spectral-moment integrands over [0, inf) (dqagie, inf = 1), the real
+    # part of the two-part rule
     for cutoff in MOMENT_CUTOFFS:
         heat.spectral_moments(cutoff)
     with pytest.raises(ValueError, match="non-integrable"):
         heat.spectral_moments(lambda s: 1.0 / (1.0 + s))
-    moments = diff.count - numeric
+    moments = diff.count
     assert moments == 4 * len(MOMENT_CUTOFFS) + 2
 
     # rw integrands on finite intervals (dqagse), and the slow
@@ -95,7 +126,7 @@ def test_port_is_bit_identical_to_scipy_quad(monkeypatch):
     models.append(warped.RWModel(0.5, 1.5, warped.parse_warp("t"), curv=-1.0))
     for model in models:
         warped.rw_spectral_coeffs(model)
-    assert diff.count - numeric - moments == 3 * len(models)
+    assert diff.count - moments == 3 * len(models)
 
     # direct calls, most of which end with ier != 0
     c = 1 / 3
@@ -120,7 +151,7 @@ def test_port_is_bit_identical_to_scipy_quad(monkeypatch):
         diff(lambda x, p=p: math.log(x) * x ** p if x > 0 else 0.0, 0.0, 1.0)
     diff(lambda x: abs(abs(x) - 0.5) ** 1.5 * math.cos(3 * x), -1.0, 1.0)
     assert {0, 1, 2, 3, 5} <= diff.iers
-    assert diff.count >= 2400
+    assert complex_diff.count + diff.count >= 2400
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +275,69 @@ def test_ieee_results_where_python_raises():
     assert math.isnan(quadpack._div(0.0, 0.0))
     assert quadpack._pow15(1e300) == math.inf
     assert quadpack._rule_error(1e200, 0.0, 1.0, 0.0, 1e-10) == 1e-10
+
+
+# ---------------------------------------------------------------------------
+# quad_complex without scipy
+# ---------------------------------------------------------------------------
+
+def _bits(result):
+    return result.value.hex(), result.abserr.hex(), result.ier, result.neval
+
+
+def _checked_quad_complex(fn, **kw):
+    """quad_complex of fn and the points it evaluated fn at, after checking
+    each part against ``quad`` of that part."""
+    points = []
+
+    def counting(x):
+        points.append(x)
+        return fn(x)
+    re, im = quad_complex(counting, **kw)
+    assert _bits(re) == _bits(quad(lambda x: fn(x).real, -math.inf, math.inf, **kw))
+    assert _bits(im) == _bits(quad(lambda x: fn(x).imag, -math.inf, math.inf, **kw))
+    return re, im, points
+
+
+def test_quad_complex_closed_form():
+    re, im, _ = _checked_quad_complex(lambda x: (2 + 3j) / (x * x + 1))
+    assert re.ier == im.ier == 0
+    assert abs(re.value - 2 * math.pi) <= 1e-10 * 2 * math.pi
+    assert abs(im.value - 3 * math.pi) <= 1e-10 * 3 * math.pi
+
+
+def test_quad_complex_of_a_real_and_of_an_imaginary_integrand():
+    gauss = lambda x: math.exp(-x * x)  # noqa: E731
+    re, im, _ = _checked_quad_complex(gauss)
+    assert re.ier == 0 and abs(re.value - math.sqrt(math.pi)) <= 1e-10
+    # a zero part stops after the first panel with a zero error estimate
+    assert _bits(im) == ((0.0).hex(), (0.0).hex(), 0, 30)
+    re, im, _ = _checked_quad_complex(lambda x: complex(0.0, gauss(x)))
+    assert _bits(re) == ((0.0).hex(), (0.0).hex(), 0, 30)
+    assert im.ier == 0 and abs(im.value - math.sqrt(math.pi)) <= 1e-10
+
+
+def test_quad_complex_parts_that_bisect_differently():
+    # a wide real part and a narrow imaginary peak off the origin: the
+    # imaginary run bisects into panels the real run never made
+    re, im, points = _checked_quad_complex(
+        lambda x: complex(1.0 / (1.0 + x * x), 1.0 / (1.0 + 400.0 * (x - 3.0) ** 2)),
+        epsabs=1e-12, epsrel=1e-11, limit=400)
+    assert re.ier == im.ier == 0
+    assert abs(re.value - math.pi) <= 1e-10 and abs(im.value - math.pi / 20) <= 1e-10
+    assert im.neval > re.neval
+    # the real run's points, then those of the imaginary run's own panels
+    assert re.neval < len(points) < re.neval + im.neval
+    assert len(set(points)) == len(points)
+
+
+def test_quad_complex_shares_the_panels_of_the_two_parts():
+    rng = random.Random(16)
+    calls = separate = 0
+    for _ in range(25):
+        f = oracles._rational_function(oracles.random_rational_xi(rng))
+        re, im, points = _checked_quad_complex(f, epsabs=1e-12, epsrel=1e-11, limit=400)
+        assert len(points) <= re.neval + im.neval
+        calls += len(points)
+        separate += re.neval + im.neval
+    assert calls < 0.7 * separate
