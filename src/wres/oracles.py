@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .clifford import AlgebraSignature, MatrixRep, normalize, sub_dirac_algebra
 from .symbolic import GaussianRational, RationalXi, _frac_str
-from .warped import Jet3, _ast_to_string, compile_ast
+from .warped import VALUE_RULES, Jet3, _ast_to_string, compile_ast
 
 
 def _quad_complex(fn):
@@ -115,34 +115,41 @@ def random_word(rng: random.Random, sig: AlgebraSignature, max_len: int = 8):
     return alg, [rng.choice(gens) for _ in range(rng.randint(1, max_len))]
 
 
-def tame_warp_jets(ast, probes) -> dict[float, Jet3] | None:
-    """The jets of a warp AST that is finite and tame at the probe points,
-    keyed by point: each probe and the points of its finite-difference
-    stencils at steps 2e-3 and 1e-3.  None for any other AST.
+def tame_warp_jets(ast, probes) -> dict[float, tuple[Jet3, tuple]] | None:
+    """For a warp AST that is finite and tame at the probe points, each
+    probe's jet and its central finite differences at step 1e-3, keyed by
+    probe.  None for any other AST.
+
+    The jet is computed at the probes only.  The stencil points (steps 2e-3
+    and 1e-3, which share their points) are evaluated once each, as plain
+    floats with the bits of the jet's value there (``VALUE_RULES``), and
+    stay inside this filter; each finite-difference jet is computed once.
 
     Besides the bound on the final jet, every subtree must stay below 1e8 in
     magnitude: in exp(64) + t the t is lost to rounding, so finite
-    differences would see a constant.  The subtree values are collected
-    during the probe's own evaluation, and each point is evaluated once.
+    differences would see a constant.  The subtree jets are collected during
+    the probe's own evaluation.
     """
-    subtree_values: list[float] = []
-    probe_jet = compile_ast(ast, subtree_values.append)
-    point_jet = compile_ast(ast)
-    jets: dict[float, Jet3] = {}
+    subtrees: list[Jet3] = []
+    probe_jet = compile_ast(ast, subtrees.append)
+    point_value = compile_ast(ast, rules=VALUE_RULES)
+    values: dict[float, float] = {}
+    tame: dict[float, tuple[Jet3, tuple]] = {}
 
     def value(x):
-        jet = jets.get(x)
-        if jet is None:
-            jet = jets[x] = point_jet(Jet3.variable(x))
-        return jet.value
+        v = values.get(x)
+        if v is None:
+            v = values[x] = point_value(x)
+        return v
 
     try:
         for t in probes:
-            subtree_values.clear()
-            jet = jets[t] = probe_jet(Jet3.variable(t))
+            subtrees.clear()
+            jet = probe_jet(Jet3.variable(t))
+            values[t] = jet.d[0]
             if not all(math.isfinite(v) and abs(v) < 1e4 for v in jet.derivatives()):
                 return None
-            if any(abs(v) >= 1e8 for v in subtree_values):
+            if any(abs(sub.d[0]) >= 1e8 for sub in subtrees):
                 return None
             # reject functions whose finite differences are not yet in the
             # asymptotic regime at step 1e-3 (wild fifth derivatives)
@@ -151,14 +158,16 @@ def tame_warp_jets(ast, probes) -> dict[float, Jet3] | None:
             scale = max(1.0, *(abs(v) for v in fine))
             if max(abs(a - b) for a, b in zip(coarse, fine)) > 2.5e-7 * scale:
                 return None
+            tame[t] = (jet, fine)
     except (ValueError, OverflowError, ZeroDivisionError):
         return None
-    return jets
+    return tame
 
 
 def random_warp_ast(rng: random.Random, max_depth: int = 4,
-                    probes=(0.2, 0.7, 1.3)) -> tuple[tuple, dict[float, Jet3]]:
-    """Random warp AST that passes ``tame_warp_jets``, and its jets."""
+                    probes=(0.2, 0.7, 1.3)) -> tuple[tuple, dict[float, tuple[Jet3, tuple]]]:
+    """Random warp AST that passes ``tame_warp_jets``, and what it returned:
+    each probe's jet and finite differences."""
 
     def build(depth):
         if depth <= 0 or rng.random() < 0.3:
@@ -258,8 +267,9 @@ def run_quadrature_oracle(seed: int, count: int, rel_tol: float = 1e-8) -> dict:
 def run_ad_oracle(seed: int, count: int, tol: float = 1e-6) -> dict:
     """Random warp expressions: order-3 jets vs central finite differences.
 
-    The generator's filter has already evaluated the jet at every probe and
-    stencil point this needs.  A failing run names its first failing input:
+    The generator's filter has already computed the jet at every probe and
+    its finite differences at step 1e-3 (from plain floats at the stencil
+    points); this compares the two.  A failing run names its first failing input:
     its index in the seeded sequence, the probe t and the warp as text that
     ``wres rw --f`` parses.
     """
@@ -269,10 +279,10 @@ def run_ad_oracle(seed: int, count: int, tol: float = 1e-6) -> dict:
     first_failure = None
     probes = (0.2, 0.7, 1.3)
     for index in range(count):
-        ast, jets = random_warp_ast(rng, probes=probes)
+        ast, tame = random_warp_ast(rng, probes=probes)
         t = probes[rng.randrange(len(probes))]
-        jet = jets[t].derivatives()
-        fd = fd_jet(lambda x: jets[x].value, t)
+        probe_jet, fd = tame[t]
+        jet = probe_jet.derivatives()
         scale = max(1.0, *(abs(v) for v in jet))
         err = max(abs(a - b) for a, b in zip(jet, fd)) / scale
         worst = max(worst, err)

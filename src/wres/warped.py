@@ -109,9 +109,7 @@ class Jet3:
 
     def inverse(self):
         v = self.d[0]
-        if v == 0:
-            raise WarpDomainError("division by zero in warp evaluation")
-        return self.compose(1 / v, -1 / v ** 2, 2 / v ** 3, -6 / v ** 4)
+        return self.compose(_reciprocal(v), -1 / v ** 2, 2 / v ** 3, -6 / v ** 4)
 
     def __truediv__(self, o):
         return self * _as_jet(o).inverse()
@@ -120,16 +118,7 @@ class Jet3:
         return _as_jet(o) * self.inverse()
 
     def __pow__(self, k: int):
-        if k < 0:
-            return (self ** (-k)).inverse()
-        out = Jet3.const(1.0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, Jet3.const(1.0), Jet3.inverse)
 
     @property
     def value(self):
@@ -145,6 +134,34 @@ def _as_jet(x) -> Jet3:
     return Jet3.const(float(x))
 
 
+# Scalar helpers shared by the jets' value component and ``VALUE_RULES``.
+
+def _reciprocal(v: float) -> float:
+    if v == 0:
+        raise WarpDomainError("division by zero in warp evaluation")
+    return 1 / v
+
+
+def _power(x, k: int, one, inverse):
+    """x ** k by binary exponentiation from ``one``; a negative k inverts
+    the power |k|."""
+    if k < 0:
+        return inverse(_power(x, -k, one, inverse))
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
+def _log(v: float) -> float:
+    if v <= 0:
+        raise WarpDomainError(f"ln of nonpositive value {v}")
+    return math.log(v)
+
+
 def _jet_exp(x: Jet3) -> Jet3:
     e = math.exp(x.d[0])
     return x.compose(e, e, e, e)
@@ -152,9 +169,7 @@ def _jet_exp(x: Jet3) -> Jet3:
 
 def _jet_ln(x: Jet3) -> Jet3:
     v = x.d[0]
-    if v <= 0:
-        raise WarpDomainError(f"ln of nonpositive value {v}")
-    return x.compose(math.log(v), 1 / v, -1 / v ** 2, 2 / v ** 3)
+    return x.compose(_log(v), 1 / v, -1 / v ** 2, 2 / v ** 3)
 
 
 def _jet_sin(x: Jet3) -> Jet3:
@@ -185,6 +200,44 @@ _FUNCTIONS = {
     "sinh": _jet_sinh,
     "cosh": _jet_cosh,
 }
+
+
+# The arithmetic ``compile_ast`` evaluates a warp in: a constant from its
+# float, division, integer powers and the named functions.  Sums, differences
+# and products are the operators of the scalar type.
+JET_RULES = SimpleNamespace(const=Jet3.const, divide=Jet3.__truediv__, power=Jet3.__pow__,
+                            functions=_FUNCTIONS)
+
+
+def _divide_values(a: float, b: float) -> float:
+    return a * _reciprocal(b)
+
+
+def _power_value(x: float, k: int) -> float:
+    return _power(x, k, 1.0, _reciprocal)
+
+
+# The float evaluator: each rule is the value component of its jet rule,
+# through the same helpers, so a warp's float at a point has the bits of its
+# jet's d[0] there, and it raises where the jet's value raises.  It does not
+# raise where only a derivative would: where v ** 2 .. v ** 4 underflow (to a
+# division by zero) or overflow in ``Jet3.inverse`` and ``_jet_ln``, or
+# g1 ** 3 overflows in ``Jet3.compose``.  (The jets of sin and cos call both
+# math.sin and math.cos, which fail at the same arguments, and those of sinh
+# and cosh both math.sinh and math.cosh, which overflow at the same
+# arguments.)  So only the jet oracle uses it, at its finite-difference
+# stencil points: the oracle's warps divide by and take ln of x*x + 1 >= 1,
+# and its filter bounds every subtree by 1e8 at the probes, so it never meets
+# those cases.  ``WarpFunction`` stays on jets, and a user's warp keeps its
+# errors.
+VALUE_RULES = SimpleNamespace(const=float, divide=_divide_values, power=_power_value, functions={
+    "exp": math.exp,
+    "ln": _log,
+    "sin": math.sin,
+    "cos": math.cos,
+    "sinh": math.sinh,
+    "cosh": math.cosh,
+})
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +405,31 @@ def _ast_to_string(node) -> str:
     return f"({_ast_to_string(node[1])} {op} {_ast_to_string(node[2])})"
 
 
-def compile_ast(node, record: Callable[[float], object] | None = None) -> Callable[[Jet3], Jet3]:
-    """The AST as nested closures from the variable's jet to the warp's jet.
+def compile_ast(node, record: Callable[[object], object] | None = None,
+                rules: SimpleNamespace = JET_RULES) -> Callable:
+    """The AST as nested closures from the variable to the warp, in ``rules``:
+    from the variable's jet to the warp's jet (the default), or from a float
+    to the warp's value with ``VALUE_RULES``.
 
-    Constants become jets once, here; a call makes the same ``Jet3``
-    operations in the same order as a walk of the tree, and raises the same
-    exceptions.  With ``record``, every node passes its value to it as it is
-    computed, children before their parent.
+    Constants are converted once, here; a call makes the same operations in
+    the same order as a walk of the tree, and raises the same exceptions.
+    With ``record``, every node passes its result to it as it is computed,
+    children before their parent.
     """
     op = node[0]
     if op == "num":
-        const = Jet3.const(float(node[1]))
+        const = rules.const(float(node[1]))
         fn = lambda t: const
     elif op == "t":
         fn = lambda t: t
     elif op == "pow":
-        base, k = compile_ast(node[1], record), node[2]
-        fn = lambda t: base(t) ** k
+        base, k, power = compile_ast(node[1], record, rules), node[2], rules.power
+        fn = lambda t: power(base(t), k)
     elif op == "call":
-        outer, arg = _FUNCTIONS[node[1]], compile_ast(node[2], record)
+        outer, arg = rules.functions[node[1]], compile_ast(node[2], record, rules)
         fn = lambda t: outer(arg(t))
     elif op in ("+", "-", "*", "/"):
-        lhs, rhs = compile_ast(node[1], record), compile_ast(node[2], record)
+        lhs, rhs = compile_ast(node[1], record, rules), compile_ast(node[2], record, rules)
         if op == "+":
             fn = lambda t: lhs(t) + rhs(t)
         elif op == "-":
@@ -381,16 +437,17 @@ def compile_ast(node, record: Callable[[float], object] | None = None) -> Callab
         elif op == "*":
             fn = lambda t: lhs(t) * rhs(t)
         else:
-            fn = lambda t: lhs(t) / rhs(t)
+            divide = rules.divide
+            fn = lambda t: divide(lhs(t), rhs(t))
     else:
         raise ValueError(f"bad AST node {op!r}")
     if record is None:
         return fn
 
     def recorded(t):
-        jet = fn(t)
-        record(jet.d[0])
-        return jet
+        out = fn(t)
+        record(out)
+        return out
     return recorded
 
 

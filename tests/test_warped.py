@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wres import warped
+from wres import oracles, warped
 from wres.heat import SPINOR, bracket, v_nk
 from wres.oracles import fd_jet, random_warp_ast, run_ad_oracle, tame_warp_jets
 from wres.quadpack import gauss_legendre
@@ -127,9 +127,14 @@ def test_tame_filter_bounds_every_subtree_in_its_single_pass():
         assert all(abs(v) <= 1 for v in warp.derivatives(t))
         assert len({warp(t + k) for k in steps}) == 1
     assert tame_warp_jets(warp.ast, probes) is None
-    # an accepted warp comes with the jet at each probe and stencil point
-    jets = tame_warp_jets(parse_warp("t^2").ast, probes)
-    assert set(jets) == {t + k for t in probes for k in steps}
+    # an accepted warp comes with exactly the probes, each with its jet and
+    # the finite differences at step 1e-3 that fd_jet gives from the warp
+    square = parse_warp("t^2")
+    tame = tame_warp_jets(square.ast, probes)
+    assert set(tame) == set(probes)
+    for t, (jet, fd) in tame.items():
+        assert _bits(jet) == _bits(square.jet(t))
+        assert [v.hex() for v in fd] == [v.hex() for v in fd_jet(square, t)]
 
 
 def test_ad_oracle_names_its_first_failure():
@@ -169,22 +174,96 @@ def _bits(jet):
     return tuple(float(v).hex() for v in jet.derivatives())
 
 
+def _stencil(t):
+    """The points at which the jet oracle's filter evaluates the warp around
+    probe t, as ``fd_jet`` computes them for steps 2e-3 and 1e-3."""
+    points = []
+    for h in (2e-3, 1e-3):
+        fd_jet(lambda x: points.append(x) or 0.0, t, h=h)
+    return points
+
+
 def test_compiled_warp_matches_a_walk_of_the_tree():
     rng = random.Random(77)
     probes = (0.2, 0.7, 1.3)
     for _ in range(300):
-        ast, jets = random_warp_ast(rng, probes=probes)
+        ast, tame = random_warp_ast(rng, probes=probes)
         warp = WarpFunction(ast)
-        # the probes and their stencil points, as the jet suite evaluates them
-        for x, jet in jets.items():
-            expected = _bits(_walk(ast, Jet3.variable(x)))
-            assert _bits(warp.jet(x)) == expected == _bits(jet), (warp.to_string(), x)
+        value = warped.compile_ast(ast, rules=warped.VALUE_RULES)
+        assert set(tame) == set(probes)
+        for t, (jet, _) in tame.items():
+            expected = _bits(_walk(ast, Jet3.variable(t)))
+            assert _bits(warp.jet(t)) == expected == _bits(jet), (warp.to_string(), t)
+            # the float evaluator at the stencil points has the bits of the
+            # jet's value there
+            for x in _stencil(t):
+                assert value(x).hex() == _walk(ast, Jet3.variable(x)).value.hex(), \
+                    (warp.to_string(), x)
     for text, exc in (("ln(t-2)", WarpDomainError), ("1/(t-t)", WarpDomainError),
                       ("exp(exp(exp(t)))", OverflowError)):
+        warp = parse_warp(text)
         with pytest.raises(exc):
-            _walk(parse_warp(text).ast, Jet3.variable(2.0))
+            _walk(warp.ast, Jet3.variable(2.0))
         with pytest.raises(exc):
-            parse_warp(text).jet(2.0)
+            warp.jet(2.0)
+        with pytest.raises(exc):
+            warped.compile_ast(warp.ast, rules=warped.VALUE_RULES)(2.0)
+
+
+def _reference_tame_warp_jets(ast, probes):
+    """The jet oracle's filter with a jet at every stencil point: whether it
+    accepts the AST, and each probe's jet and finite differences at step 1e-3."""
+    subtree_values = []
+    probe_jet = warped.compile_ast(ast, lambda jet: subtree_values.append(jet.d[0]))
+    point_jet = warped.compile_ast(ast)
+    jets = {}
+
+    def value(x):
+        if x not in jets:
+            jets[x] = point_jet(Jet3.variable(x))
+        return jets[x].value
+
+    try:
+        for t in probes:
+            subtree_values.clear()
+            jet = jets[t] = probe_jet(Jet3.variable(t))
+            if not all(math.isfinite(v) and abs(v) < 1e4 for v in jet.derivatives()):
+                return None
+            if any(abs(v) >= 1e8 for v in subtree_values):
+                return None
+            coarse = fd_jet(value, t, h=2e-3)
+            fine = fd_jet(value, t, h=1e-3)
+            scale = max(1.0, *(abs(v) for v in fine))
+            if max(abs(a - b) for a, b in zip(coarse, fine)) > 2.5e-7 * scale:
+                return None
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return None
+    return {t: (jets[t], fd_jet(value, t)) for t in probes}
+
+
+def test_tame_filter_decides_as_a_filter_with_jets_at_every_stencil_point(monkeypatch):
+    filtered = oracles.tame_warp_jets
+    drawn = []
+
+    def compared(ast, probes):
+        got, want = filtered(ast, probes), _reference_tame_warp_jets(ast, probes)
+        assert (got is None) == (want is None), warped._ast_to_string(ast)
+        if got is not None:
+            assert set(got) == set(want)
+            for t in probes:
+                (jet, fd), (ref_jet, ref_fd) = got[t], want[t]
+                assert _bits(jet) == _bits(ref_jet), (warped._ast_to_string(ast), t)
+                assert [v.hex() for v in fd] == [v.hex() for v in ref_fd], \
+                    (warped._ast_to_string(ast), t)
+        drawn.append(got is not None)
+        return got
+
+    monkeypatch.setattr(oracles, "tame_warp_jets", compared)
+    # seed 1148509388 draws sin(exp(4^3)+t), which only the subtree bound rejects
+    seeds = (4, 1, 7, 2, 1148509388)
+    for seed in seeds:
+        assert run_ad_oracle(seed, 100)["pass"]
+    assert drawn.count(True) == 100 * len(seeds) and drawn.count(False) > 0
 
 
 def test_jet_sums_and_differences_keep_the_composed_bits():
