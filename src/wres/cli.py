@@ -1,9 +1,12 @@
 """Command-line front end: verification scenarios, curvature-file heat
 coefficients, warped-model evaluations, and the randomized oracle suites.
 
+Each subcommand returns its report, and ``main`` writes it and derives the
+exit status from the report's ``checks``: 0 when every check passes, 1 when
+one fails.  Bad input exits 2 with a single ``error:`` line on stderr.
+
 JSON reports are deterministic: keys sorted, rationals printed as "num/den",
-complex values as {"re","im"}, and no timing data.  Exit status is 0 exactly
-when every check in the run passes.
+complex values as {"re","im"}, and no timing data.
 """
 
 from __future__ import annotations
@@ -20,12 +23,8 @@ from . import boundary, heat, oracles, warped
 from .symbolic import UnitValue
 
 
-def _json_dump(obj, path: str | None):
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+class BadInput(Exception):
+    """Input the program rejects: ``main`` prints ``error: <message>`` and exits 2."""
 
 
 def _uv_obj(v: UnitValue, numeric_units: dict | None = None):
@@ -45,31 +44,25 @@ def _uv_obj(v: UnitValue, numeric_units: dict | None = None):
 # verify-boundary
 # ---------------------------------------------------------------------------
 
-def cmd_verify_boundary(args) -> int:
+def cmd_verify_boundary(args) -> dict:
     p1, p2 = args.powers
     try:
         scenario = boundary.get_scenario(args.dim, p1, p2)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise BadInput(exc.args[0]) from exc
 
     extrapolation = False
     if args.p is not None or args.q is not None:
         if len(scenario.model.algebra.families) == 1:
-            print("error: signature override not supported for this scenario",
-                  file=sys.stderr)
-            return 2
+            raise BadInput("signature override not supported for this scenario")
         from .clifford import AlgebraSignature
         from .symbols import foliation_model
         p = args.p if args.p is not None else scenario.model.algebra.families[0][1]
         q = args.q if args.q is not None else scenario.model.algebra.families[1][1]
         if p < 0 or q < 1:
-            print(f"error: signature ({p},{q}) needs p >= 0 and q >= 1", file=sys.stderr)
-            return 2
+            raise BadInput(f"signature ({p},{q}) needs p >= 0 and q >= 1")
         if p + q != args.dim:
-            print(f"error: signature ({p},{q}) does not match dimension {args.dim}",
-                  file=sys.stderr)
-            return 2
+            raise BadInput(f"signature ({p},{q}) does not match dimension {args.dim}")
         scenario = boundary.Scenario(**{
             **vars(scenario), "name": scenario.name + f"-sig{p}.{q}",
             "model": foliation_model(p, q, AlgebraSignature(p, q).total_dim),
@@ -98,14 +91,11 @@ def cmd_verify_boundary(args) -> int:
         "total_over_boundary": _uv_obj(report.total_over_boundary),
         "checks": checks,
     }
-    text = _json_dump(payload, args.json)
-    if not args.json:
-        print(text)
     ok = all(c["pass"] for c in checks)
     print(f"# scenario {scenario.name}: {len(report.cases)} cases, "
           f"{'all checks pass' if ok else 'CHECK FAILURES'} "
           f"({elapsed:.3f}s)", file=sys.stderr)
-    return 0 if ok else 1
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +141,11 @@ def _parse_config(path: str) -> dict:
     return values
 
 
-def cmd_heat(args) -> int:
+def cmd_heat(args) -> dict:
     try:
         cfg = _parse_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # a malformed line, or bytes that are not text
+        raise BadInput(str(exc)) from exc
 
     meta = {}
     for key in ("p", "q", "n", "total_dim"):
@@ -164,12 +153,10 @@ def cmd_heat(args) -> int:
             meta[key] = cfg.pop(key)
     bad = [k for k, v in meta.items() if v < 0 or v.denominator != 1]
     if bad:
-        print(f"error: {', '.join(bad)} must be nonnegative integers", file=sys.stderr)
-        return 2
+        raise BadInput(f"{', '.join(bad)} must be nonnegative integers")
     big = [k for k in ("p", "q", "n") if meta.get(k, 0) > MAX_DIMENSION]
     if big:
-        print(f"error: {', '.join(big)} must be at most {MAX_DIMENSION}", file=sys.stderr)
-        return 2
+        raise BadInput(f"{', '.join(big)} must be at most {MAX_DIMENSION}")
     if "p" in meta and "q" in meta:
         # the heat-formula convention: leaf dimension 2p, trace dim 2^(p+q)
         p, q = int(meta["p"]), int(meta["q"])
@@ -177,20 +164,17 @@ def cmd_heat(args) -> int:
         clash = [f"{k} = {meta[k]}" for k, v in (("n", n), ("total_dim", total_dim))
                  if k in meta and meta[k] != v]
         if clash:
-            print(f"error: config gives {', '.join(clash)} but p = {p}, q = {q} give "
-                  f"n = 2p+q = {n}, total_dim = 2^(p+q) = {total_dim}", file=sys.stderr)
-            return 2
+            raise BadInput(f"config gives {', '.join(clash)} but p = {p}, q = {q} give "
+                           f"n = 2p+q = {n}, total_dim = 2^(p+q) = {total_dim}")
     elif "n" in meta and "total_dim" in meta:
         n, total_dim = int(meta["n"]), int(meta["total_dim"])
     else:
-        print("error: config needs either p and q, or n and total_dim", file=sys.stderr)
-        return 2
+        raise BadInput("config needs either p and q, or n and total_dim")
 
     try:
         data = heat.CurvatureData.from_mapping(cfg)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise BadInput(exc.args[0]) from exc
 
     bounded = data.bvol != 0
     if bounded:
@@ -209,34 +193,26 @@ def cmd_heat(args) -> int:
     }
     if hc.a4_alt is not None:
         payload["coefficients"]["a4_alt_bracket"] = _uv_obj(hc.a4_alt)
-    text = _json_dump(payload, args.json)
-    if not args.json:
-        print(text)
-    return 0
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # rw
 # ---------------------------------------------------------------------------
 
-def cmd_rw(args) -> int:
+def cmd_rw(args) -> dict:
     try:
-        text, converged = _rw_report(args)
+        return _rw_report(args)
     except (OverflowError, ZeroDivisionError) as exc:  # overflow, or underflow to 0.0
-        print(f"error: value out of floating-point range: {exc}", file=sys.stderr)
-        return 2
+        raise BadInput(f"value out of floating-point range: {exc}") from exc
     except ValueError as exc:  # WarpSyntaxError and WarpDomainError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not args.json:
-        print(text)
-    return 0 if converged else 1
+        raise BadInput(str(exc)) from exc
 
 
-def _rw_report(args) -> tuple[str, bool]:
+def _rw_report(args) -> dict:
     if args.cutoff_scale is not None and not args.cutoff_scale > 0:
         raise ValueError(f"--lambda must be positive (got {args.cutoff_scale})")
-    tol = warped.quad_tolerance()
+    tol = warped.QUAD_TOL
     warp = warped.parse_warp(args.f)
     a, b = args.interval
     model = warped.RWModel(a, b, warp, curv=args.curv, base_vol=args.base_vol)
@@ -263,18 +239,16 @@ def _rw_report(args) -> tuple[str, bool]:
         moments = heat.spectral_moments(lambda s: math.exp(-s))
         payload["spectral_action"] = {"cutoff": "exp(-s)", "scale": L,
                                       "asymptotic": warped.asymptotic_action(coeffs, moments, L)}
-    # a value that overflowed to inf makes json.dumps raise ValueError
-    return _json_dump(payload, args.json), converged
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> dict:
     if args.count < 0:
-        print(f"error: --count must be nonnegative (got {args.count})", file=sys.stderr)
-        return 2
+        raise BadInput(f"--count must be nonnegative (got {args.count})")
     results = []
     if args.count > 0:
         results.append(oracles.run_trace_oracle(args.seed, args.count))
@@ -286,10 +260,7 @@ def cmd_oracle(args) -> int:
         "suites": results,
         "checks": [{"name": r["name"], "pass": r["pass"]} for r in results],
     }
-    text = _json_dump(payload, args.json)
-    if not args.json:
-        print(text)
-    return 0 if all(r["pass"] for r in results) else 1
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +360,20 @@ def main(argv=None) -> int:
     argv = _join_numeric_values(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except OSError as exc:  # e.g. a --json path in a missing directory
+        report = args.fn(args)
+        try:
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:  # a float that overflowed to inf
+            raise BadInput(str(exc)) from exc
+        if args.json:
+            with open(args.json, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    except (BadInput, OSError) as exc:  # OSError: e.g. a --json path in a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 
 if __name__ == "__main__":

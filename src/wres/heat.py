@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .clifford import Algebra, AlgebraSignature, CliffordElement, sub_dirac_algebra
-from .symbolic import ScalarPoly, UnitValue, _as_poly, _double_factorial
+from .symbolic import ScalarPoly, UnitValue, _as_poly, gamma_exact
 
 U_PI = "pi"
 U_TDIM = "l~2^q"
@@ -357,25 +357,14 @@ def _factor_radical(x: Fraction, exp: Fraction) -> UnitValue:
     return UnitValue(1, powers)
 
 
-def _gamma_exact(two_z: int) -> tuple[Fraction, Fraction]:
-    """Gamma(two_z / 2) = rational * pi^(0 or 1/2); returns (rational, pi exponent)."""
-    if two_z <= 0:
-        raise ValueError("Gamma argument must be positive")
-    if two_z % 2 == 0:
-        return Fraction(math.factorial(two_z // 2 - 1)), Fraction(0)
-    # Gamma(m + 1/2) = (2m-1)!! / 2^m * sqrt(pi)
-    mhalf = two_z // 2
-    return Fraction(_double_factorial(2 * mhalf - 1), 2 ** mhalf), Fraction(1, 2)
-
-
 def v_nk(n: int, k: int) -> UnitValue:
     """Exact lower-volume constant; zero for mixed parity."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if (n - k) % 2 == 1:
         return UnitValue.zero()
-    g_num, g_num_pi = _gamma_exact(n + 2)   # Gamma(n/2 + 1)
-    g_den, g_den_pi = _gamma_exact(k + 2)   # Gamma(k/2 + 1)
+    g_num, g_num_pi = gamma_exact(n + 2)   # Gamma(n/2 + 1)
+    g_den, g_den_pi = gamma_exact(k + 2)   # Gamma(k/2 + 1)
     out = UnitValue(Fraction(k, n))
     out = out * _factor_radical(g_num, Fraction(k, n))
     out = out * UnitValue(1, {U_PI: g_num_pi * Fraction(k, n) - g_den_pi})
@@ -427,7 +416,7 @@ def wres_power(n: int, total_dim=None) -> UnitValue:
     if n < 4:
         raise ValueError("need n >= 4")
     a2 = interior_coeffs(None, CurvatureData(r=1), n=n, total_dim=total_dim).a2
-    gamma, _ = _gamma_exact(n - 2)  # Gamma(n/2 - 1), an integer for even n
+    gamma, _ = gamma_exact(n - 2)  # Gamma(n/2 - 1), an integer for even n
     return a2 * 2 / gamma
 
 

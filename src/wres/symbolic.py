@@ -644,8 +644,6 @@ _UNIT_NUMERIC = {
     "Omega4": Fraction(8, 3) * 3.141592653589793 ** 2,  # vol(S^4)
 }
 
-_PRIME_BASES = (2, 3, 5, 7, 11, 13)
-
 
 class UnitValue:
     """coefficient * product(base^exponent).
@@ -838,13 +836,21 @@ def sphere_moment_ratio(exponents: Iterable[int], m: int) -> Fraction:
     return Fraction(num, den)
 
 
+def gamma_exact(two_z: int) -> tuple[Fraction, Fraction]:
+    """Gamma(two_z / 2) = rational * pi^(0 or 1/2); returns (rational, pi exponent)."""
+    if two_z <= 0:
+        raise ValueError("Gamma argument must be positive")
+    if two_z % 2 == 0:
+        return Fraction(factorial(two_z // 2 - 1)), Fraction(0)
+    # Gamma(m + 1/2) = (2m-1)!! / 2^m * sqrt(pi)
+    mhalf = two_z // 2
+    return Fraction(_double_factorial(2 * mhalf - 1), 2 ** mhalf), Fraction(1, 2)
+
+
 def sphere_measure(m: int) -> UnitValue:
-    """vol(S^{m-1}) as an exact rational times a power of pi."""
-    if m % 2 == 0:
-        j = m // 2
-        return UnitValue(Fraction(2, factorial(j - 1)), {"pi": Fraction(j)})
-    j = (m - 1) // 2
-    return UnitValue(Fraction(2 ** (j + 1), _double_factorial(m - 2)), {"pi": Fraction(j)})
+    """vol(S^{m-1}) = 2 pi^(m/2) / Gamma(m/2) as an exact rational times a power of pi."""
+    gamma, gamma_pi = gamma_exact(m)
+    return UnitValue(2 / gamma, {"pi": Fraction(m, 2) - gamma_pi})
 
 
 def sphere_moment(exponents: Iterable[int], m: int) -> UnitValue:

@@ -12,30 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .heat import A4_BOUNDARY_PRINTED, SPINOR, CurvatureData, boundary_coeffs, bracket, v_nk
 
-DEFAULT_QUAD_TOL = 1e-10
-QUAD_TOL_ENV = "WRES_QUAD_TOL"
-
-
-def quad_tolerance(override: float | None = None) -> float:
-    if override is not None:
-        return override
-    env = os.environ.get(QUAD_TOL_ENV)
-    if not env:
-        return DEFAULT_QUAD_TOL
-    try:
-        tol = float(env)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{QUAD_TOL_ENV} must be a positive finite number, got {env!r}")
-    return tol
+QUAD_TOL = 1e-10  # relative tolerance of the adaptive quadrature
 
 
 class WarpSyntaxError(ValueError):
@@ -562,15 +545,13 @@ def warped_geometry(model: RWModel, t: float, normal_sign: int = 1) -> Curvature
     )
 
 
-def quad_adaptive(fn: Callable[[float], float], a: float, b: float,
-                  tol: float | None = None) -> float:
-    """Adaptive Gauss-Kronrod quadrature at the configured relative tolerance."""
+def quad_adaptive(fn: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive Gauss-Kronrod quadrature at relative tolerance ``QUAD_TOL``."""
     from .quadpack import quad
 
-    eps = quad_tolerance(tol)
-    val, err, _, _ = quad(fn, a, b, epsabs=1e-300, epsrel=eps, limit=400)
+    val, err, _, _ = quad(fn, a, b, epsabs=1e-300, epsrel=QUAD_TOL, limit=400)
     scale = max(abs(val), 1.0)
-    if not math.isfinite(val) or err > 1e3 * eps * scale + 1e-12:
+    if not math.isfinite(val) or err > 1e3 * QUAD_TOL * scale + 1e-12:
         raise ValueError(f"quadrature did not converge (estimate {val}, error {err})")
     return val
 
@@ -591,15 +572,14 @@ def gauss_legendre_check(fn: Callable[[float], float], a: float,
     return with_n(64), with_n(128)
 
 
-def _interior_integral(model: RWModel, pointwise: Callable[[float, tuple], float],
-                       tol: float | None = None) -> float:
+def _interior_integral(model: RWModel, pointwise: Callable[[float, tuple], float]) -> float:
     """The integral of ``pointwise(t, jet)`` against the warped volume element,
     where ``jet`` is the warp's (f, f', f'', f''') at t, evaluated once per point."""
 
     def integrand(t):
         jet = model.warp.derivatives(t)
         return pointwise(t, jet) * (jet[0] ** 3 * model.base_vol)
-    return quad_adaptive(integrand, model.a, model.b, tol)
+    return quad_adaptive(integrand, model.a, model.b)
 
 
 def _boundary_sum(ends: list, pointwise: Callable[[CurvatureData], float]) -> float:
@@ -611,11 +591,10 @@ def _boundary_sum(ends: list, pointwise: Callable[[CurvatureData], float]) -> fl
 
 class InteriorIntegrals(NamedTuple):
     """The raw interior integrals behind a0 and a2 against the warped volume
-    element, and the quadrature tolerance they were computed at."""
+    element."""
 
     vol: float      # integral of 1
     r: float        # integral of the scalar curvature
-    tol: float
 
 
 class RWCoeffs:
@@ -641,8 +620,7 @@ class RWCoeffs:
         }
 
 
-def rw_spectral_coeffs(model: RWModel, total_dim: int = 8,
-                       tol: float | None = None) -> RWCoeffs:
+def rw_spectral_coeffs(model: RWModel, total_dim: int = 8) -> RWCoeffs:
     """a0..a4 for the 4-dimensional warped model (Dirichlet condition).
 
     Interior integrals use adaptive quadrature against the warped volume
@@ -654,9 +632,8 @@ def rw_spectral_coeffs(model: RWModel, total_dim: int = 8,
     T = float(total_dim)
     c_i = T * (4.0 * math.pi) ** (-m / 2)
     c_b = T * (4.0 * math.pi) ** (-(m - 1) / 2)
-    tol = quad_tolerance(tol)
 
-    vol = _interior_integral(model, lambda t, jet: 1.0, tol)
+    vol = _interior_integral(model, lambda t, jet: 1.0)
     a0 = c_i * vol
     # the exact curvature data at t = a and at t = b, each with its volume element
     ends = [(warped_geometry(model, t, sign), model.volume_element(t))
@@ -667,12 +644,12 @@ def rw_spectral_coeffs(model: RWModel, total_dim: int = 8,
 
     # a_k = c * prefactor * (brackets), the prefactors read from the table
     a1 = c_b * float(SPINOR[1].prefactor) * boundary(SPINOR[1].boundary)
-    r_int = _interior_integral(model, lambda t, jet: _warp_curvature(model, t, jet)[6], tol)
+    r_int = _interior_integral(model, lambda t, jet: _warp_curvature(model, t, jet)[6])
     a2 = c_i * float(SPINOR[2].prefactor) * (_a2_interior(r_int) + boundary(SPINOR[2].boundary))
     a3 = c_b * float(SPINOR[3].prefactor) * boundary(SPINOR[3].boundary)
 
     c4 = c_i * float(SPINOR[4].prefactor)
-    a4_int = c4 * _interior_integral(model, lambda t, jet: _a4_integrand(model, t, jet), tol)
+    a4_int = c4 * _interior_integral(model, lambda t, jet: _a4_integrand(model, t, jet))
     a4_derived = a4_int + c4 * boundary(SPINOR[4].boundary)
     a4_printed = a4_int + c4 * boundary(A4_BOUNDARY_PRINTED)
 
@@ -680,7 +657,7 @@ def rw_spectral_coeffs(model: RWModel, total_dim: int = 8,
     # formulas fed the same warped data (reported; asserted by the test suite)
     diag = _consistency_against_generic(ends, total_dim, (a0, a1, a2, a3), vol, r_int)
     return RWCoeffs(a0, a1, a2, a3, a4_int, a4_printed, a4_derived, diag,
-                    InteriorIntegrals(vol, r_int, tol))
+                    InteriorIntegrals(vol, r_int))
 
 
 def _a2_interior(r_int: float) -> float:
@@ -732,14 +709,13 @@ def rw_lower_volumes(model: RWModel, coeffs: RWCoeffs, total_dim: int = 8) -> di
     'plain' reads the f^3 as the volume element itself.
 
     ``coeffs`` is ``rw_spectral_coeffs`` of the same model: its interior
-    integrals are reused, and only the weighted f^3 is integrated here, at
-    the same tolerance."""
+    integrals are reused, and only the weighted f^3 is integrated here."""
     m = 4
     T = float(total_dim)
     c_i = T * (4.0 * math.pi) ** (-m / 2)
 
-    f3_plain, r_int, tol = coeffs.interior
-    f3_weighted = _interior_integral(model, lambda t, jet: jet[0] ** 3, tol)
+    f3_plain, r_int = coeffs.interior
+    f3_weighted = _interior_integral(model, lambda t, jet: jet[0] ** 3)
 
     def vconst(k):
         return complex(v_nk(m, k).numeric()).real

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wres import boundary
+from wres import boundary, oracles, warped
 from wres.cli import main
+from wres.symbolic import UnitValue
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -249,10 +250,6 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
                  "nested deeper than 100 levels (at offset 100)", id="rw-600-parentheses"),
     pytest.param(["rw", "--f", "+".join(["t"] * 1501), "--interval", "0,1"], None, {}, 2,
                  "nested deeper than 100 levels (at offset 199)", id="rw-1501-term-sum"),
-    pytest.param(RW_EXP, None, {"WRES_QUAD_TOL": "-1"}, 2, "WRES_QUAD_TOL", id="quad-tol-negative"),
-    pytest.param(RW_EXP, None, {"WRES_QUAD_TOL": "0"}, 2, "WRES_QUAD_TOL", id="quad-tol-zero"),
-    pytest.param(RW_EXP, None, {"WRES_QUAD_TOL": "nan"}, 2, "WRES_QUAD_TOL", id="quad-tol-nan"),
-    pytest.param(RW_EXP, None, {"WRES_QUAD_TOL": "inf"}, 2, "WRES_QUAD_TOL", id="quad-tol-inf"),
     pytest.param(["oracle", "--count", "-3", "--seed", "1"], None, {}, 2,
                  "--count must be nonnegative", id="oracle-negative-count"),
 ])
@@ -271,6 +268,44 @@ def test_exit_contract(argv, config, env, code, message, tmp_path):
     if code == 2 and "usage:" not in proc.stderr:  # argparse prints its own usage line
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+
+
+def _wrong_expected_total(monkeypatch):
+    real = boundary.get_scenario
+    monkeypatch.setattr(boundary, "get_scenario", lambda *key: boundary.Scenario(
+        **{**vars(real(*key)), "expected_total": UnitValue(7)}))
+
+
+def _negative_jet_tolerance(monkeypatch):
+    real = oracles.run_ad_oracle
+    monkeypatch.setattr(oracles, "run_ad_oracle",
+                        lambda seed, count: real(seed, count, tol=-1.0))
+
+
+def _far_apart_gauss_legendre(monkeypatch):
+    monkeypatch.setattr(warped, "gauss_legendre_check", lambda fn, a, b: (1.0, 2.0))
+
+
+@pytest.mark.parametrize("argv,force_failure", [
+    pytest.param(["verify-boundary", "--dim", "3", "--powers", "1,1"], _wrong_expected_total,
+                 id="verify-boundary-wrong-total"),
+    pytest.param(["oracle", "--seed", "7", "--count", "3"], _negative_jet_tolerance,
+                 id="oracle-negative-jet-tolerance"),
+    pytest.param(RW_EXP, _far_apart_gauss_legendre, id="rw-not-converged"),
+])
+def test_failed_check_exits_1_with_its_report(argv, force_failure, monkeypatch, capsys,
+                                              tmp_path):
+    # exit 1 means a report check failed: the report is still printed, or written
+    # with --json, and one of its checks reads false
+    force_failure(monkeypatch)
+    assert main(argv) == 1
+    printed, err = capsys.readouterr()
+    assert "error:" not in err
+    out = tmp_path / "report.json"
+    assert main(argv + ["--json", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+    assert any(not check["pass"] for check in json.loads(printed)["checks"])
 
 
 def test_heat_value_too_large_for_a_float(tmp_path):

@@ -81,7 +81,7 @@ RECORDS = [
     (RWModel, lambda: dict(a=0.0, b=1.0, warp=parse_warp("1"))),
     (RWCoeffs, lambda: dict(a0=0.0, a1=0.0, a2=0.0, a3=0.0, a4_interior=0.0,
                             a4_printed=0.0, a4_derived=0.0, diagnostics={},
-                            interior=InteriorIntegrals(1.0, 0.0, 1e-10))),
+                            interior=InteriorIntegrals(1.0, 0.0))),
 ]
 
 

@@ -24,7 +24,6 @@ from wres.warped import (
     gauss_legendre_check,
     parse_warp,
     quad_adaptive,
-    quad_tolerance,
     rw_lower_volumes,
     rw_spectral_coeffs,
     warped_geometry,
@@ -715,14 +714,6 @@ def test_gauss_legendre_check_equals_numpy_reference(case):
     want = _numpy_gauss_legendre_check(fn, a, b)
     assert got == want
     assert all(type(v) is float for v in got)
-
-
-def test_quad_tolerance_env(monkeypatch):
-    monkeypatch.setenv("WRES_QUAD_TOL", "1e-6")
-    assert quad_tolerance() == 1e-6
-    monkeypatch.delenv("WRES_QUAD_TOL")
-    assert quad_tolerance() == 1e-10
-    assert quad_tolerance(1e-4) == 1e-4
 
 
 def test_warp_derivatives_helper():
