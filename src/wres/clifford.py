@@ -148,7 +148,7 @@ class CliffordElement:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 sign, w = self.algebra.normalize_word(w1 + w2)
-                x = c1 * c2 * sign
+                x = c1 * c2 if sign > 0 else -(c1 * c2)
                 out[w] = out[w] + x if w in out else x
         return CliffordElement(self.algebra, out)
 

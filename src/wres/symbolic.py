@@ -222,7 +222,7 @@ class ScalarPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarPoly({m: -c for m, c in self.terms.items()})
+        return _sp({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -231,16 +231,37 @@ class ScalarPoly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_poly(other)
+        """A constant operand (a number, or one term on the empty monomial)
+        returns or scales the other operand; only two polynomials take the
+        double loop."""
+        if other.__class__ is not ScalarPoly:
+            return self._scaled(_as_gr(other))
+        a, b = self.terms, other.terms
+        if len(b) == 1 and _EMPTY in b:
+            return self._scaled(b[_EMPTY])
+        if len(a) == 1 and _EMPTY in a:
+            return other._scaled(a[_EMPTY])
         out: dict[Mono, GaussianRational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 m = _mono_mul(m1, m2)
                 x = c1 * c2
                 out[m] = out[m] + x if m in out else x
         return ScalarPoly(out)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: GaussianRational) -> "ScalarPoly":
+        """self * c: self itself for 1 (values are never mutated), its negation
+        for -1, else every coefficient times c, none of them zero."""
+        if not c.b and c.d == 1:
+            if c.a == 1:
+                return self
+            if c.a == -1:
+                return -self
+            if not c.a:
+                return ScalarPoly()
+        return _sp({m: x * c for m, x in self.terms.items()})
 
     def __truediv__(self, other):
         """Division by a nonzero constant (or constant polynomial)."""
@@ -252,8 +273,7 @@ class ScalarPoly:
         other = _as_gr(other)
         if other.is_zero():
             raise ZeroDivisionError("division by structurally-zero polynomial")
-        inv = other.inverse()
-        return ScalarPoly({m: c * inv for m, c in self.terms.items()})
+        return self._scaled(other.inverse())
 
     def __pow__(self, k: int):
         if k < 0:
@@ -341,6 +361,13 @@ class ScalarPoly:
             mono = "*".join(f"{n}^{e}" if e > 1 else n for n, e in m)
             bits.append(f"{c!r}*{mono}" if mono else repr(c))
         return " + ".join(bits)
+
+
+def _sp(terms: dict) -> ScalarPoly:
+    """A polynomial from terms that already have no zero coefficient."""
+    x = object.__new__(ScalarPoly)
+    x.terms = terms
+    return x
 
 
 def _as_poly(x) -> ScalarPoly:
@@ -455,10 +482,16 @@ class RationalXi:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
-            c = _as_poly(other)
-            return RationalXi([p * c for p in self.num], self.mp, self.mm)
+            return RationalXi([p * other for p in self.num], self.mp, self.mm)
         other = _as_rx(other)
-        return RationalXi(_poly_mul(self.num, other.num), self.mp + other.mp, self.mm + other.mm)
+        a, b = self.num, other.num
+        if len(b) == 1:  # a constant numerator, such as inv_norm_sq's
+            num = [x * b[0] for x in a]
+        elif len(a) == 1:
+            num = [a[0] * y for y in b]
+        else:
+            num = _poly_mul(a, b)
+        return RationalXi(num, self.mp + other.mp, self.mm + other.mm)
 
     __rmul__ = __mul__
 
@@ -590,13 +623,14 @@ def _poly_add(a, b):
 def _poly_mul(a, b):
     if not a or not b:
         return []
-    out = [ScalarPoly.zero()] * (len(a) + len(b) - 1)
+    out = [None] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x.is_zero():
             continue
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
+            z = out[i + j]
+            out[i + j] = x * y if z is None else z + x * y
+    return [ScalarPoly.zero() if z is None else z for z in out]
 
 
 def _times_linear(coeffs, root: GaussianRational):
@@ -709,8 +743,8 @@ class UnitValue:
         return UnitValue(-self.coeff, self.powers)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)) and other == 0:
-            return self
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            other = UnitValue(other)  # a plain number is a unitless value
         if other.is_zero():
             return self
         if self.is_zero():
@@ -725,7 +759,7 @@ class UnitValue:
         return self + (-other)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, GaussianRational)):
             return self.coeff == other and not self.powers
         if not isinstance(other, UnitValue):
             return NotImplemented

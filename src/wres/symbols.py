@@ -87,7 +87,8 @@ def trace_product(e1: CliffordElement, e2: CliffordElement, total_dim) -> Ration
     for w, c1 in e1.terms.items():
         c2 = e2.terms.get(w)
         if c2 is not None:
-            acc = acc + c1 * c2 * alg.normalize_word(w + w)[0]
+            x = c1 * c2
+            acc = acc + (x if alg.normalize_word(w + w)[0] > 0 else -x)
     return acc * td
 
 
@@ -245,32 +246,39 @@ def connection_word(model: BoundaryModel, k: int) -> CliffordElement:
               -     sum_{j in F, s in F-perp} <nabla_{e_k} f_j, h_s> c(f_j) c(h_s)
 
     With no perpendicular factor (single-family model) only the first sum survives.
+    Each term's coefficient is added under the normalized generator pair, and
+    the sums become constant RationalXi coefficients once at the end.
     """
     alg = model.algebra
     leaf = model.leaf_gens
     perp = model.perp_gens
     idx = model.gen_index
     half = Fraction(1, 2)
-    acc = alg.element()
+    acc: dict = {}
+
+    def add(g1, g2, coeff, sign=1):
+        s, word = alg.normalize_word((g1, g2))
+        x = coeff if s * sign > 0 else -coeff
+        acc[word] = acc[word] + x if word in acc else x
+
     for fa in leaf:
         for fb in leaf:
             w = omega(idx(fa), idx(fb), k)
             if not w.is_zero():
-                acc = acc + (model.gen_elem(fa) * model.gen_elem(fb)) * (w * half)
+                add(fa, fb, w * half)
     for hr in perp:
         for ht in perp:
             w = omega(idx(hr), idx(ht), k)
             if w.is_zero():
                 continue
-            hat = model.gen_elem(model.hatted(hr)) * model.gen_elem(model.hatted(ht))
-            reg = model.gen_elem(hr) * model.gen_elem(ht)
-            acc = acc - (hat - reg) * (w * half)
+            add(model.hatted(hr), model.hatted(ht), w * half, -1)
+            add(hr, ht, w * half)
     for fj in leaf:
         for hs in perp:
             w = conn(k, idx(fj), idx(hs))
             if not w.is_zero():
-                acc = acc - (model.gen_elem(fj) * model.gen_elem(hs)) * w
-    return acc
+                add(fj, hs, w, -1)
+    return alg.element({word: RationalXi.const(c) for word, c in acc.items()})
 
 
 def sigma0_DF(model: BoundaryModel) -> CliffordElement:

@@ -26,6 +26,8 @@ from wres.symbolic import (
     RationalXi,
     ScalarPoly,
     UnitValue,
+    _mono_mul,
+    _poly_mul,
     integrate_line,
     reduce_unit_norm,
     sphere_integrate,
@@ -271,6 +273,115 @@ def test_rational_xi_reduces_only_on_demand():
     assert z.is_zero() and z == RationalXi.zero() and hash(z) == hash(RationalXi.zero())
 
 
+def _general_poly_mul(p, q):
+    """ScalarPoly's double-loop product, without the constant-operand paths."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = _mono_mul(m1, m2)
+            x = c1 * c2
+            out[m] = out[m] + x if m in out else x
+    return ScalarPoly(out)
+
+
+def _general_coeff_mul(a, b):
+    """_poly_mul over _general_poly_mul, every slot started at zero."""
+    if not a or not b:
+        return []
+    out = [ScalarPoly.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + _general_poly_mul(x, y)
+    return out
+
+
+def _assert_same_terms(got, want):
+    # equal values, the same key order, and no zero coefficient
+    assert list(got.terms.items()) == list(want.terms.items())
+    _assert_no_zero_terms(got)
+
+
+_CONSTANTS = [1, -1, 0, 3, Fraction(-3, 4), GaussianRational(0, 1),
+              GaussianRational(-1, 0), GaussianRational(Fraction(2, 5), -3)]
+
+
+def _forms(c):
+    """c as int, Fraction, GaussianRational and ScalarPoly, where it fits."""
+    g = GaussianRational(c) if not isinstance(c, GaussianRational) else c
+    out = [g, ScalarPoly.const(g)]
+    if not g.b:
+        out.append(g.re)
+        if g.d == 1:
+            out.append(g.a)
+    return out
+
+
+def test_poly_constant_products_match_the_general_product():
+    rng = random.Random(31)
+    polys = [_rand_poly(rng) for _ in range(40)] + [ScalarPoly.zero(), ScalarPoly.one()]
+    for p in polys:
+        before = list(p.terms.items())
+        for c in _CONSTANTS:
+            want = _general_poly_mul(p, ScalarPoly.const(c))
+            for form in _forms(c):
+                _assert_same_terms(p * form, want)
+                # GaussianRational.__mul__ takes no polynomial, so it stays on the right
+                if not isinstance(form, GaussianRational):
+                    _assert_same_terms(form * p, want)
+                if isinstance(form, ScalarPoly):
+                    assert list(form.terms.items()) == list(ScalarPoly.const(c).terms.items())
+        q = _rand_poly(rng)
+        _assert_same_terms(p * q, _general_poly_mul(p, q))
+        assert list(p.terms.items()) == before
+    # (-1) * p and p * (-1) are the negation, 1 * p is p with its terms untouched
+    x = ScalarPoly.symbol("x") * 2 + ScalarPoly.symbol("y")
+    assert x * -1 == -x and -1 * x == -x and (x * -1).terms[(("x", 1),)] == -2
+    assert (1 * x).terms == {(("x", 1),): 2, (("y", 1),): 1}
+
+
+def test_rational_xi_one_coefficient_products_match_the_general_product():
+    rng = random.Random(37)
+    singles = [RationalXi.inv_norm_sq(k) for k in (1, 2, 3)]
+    singles += [RationalXi.const(c) for c in _CONSTANTS if c != 0]
+    singles += [RationalXi([_rand_poly(rng)], rng.randint(0, 3), rng.randint(0, 3))
+                for _ in range(10)]
+    for _ in range(40):
+        f = _rand_rational_xi(rng)
+        g = rng.choice(singles)
+        before = [(f.num, f.mp, f.mm), (g.num, g.mp, g.mm)]
+        items = [[list(c.terms.items()) for c in h.num] for h in (f, g)]
+        for got, (a, b) in ((f * g, (f, g)), (g * f, (g, f))):
+            want = RationalXi(_general_coeff_mul(a.num, b.num), a.mp + b.mp, a.mm + b.mm)
+            assert (got.mp, got.mm, len(got.num)) == (want.mp, want.mm, len(want.num))
+            for x, y in zip(got.num, want.num):
+                _assert_same_terms(x, y)
+        for c in _CONSTANTS:
+            for form in _forms(c):
+                got = f * form
+                want = [_general_poly_mul(x, ScalarPoly.const(c)) for x in f.num]
+                want = RationalXi(want, f.mp, f.mm)
+                assert len(got.num) == len(want.num)
+                for x, y in zip(got.num, want.num):
+                    _assert_same_terms(x, y)
+        assert [(f.num, f.mp, f.mm), (g.num, g.mp, g.mm)] == before
+        assert [[list(c.terms.items()) for c in h.num] for h in (f, g)] == items
+
+
+def test_coefficient_list_product_matches_the_general_product():
+    # interior and leading zero coefficients leave slots that no product fills
+    rng = random.Random(41)
+    for _ in range(60):
+        a = [_rand_poly(rng) if rng.random() < 0.7 else ScalarPoly.zero()
+             for _ in range(rng.randint(0, 4))]
+        b = [_rand_poly(rng) for _ in range(rng.randint(0, 4))]
+        got, want = _poly_mul(a, b), _general_coeff_mul(a, b)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            _assert_same_terms(x, y)
+
+
 def test_pi_plus_known_forms():
     # 1/(1+x^2)^2 -> -(i x + 2)/(4 (x - i)^2)
     f = RationalXi.inv_norm_sq(2)
@@ -410,16 +521,32 @@ def test_unitvalue_algebra():
     # integer prime powers fold into the coefficient
     u = UnitValue(1, {"2": Fraction(5, 2)})
     assert u.coeff == 4 and u.powers == {"2": Fraction(1, 2)}
+    # a plain number adds as a unitless value
+    assert UnitValue(1) + 2 == 3 and 2 + UnitValue(1) == 3
+    assert UnitValue(1) + GaussianRational(0, 1) == GaussianRational(1, 1)
+    assert v + 0 is v and 0 + v is v and sum([v, v]) == v * 2
+    for number in (2, Fraction(1, 2), GaussianRational(0, 1)):
+        with pytest.raises(ValueError, match="unit mismatch"):
+            v + number
 
 
-@pytest.mark.parametrize("make", [
-    RationalXi.const,
-    GaussianRational,
-    ScalarPoly.const,
-    UnitValue,
-    sub_dirac_algebra(1, 1).scalar,
-], ids=["RationalXi", "GaussianRational", "ScalarPoly", "UnitValue", "CliffordElement"])
-@pytest.mark.parametrize("number", [5, Fraction(-3, 7), 0], ids=str)
+_MAKERS = {
+    "RationalXi": RationalXi.const,
+    "GaussianRational": GaussianRational,
+    "ScalarPoly": ScalarPoly.const,
+    "UnitValue": UnitValue,
+    "CliffordElement": sub_dirac_algebra(1, 1).scalar,
+}
+_PLAIN_NUMBERS = [5, Fraction(-3, 7), 0]
+# GaussianRational(re, im) takes its parts as rationals, not a Gaussian rational
+_GAUSSIAN_NUMBERS = [GaussianRational(Fraction(2, 3)), GaussianRational(1, -2)]
+
+
+@pytest.mark.parametrize("make, number", [
+    pytest.param(make, number, id=f"{number}-{name}")
+    for name, make in _MAKERS.items()
+    for number in _PLAIN_NUMBERS + (_GAUSSIAN_NUMBERS if name != "GaussianRational" else [])
+])
 def test_hash_agrees_with_eq_against_numbers(make, number):
     # a value equal to a number hashes as that number, so dict lookups agree with ==
     value = make(number)

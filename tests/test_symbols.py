@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from wres.boundary import get_scenario, registered_scenarios
 from wres.clifford import CliffordElement
 from wres.symbolic import GR_I, RationalXi, ScalarPoly, reduce_unit_norm
 from wres.symbols import (
+    conn,
+    connection_word,
     foliation_model,
     h1_poly,
+    omega,
     sigma0_DF,
     sigma1_D,
     sigma_minus1_Dinv,
@@ -239,3 +243,48 @@ def test_projected_normal_piece_trace(model):
     got = got.map_coeffs(lambda p: reduce_unit_norm(p, model.coords))
     want = RationalXi([GR_I, GaussianRational(-1), GaussianRational(0, -2)], 4, 3) * (h1 * -8)
     assert got == want
+
+
+def _connection_word_by_products(model, k):
+    """W_k as a sum of Clifford products of one-generator elements, each
+    rescaled by its connection coefficient."""
+    leaf, perp, idx = model.leaf_gens, model.perp_gens, model.gen_index
+    half = Fraction(1, 2)
+    acc = model.algebra.element()
+    for fa in leaf:
+        for fb in leaf:
+            w = omega(idx(fa), idx(fb), k)
+            if not w.is_zero():
+                acc = acc + (model.gen_elem(fa) * model.gen_elem(fb)) * (w * half)
+    for hr in perp:
+        for ht in perp:
+            w = omega(idx(hr), idx(ht), k)
+            if w.is_zero():
+                continue
+            hat = model.gen_elem(model.hatted(hr)) * model.gen_elem(model.hatted(ht))
+            reg = model.gen_elem(hr) * model.gen_elem(ht)
+            acc = acc - (hat - reg) * (w * half)
+    for fj in leaf:
+        for hs in perp:
+            w = conn(k, idx(fj), idx(hs))
+            if not w.is_zero():
+                acc = acc - (model.gen_elem(fj) * model.gen_elem(hs)) * w
+    return acc
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda key=key: get_scenario(*key).model for key in registered_scenarios()),
+    lambda: foliation_model(3, 3, 16),
+    lambda: foliation_model(1, 5, 32),
+    lambda: foliation_model(0, 6, 64),
+], ids=[*(f"scenario{n}_{p1}{p2}" for n, p1, p2 in registered_scenarios()),
+        "p3q3", "p1q5", "p0q6"])
+def test_connection_word_matches_the_clifford_products(make):
+    model = make()
+    for k in range(model.n):
+        got = connection_word(model, k)
+        want = _connection_word_by_products(model, k)
+        assert got == want
+        assert not got.is_zero()
+        assert all(c.num and len(c.num) == 1 and not c.mp and not c.mm
+                   for c in got.terms.values())
