@@ -3,7 +3,9 @@ coefficients, warped-model evaluations, and the randomized oracle suites.
 
 Each subcommand returns its report, and ``main`` writes it and derives the
 exit status from the report's ``checks``: 0 when every check passes, 1 when
-one fails.  Bad input exits 2 with a single ``error:`` line on stderr.
+one fails.  Bad input, a usage error included, exits 2 with a single
+``error:`` line on stderr.  Each subcommand imports the wres modules it runs,
+so a process loads only what its command uses.
 
 JSON reports are deterministic: keys sorted, rationals printed as "num/den",
 complex values as {"re","im"}, and no timing data.
@@ -11,23 +13,20 @@ complex values as {"re","im"}, and no timing data.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
 import sys
 import time
 from fractions import Fraction
-
-from . import boundary, heat, oracles, warped
-from .symbolic import UnitValue
+from types import SimpleNamespace
 
 
 class BadInput(Exception):
     """Input the program rejects: ``main`` prints ``error: <message>`` and exits 2."""
 
 
-def _uv_obj(v: UnitValue, numeric_units: dict | None = None):
+def _uv_obj(v, numeric_units: dict | None = None):
     """The exact value, plus its float rendering when every unit has a
     numeric value and the result fits a float."""
     obj = v.json_obj()
@@ -45,6 +44,8 @@ def _uv_obj(v: UnitValue, numeric_units: dict | None = None):
 # ---------------------------------------------------------------------------
 
 def cmd_verify_boundary(args) -> dict:
+    from . import boundary
+
     p1, p2 = args.powers
     try:
         scenario = boundary.get_scenario(args.dim, p1, p2)
@@ -142,6 +143,8 @@ def _parse_config(path: str) -> dict:
 
 
 def cmd_heat(args) -> dict:
+    from . import heat
+
     try:
         cfg = _parse_config(args.config)
     except ValueError as exc:  # a malformed line, or bytes that are not text
@@ -210,6 +213,8 @@ def cmd_rw(args) -> dict:
 
 
 def _rw_report(args) -> dict:
+    from . import heat, warped
+
     if args.cutoff_scale is not None and not args.cutoff_scale > 0:
         raise ValueError(f"--lambda must be positive (got {args.cutoff_scale})")
     tol = warped.QUAD_TOL
@@ -247,6 +252,8 @@ def _rw_report(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args) -> dict:
+    from . import oracles
+
     if args.count < 0:
         raise BadInput(f"--count must be nonnegative (got {args.count})")
     results = []
@@ -264,15 +271,22 @@ def cmd_oracle(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# command line
 # ---------------------------------------------------------------------------
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
 
 def _powers(text: str) -> tuple[int, int]:
     try:
         p1, p2 = (int(x) for x in text.split(","))
         return p1, p2
     except ValueError:
-        raise argparse.ArgumentTypeError("powers must look like '1,1'")
+        raise ValueError("powers must look like '1,1'") from None
 
 
 def _finite(text: str) -> float:
@@ -281,86 +295,122 @@ def _finite(text: str) -> float:
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return x
 
 
 def _interval(text: str) -> tuple[float, float]:
     a, comma, b = text.partition(",")
     if not comma:
-        raise argparse.ArgumentTypeError("interval must look like '0,1'")
+        raise ValueError("interval must look like '0,1'")
     return _finite(a), _finite(b)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wres",
-        description="Exact boundary-residue tables, heat coefficients and "
-                    "warped-model spectral actions.")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of a flag that must be given
 
-    vb = sub.add_parser("verify-boundary", help="run a registered boundary scenario")
-    vb.add_argument("--dim", type=int, required=True,
-                    help="boundary dimension scenario (3, 4, 5 or 6)")
-    vb.add_argument("--powers", type=_powers, required=True, metavar="P1,P2")
-    vb.add_argument("--p", type=int, default=None, help="override leaf dimension")
-    vb.add_argument("--q", type=int, default=None, help="override codimension")
-    vb.add_argument("--json", metavar="PATH", default=None)
-    vb.set_defaults(fn=cmd_verify_boundary)
+_JSON = ("--json", "json", str, None, "PATH", "write the report to PATH, not stdout")
 
-    he = sub.add_parser("heat", help="heat coefficients from a curvature file")
-    he.add_argument("--config", required=True, metavar="FILE")
-    he.add_argument("--json", metavar="PATH", default=None)
-    he.set_defaults(fn=cmd_heat)
+# command -> (handler, help line, flags); a flag is (name, destination,
+# converter, default or REQUIRED, metavar, help)
+COMMANDS = {
+    "verify-boundary": (cmd_verify_boundary, "run a registered boundary scenario", (
+        ("--dim", "dim", _int, REQUIRED, "N", "boundary dimension scenario (3, 4, 5 or 6)"),
+        ("--powers", "powers", _powers, REQUIRED, "P1,P2", "symbol powers of the scenario"),
+        ("--p", "p", _int, None, "P", "override leaf dimension"),
+        ("--q", "q", _int, None, "Q", "override codimension"),
+        _JSON)),
+    "heat": (cmd_heat, "heat coefficients from a curvature file", (
+        ("--config", "config", str, REQUIRED, "FILE", "'key = value' lines, '#' comments"),
+        _JSON)),
+    "rw": (cmd_rw, "warped-model spectral action", (
+        ("--f", "f", str, REQUIRED, "EXPR", "warp function of t"),
+        ("--interval", "interval", _interval, REQUIRED, "A,B", "the interval of t"),
+        ("--curv", "curv", _finite, 0.0, "C", "constant curvature of the base"),
+        ("--base-vol", "base_vol", _finite, 1.0, "V", "volume of the base"),
+        ("--lambda", "cutoff_scale", _finite, None, "L", "cutoff scale of the spectral action"),
+        _JSON)),
+    "oracle": (cmd_oracle, "randomized oracle suites", (
+        ("--seed", "seed", _int, 0, "N", "seed of the random inputs"),
+        ("--count", "count", _int, 100, "N", "inputs per suite"),
+        _JSON)),
+}
 
-    rw = sub.add_parser("rw", help="warped-model spectral action")
-    rw.add_argument("--f", required=True, metavar="EXPR")
-    rw.add_argument("--interval", type=_interval, required=True, metavar="A,B")
-    rw.add_argument("--curv", type=_finite, default=0.0)
-    rw.add_argument("--base-vol", type=_finite, default=1.0)
-    rw.add_argument("--lambda", dest="cutoff_scale", type=_finite, default=None)
-    rw.add_argument("--json", metavar="PATH", default=None)
-    rw.set_defaults(fn=cmd_rw)
-
-    orc = sub.add_parser("oracle", help="randomized oracle suites")
-    orc.add_argument("--seed", type=int, default=0)
-    orc.add_argument("--count", type=int, default=100)
-    orc.add_argument("--json", metavar="PATH", default=None)
-    orc.set_defaults(fn=cmd_oracle)
-    return parser
+_HELP = ("-h", "--help")
 
 
-# Options whose values may start with "-": argparse reads a spaced "-1,1" or
-# "-1e-3" as an option name unless it is joined as "--interval=-1,1".
-_NUMERIC_OPTIONS = ("--interval", "--curv", "--base-vol", "--lambda", "--powers")
+def usage(command: str | None = None) -> str:
+    """The help text of one command, or of all of them."""
+    lines = [f"usage: wres {command or '<command>'} [--flag value | --flag=value]...", ""]
+    if command is None:
+        lines += ["Exact boundary-residue tables, heat coefficients and "
+                  "warped-model spectral actions.", ""]
+    for name in [command] if command else COMMANDS:
+        _, help_line, flags = COMMANDS[name]
+        lines.append(f"wres {name}: {help_line}")
+        for flag, _, _, default, metavar, text in flags:
+            if default is REQUIRED:
+                text += " (required)"
+            elif default is not None:
+                text += f" (default {default})"
+            lines.append(f"  {flag + ' ' + metavar:<18}{text}")
+        lines.append("")
+    lines.append("A value may start with '-', as in --interval -1,1.")
+    return "\n".join(lines)
 
 
-def _is_number_list(text: str) -> bool:
-    try:
-        for part in text.split(","):
-            float(part)
-    except ValueError:
-        return False
-    return True
+def parse_args(argv: list[str]):
+    """The command and its flag values as a namespace, or the usage text when
+    ``-h`` or ``--help`` stands where a command or a flag may.
 
-
-def _join_numeric_values(argv: list[str]) -> list[str]:
-    out, i = [], 0
+    The grammar is ``wres <command> [--flag value | --flag=value]...``.  The
+    token after a flag is its value even when it starts with "-", a repeated
+    flag keeps its last value, and only exact flag names are accepted.  Every
+    usage error raises BadInput.
+    """
+    if not argv:
+        raise BadInput(f"no command given; choose from {', '.join(COMMANDS)}")
+    command = argv[0]
+    if command in _HELP:
+        return usage()
+    if command not in COMMANDS:
+        raise BadInput(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
+    flags = {spec[0]: spec for spec in COMMANDS[command][2]}
+    values = {}
+    i = 1
     while i < len(argv):
-        if argv[i] in _NUMERIC_OPTIONS and i + 1 < len(argv) and _is_number_list(argv[i + 1]):
-            out.append(f"{argv[i]}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
+        token = argv[i]
+        if token in _HELP:
+            return usage(command)
+        name, joined, value = token.partition("=")
+        if name not in flags:
+            raise BadInput(f"unrecognized argument {token!r} for {command}")
+        if not joined:
             i += 1
-    return out
+            if i == len(argv):
+                raise BadInput(f"argument {name}: expected one value")
+            value = argv[i]
+        _, dest, convert, _, _, _ = flags[name]
+        try:
+            values[dest] = convert(value)
+        except ValueError as exc:
+            raise BadInput(f"argument {name}: {exc}") from None
+        i += 1
+    missing = [flag for flag, dest, _, default, _, _ in flags.values()
+               if default is REQUIRED and dest not in values]
+    if missing:
+        raise BadInput(f"{command} needs {', '.join(missing)}")
+    for _, dest, _, default, _, _ in flags.values():
+        values.setdefault(dest, default)
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
-    argv = _join_numeric_values(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
     try:
-        report = args.fn(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # -h or --help
+            print(args)
+            return 0
+        report = COMMANDS[args.command][0](args)
         try:
             text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:  # a float that overflowed to inf

@@ -52,7 +52,9 @@ class GaussianRational:
 
     def __add__(self, other):
         if other.__class__ is not GaussianRational:
-            other = _as_gr(other)
+            other = _gr_operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         d = self.d
         if d == other.d:
             return _reduced(self.a + other.a, self.b + other.b, d)
@@ -62,14 +64,18 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-_as_gr(other))
+        other = _gr_operand(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return _as_gr(other) - self
+        other = _gr_operand(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other):
         if other.__class__ is not GaussianRational:
-            other = _as_gr(other)
+            other = _gr_operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
@@ -83,10 +89,12 @@ class GaussianRational:
         return _reduced(self.d * self.a, -self.d * self.b, n)
 
     def __truediv__(self, other):
-        return self * _as_gr(other).inverse()
+        other = _gr_operand(other)
+        return NotImplemented if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _as_gr(other) * self.inverse()
+        other = _gr_operand(other)
+        return NotImplemented if other is NotImplemented else other * self.inverse()
 
     def __neg__(self):
         return _gr(-self.a, -self.b, self.d)
@@ -151,14 +159,26 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _gr(a // g, b // g, d // g)
 
 
-def _as_gr(x) -> GaussianRational:
+# The binary operators of the three coefficient types coerce an operand of a
+# lower type and return NotImplemented for any other, so that Python runs the
+# other operand's reflected method: GaussianRational * ScalarPoly is the
+# polynomial's __rmul__, and a str operand ends in TypeError.
+
+def _gr_operand(x):
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, int):
         return _gr(int(x), 0, 1)
     if isinstance(x, Fraction):
         return _gr(x.numerator, 0, x.denominator)
-    raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+    return NotImplemented
+
+
+def _as_gr(x) -> GaussianRational:
+    y = _gr_operand(x)
+    if y is NotImplemented:
+        raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+    return y
 
 
 GR_ZERO = GaussianRational(0)
@@ -213,7 +233,9 @@ class ScalarPoly:
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other):
-        other = _as_poly(other)
+        other = _poly_operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         out = dict(self.terms)
         for m, x in other.terms.items():
             out[m] = out[m] + x if m in out else x
@@ -225,17 +247,20 @@ class ScalarPoly:
         return _sp({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
+        other = _poly_operand(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return _as_poly(other) + (-self)
+        other = _poly_operand(other)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
         """A constant operand (a number, or one term on the empty monomial)
         returns or scales the other operand; only two polynomials take the
         double loop."""
         if other.__class__ is not ScalarPoly:
-            return self._scaled(_as_gr(other))
+            other = _gr_operand(other)
+            return NotImplemented if other is NotImplemented else self._scaled(other)
         a, b = self.terms, other.terms
         if len(b) == 1 and _EMPTY in b:
             return self._scaled(b[_EMPTY])
@@ -370,12 +395,19 @@ def _sp(terms: dict) -> ScalarPoly:
     return x
 
 
-def _as_poly(x) -> ScalarPoly:
+def _poly_operand(x):
     if isinstance(x, ScalarPoly):
         return x
     if isinstance(x, (int, Fraction, GaussianRational)):
         return ScalarPoly.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to ScalarPoly")
+    return NotImplemented
+
+
+def _as_poly(x) -> ScalarPoly:
+    y = _poly_operand(x)
+    if y is NotImplemented:
+        raise TypeError(f"cannot coerce {type(x).__name__} to ScalarPoly")
+    return y
 
 
 def reduce_unit_norm(poly: ScalarPoly, coords: Iterable[str]) -> ScalarPoly:
@@ -464,7 +496,9 @@ class RationalXi:
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
-        other = _as_rx(other)
+        other = _rx_operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         mp = max(self.mp, other.mp)
         mm = max(self.mm, other.mm)
         return RationalXi(_poly_add(self._raised(mp, mm), other._raised(mp, mm)), mp, mm)
@@ -475,15 +509,18 @@ class RationalXi:
         return RationalXi([-c for c in self.num], self.mp, self.mm)
 
     def __sub__(self, other):
-        return self + (-_as_rx(other))
+        other = _rx_operand(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return _as_rx(other) + (-self)
+        other = _rx_operand(other)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
             return RationalXi([p * other for p in self.num], self.mp, self.mm)
-        other = _as_rx(other)
+        if other.__class__ is not RationalXi:
+            return NotImplemented
         a, b = self.num, other.num
         if len(b) == 1:  # a constant numerator, such as inv_norm_sq's
             num = [x * b[0] for x in a]
@@ -496,7 +533,8 @@ class RationalXi:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return (self - _as_rx(other)).is_zero()
+        other = _rx_operand(other)
+        return NotImplemented if other is NotImplemented else (self - other).is_zero()
 
     def __hash__(self):
         r = self._normalize()
@@ -604,12 +642,12 @@ class RationalXi:
         return f"[{num}] / [{den or '1'}]"
 
 
-def _as_rx(x) -> RationalXi:
+def _rx_operand(x):
     if isinstance(x, RationalXi):
         return x
     if isinstance(x, (int, Fraction, GaussianRational, ScalarPoly)):
         return RationalXi((x,), 0, 0)
-    raise TypeError(f"cannot coerce {type(x).__name__} to RationalXi")
+    return NotImplemented
 
 
 # Dense coefficient lists of ScalarPoly, constant term first.

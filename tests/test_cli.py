@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, report schema, and determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -7,6 +8,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wres import boundary, oracles, warped
+from wres import boundary, cli, oracles, warped
 from wres.cli import main
 from wres.symbolic import UnitValue
 
@@ -252,6 +254,25 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
                  "nested deeper than 100 levels (at offset 199)", id="rw-1501-term-sum"),
     pytest.param(["oracle", "--count", "-3", "--seed", "1"], None, {}, 2,
                  "--count must be nonnegative", id="oracle-negative-count"),
+    # usage errors: one error line as well, no usage text
+    pytest.param([], None, {}, 2, "no command given", id="usage-no-command"),
+    pytest.param(["bogus"], None, {}, 2, "unknown command 'bogus'", id="usage-unknown-command"),
+    pytest.param(RW_EXP + ["--nope", "1"], None, {}, 2, "unrecognized argument '--nope'",
+                 id="usage-unknown-flag"),
+    pytest.param(["rw", "--f", "exp(t)", "--int", "0,1"], None, {}, 2,
+                 "unrecognized argument '--int'", id="usage-flag-prefix"),
+    pytest.param(["rw", "--f", "exp(t)", "--interval"], None, {}, 2,
+                 "argument --interval: expected one value", id="usage-flag-without-value"),
+    pytest.param(["verify-boundary", "--dim", "4"], None, {}, 2, "needs --powers",
+                 id="usage-missing-required"),
+    pytest.param(["oracle", "--count", "x"], None, {}, 2, "invalid int value: 'x'",
+                 id="usage-bad-int"),
+    pytest.param(["rw", "--f", "exp(t)", "--interval", "0"], None, {}, 2,
+                 "interval must look like '0,1'", id="usage-bad-interval"),
+    pytest.param(["verify-boundary", "--dim", "4", "--powers", "a,b"], None, {}, 2,
+                 "powers must look like '1,1'", id="usage-bad-powers"),
+    pytest.param(["--help"], None, {}, 0, "", id="help"),
+    pytest.param(["rw", "--help"], None, {}, 0, "", id="rw-help"),
 ])
 def test_exit_contract(argv, config, env, code, message, tmp_path):
     # bad input exits 2 with a one-line error; no traceback ever reaches stderr
@@ -265,7 +286,11 @@ def test_exit_contract(argv, config, env, code, message, tmp_path):
     assert message in proc.stderr
     if code == 0:
         assert proc.stderr == ""
-    if code == 2 and "usage:" not in proc.stderr:  # argparse prints its own usage line
+        if "--help" in argv:
+            assert proc.stdout.startswith("usage: wres ")
+        else:
+            json.loads(proc.stdout)
+    if code == 2:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
 
@@ -421,6 +446,49 @@ def test_cli_generates_no_code_at_import(tmp_path):
         assert proc.stdout.strip() == "[]", argv
 
 
+def _modules_loaded(code, cwd):
+    """The modules a fresh process has loaded after running ``code``."""
+    proc = subprocess.run([sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+                          cwd=cwd, env=_cli_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (code, proc.stderr)
+    return set(proc.stdout.split())
+
+
+def test_import_footprint(tmp_path):
+    """``import wres.cli`` loads no argument parser, no translation machinery
+    and none of the modules its subcommands import on demand, and each
+    subcommand loads only what it uses: compared with a bare interpreter,
+    which may load some of them at start-up on its own, each in a fresh
+    process."""
+    (tmp_path / "closed.cfg").write_text("p = 2\nq = 2\nr = 1\nr2 = 3/2\nvol = 2\n")
+    bare = _modules_loaded("pass", tmp_path)
+    lazy = {"wres.heat", "wres.warped", "wres.oracles"}
+    added = _modules_loaded("import wres.cli", tmp_path) - bare
+    assert not added & ({"argparse", "gettext", "locale"} | lazy)
+    assert _modules_loaded("import wres", tmp_path) - bare == {"wres"}
+    for argv, unused in [
+        (["verify-boundary", "--dim", "3", "--powers", "1,1"], lazy),
+        (["rw", "--f", "exp(t)", "--interval", "0,1", "--lambda", "2"], {"wres.oracles"}),
+        (["heat", "--config", "closed.cfg"], {"wres.oracles", "wres.warped"}),
+    ]:
+        code = ("from wres.cli import main\n"
+                f"assert main({argv + ['--json', 'out.json']!r}) == 0")
+        assert not _modules_loaded(code, tmp_path) & unused, argv
+
+
+def test_every_package_name_imports():
+    import wres
+
+    code = "\n".join(f"from wres import {name}" for name in wres.__all__)
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in wres.__all__:
+        assert getattr(wres, name).__module__.startswith("wres."), name
+    with pytest.raises(AttributeError):
+        wres.no_such_name  # noqa: B018
+
+
 CONFIG_KEYS =["p", "q", "n", "total_dim", "r", "r2", "riem2", "vol", "bvol", "L_aa",
                "r_N", "r_bd", "nope"]
 text_chars = st.characters(blacklist_categories=("Cs",))
@@ -452,14 +520,10 @@ config_texts = st.builds(
 
 
 def _main_quietly(argv):
-    """cli.main's exit code and stdout, or 2 when argparse rejects argv."""
+    """cli.main's exit code and stdout."""
     out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    except SystemExit as exc:
-        assert exc.code == 2
-        code = 2
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
     return code, out.getvalue()
 
 
@@ -572,14 +636,8 @@ def _resolve(argv, root):
 def test_argv_exit_contract_fuzz(tmp_path_factory, data):
     root = _fuzz_dir(tmp_path_factory.mktemp("argv"))
     argv = _resolve(_fuzz_argv(lambda seq: data.draw(st.sampled_from(seq))), root)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
-        assert exc.code in (0, 2)
-    else:
-        assert code in (0, 1, 2)
+    code, _ = _main_quietly(argv)
+    assert code in (0, 1, 2)
 
 
 @pytest.mark.parametrize("command", list(ARGV_FLAGS))
@@ -591,3 +649,152 @@ def test_argv_fuzz_sample_prints_no_traceback(command, tmp_path):
                           env=_cli_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# The argparse command line that cli.parse_args replaced, kept as the reference
+# of what every valid command line means.  Its converters were the same
+# functions, raising argparse.ArgumentTypeError instead of ValueError.
+def _argparse_parser():
+    parser = argparse.ArgumentParser(prog="wres")
+    sub = parser.add_subparsers(dest="command", required=True)
+    vb = sub.add_parser("verify-boundary")
+    vb.add_argument("--dim", type=int, required=True)
+    vb.add_argument("--powers", type=cli._powers, required=True)
+    vb.add_argument("--p", type=int, default=None)
+    vb.add_argument("--q", type=int, default=None)
+    vb.add_argument("--json", default=None)
+    he = sub.add_parser("heat")
+    he.add_argument("--config", required=True)
+    he.add_argument("--json", default=None)
+    rw = sub.add_parser("rw")
+    rw.add_argument("--f", required=True)
+    rw.add_argument("--interval", type=cli._interval, required=True)
+    rw.add_argument("--curv", type=cli._finite, default=0.0)
+    rw.add_argument("--base-vol", type=cli._finite, default=1.0)
+    rw.add_argument("--lambda", dest="cutoff_scale", type=cli._finite, default=None)
+    rw.add_argument("--json", default=None)
+    orc = sub.add_parser("oracle")
+    orc.add_argument("--seed", type=int, default=0)
+    orc.add_argument("--count", type=int, default=100)
+    orc.add_argument("--json", default=None)
+    return parser
+
+
+def _join_numeric_values(argv):
+    """argparse reads a spaced "-1,1" or "-1e-3" as an option name, so these
+    values were joined to their option as "--interval=-1,1"."""
+    def is_number_list(text):
+        try:
+            for part in text.split(","):
+                float(part)
+        except ValueError:
+            return False
+        return True
+
+    out, i = [], 0
+    while i < len(argv):
+        if (argv[i] in ("--interval", "--curv", "--base-vol", "--lambda", "--powers")
+                and i + 1 < len(argv) and is_number_list(argv[i + 1])):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
+def _argparse_values(argv):
+    """The argparse reading of argv as a dict, or None when it rejects argv."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args = _argparse_parser().parse_args(_join_numeric_values(argv))
+    except SystemExit as exc:
+        assert exc.code == 2
+        return None
+    return vars(args)
+
+
+def _parse_values(argv):
+    try:
+        return vars(cli.parse_args(argv))
+    except cli.BadInput:
+        return None
+
+
+def _readme_argvs():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.replace("[", "").replace("]", ""))[1:]
+            for line in block.splitlines() if line.startswith("wres ")]
+
+
+# per flag, values to pass spaced and joined; negative numbers included
+FLAG_VALUES = {
+    "--dim": ["4", "-2"], "--powers": ["2,1", "-1,1"], "--p": ["2", "-1"], "--q": ["0", "-3"],
+    "--json": ["out.json"], "--config": ["in.cfg"], "--f": ["exp(t)", "2+t"],
+    "--interval": ["0,1", "-1,1", "-0.5,0.5", "1e-3,2"], "--curv": ["1", "-1", "-1e-3", "-1.0"],
+    "--base-vol": ["2", "-1", "0.5"], "--lambda": ["2", "-2", "1e-3"],
+    "--seed": ["7", "-5", "99999999999999999999"], "--count": ["0", "-3"],
+}
+BASE_ARGVS = {
+    "verify-boundary": ["verify-boundary", "--dim", "4", "--powers", "1,1"],
+    "heat": ["heat", "--config", "h.cfg"],
+    "rw": ["rw", "--f", "t", "--interval", "0.5,1.5"],
+    "oracle": ["oracle"],
+}
+
+
+def _valid_argvs():
+    workloads = _perfbench_module("workloads")
+    argvs = [op["argv"] for op in workloads.fixed_ops() if op["kind"] == "cli"]
+    for seed in (1, 2, 3):
+        argvs += [op["argv"] for block in range(3)
+                  for op in workloads.block_ops("warped-heat", seed, block)]
+    argvs += _readme_argvs()
+    for command, base in BASE_ARGVS.items():
+        argvs.append(base)
+        for flag, *_ in cli.COMMANDS[command][2]:
+            for value in FLAG_VALUES[flag]:
+                argvs += [base + [flag, value], base + [f"{flag}={value}"]]
+    return argvs
+
+
+def test_parser_agrees_with_argparse_on_valid_command_lines():
+    argvs = _valid_argvs()
+    assert len(argvs) > 100
+    for argv in argvs:
+        values = _parse_values(argv)
+        assert values is not None, argv
+        assert values == _argparse_values(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--nope"], ["rw", "--nope", "1"], BASE_ARGVS["rw"] + ["--nope=1"],
+    BASE_ARGVS["rw"] + ["extra"], BASE_ARGVS["oracle"] + ["--count"],
+    ["rw", "--f", "t", "--interval"], ["verify-boundary", "--dim", "4"],
+    ["verify-boundary", "--powers", "1,1"], ["heat"], ["rw", "--interval", "0,1"],
+    ["oracle", "--count", "x"], ["oracle", "--seed", "1.5"], ["oracle", "--count="],
+    ["verify-boundary", "--dim", "x", "--powers", "1,1"],
+    ["rw", "--f", "t", "--interval", "0"], ["rw", "--f", "t", "--interval", "a,b"],
+    ["rw", "--f", "t", "--interval", "nan,1"], ["rw", "--f", "t", "--interval=1e309,2"],
+    BASE_ARGVS["rw"] + ["--curv", "inf"],
+    ["verify-boundary", "--dim", "4", "--powers", "1"],
+    ["verify-boundary", "--dim", "4", "--powers", "1,1,1"],
+    ["verify-boundary", "--dim", "4", "--powers=a,b"],
+], ids=shlex.join)
+def test_parser_and_argparse_both_reject(argv):
+    assert _argparse_values(argv) is None
+    assert _parse_values(argv) is None
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["oracle", "--seed", "1", "-h"]])
+def test_help_prints_usage(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("usage: wres ")
+    commands = [argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS)
+    for command in commands:
+        for flag, *_ in cli.COMMANDS[command][2]:
+            assert f"  {flag} " in out

@@ -327,9 +327,7 @@ def test_poly_constant_products_match_the_general_product():
             want = _general_poly_mul(p, ScalarPoly.const(c))
             for form in _forms(c):
                 _assert_same_terms(p * form, want)
-                # GaussianRational.__mul__ takes no polynomial, so it stays on the right
-                if not isinstance(form, GaussianRational):
-                    _assert_same_terms(form * p, want)
+                _assert_same_terms(form * p, want)
                 if isinstance(form, ScalarPoly):
                     assert list(form.terms.items()) == list(ScalarPoly.const(c).terms.items())
         q = _rand_poly(rng)
@@ -367,6 +365,26 @@ def test_rational_xi_one_coefficient_products_match_the_general_product():
                     _assert_same_terms(x, y)
         assert [(f.num, f.mp, f.mm), (g.num, g.mp, g.mm)] == before
         assert [[list(c.terms.items()) for c in h.num] for h in (f, g)] == items
+
+
+def test_mixed_type_operators_defer_to_the_wider_type():
+    # an operand of a wider type makes the narrower one return NotImplemented,
+    # so that the wider type's reflected method runs
+    x, xi, i = ScalarPoly.symbol("x"), RationalXi.xi(), GaussianRational(0, 1)
+    assert i * x == x * i == ScalarPoly({(("x", 1),): i})
+    assert x * xi == xi * x == RationalXi([0, x])
+    assert x + xi == xi + x == RationalXi([x, 1])
+    assert GaussianRational(1) - x == -(x - 1)
+    assert x - xi == -(xi - x)
+    assert i + x == x + i and (i / 2) * xi == xi * (i / 2)
+    assert GaussianRational(3) * UnitValue.unit("pi") == UnitValue.unit("pi", coeff=3)
+    for value in (GaussianRational(1), x, xi):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(value, "s")
+            with pytest.raises(TypeError):
+                op("s", value)
+    assert xi != "s" and x != "s" and GaussianRational(1) != "s"
 
 
 def test_coefficient_list_product_matches_the_general_product():
