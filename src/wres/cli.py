@@ -4,8 +4,10 @@ coefficients, warped-model evaluations, and the randomized oracle suites.
 Each subcommand returns its report, and ``main`` writes it and derives the
 exit status from the report's ``checks``: 0 when every check passes, 1 when
 one fails.  Bad input, a usage error included, exits 2 with a single
-``error:`` line on stderr.  Each subcommand imports the wres modules it runs,
-so a process loads only what its command uses.
+``error:`` line on stderr.  A reader that closes stdout early (``| head``)
+is not an error: the rest of the output is dropped and the status stands.
+Each subcommand imports the wres modules it runs, so a process loads only
+what its command uses.
 
 JSON reports are deterministic: keys sorted, rationals printed as "num/den",
 complex values as {"re","im"}, and no timing data.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -404,11 +407,24 @@ def parse_args(argv: list[str]):
     return SimpleNamespace(command=command, **values)
 
 
+def _print(text: str) -> None:
+    """Print ``text`` to stdout.  If the reader has closed the pipe, drop
+    the rest: stdout is pointed at the null device, so neither this write
+    nor the flush at exit raises."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if isinstance(args, str):  # -h or --help
-            print(args)
+            _print(args)
             return 0
         report = COMMANDS[args.command][0](args)
         try:
@@ -419,7 +435,7 @@ def main(argv=None) -> int:
             with open(args.json, "w") as fh:
                 fh.write(text + "\n")
         else:
-            print(text)
+            _print(text)
     except (BadInput, OSError) as exc:  # OSError: e.g. a --json path in a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,17 +19,26 @@ from .warped import VALUE_RULES, Jet3, _ast_to_string, compile_ast
 
 
 def _quad_complex(fn):
-    """Integral of the complex-valued fn over the real line."""
+    """Integral over the real line of ``fn``, a function of a panel's points
+    that returns the complex values there (``quadpack.quad_complex``)."""
     from .quadpack import quad_complex
 
     re, im = quad_complex(fn, epsabs=1e-12, epsrel=1e-11, limit=400)
     return complex(re.value, im.value)
 
 
-def _rational_function(f: RationalXi):
-    """f as a function of a complex point, its coefficients converted to
-    complex once.  The arithmetic is ``RationalXi.evaluate``'s, in its order,
-    so the values are the same floats."""
+def _rational_function(f: RationalXi, tables: dict | None = None):
+    """f as a function of a panel's points, a tuple of real floats, that
+    returns the list of its values there.
+
+    ``tables`` maps a panel's points to columns of their powers ``x ** k``
+    (k >= 1), ``(x - 1j) ** m`` and ``(x + 1j) ** m``, each column built the
+    first time a function needs it, so the integrands that share ``tables``
+    share them; without it the function keeps its own.  Each entry is
+    ``RationalXi.evaluate``'s expression on the same float, and the values
+    take its arithmetic in its order, one column at a time, so they are the
+    same floats.
+    """
     coeffs = []
     for poly in f.num:
         total = 0j
@@ -39,19 +48,40 @@ def _rational_function(f: RationalXi):
             total += complex(c)
         coeffs.append(total)
     mp, mm = f.mp, f.mm
+    # sum()'s additions, from the int 0: the first term, c * x ** 0 with
+    # x ** 0 == 1.0, is the same float at every point
+    head = 0 + coeffs[0] * 1.0 if coeffs else 0
+    rest = coeffs[1:]
+    if tables is None:
+        tables = {}
 
-    def value(xi):
-        # sum()'s additions, from the int 0, without its generator
-        num = 0
-        for k, c in enumerate(coeffs):
-            num += c * xi ** k
-        return num / ((xi - 1j) ** mp * (xi + 1j) ** mm)
-    return value
+    def values(nodes):
+        table = tables.get(nodes)
+        if table is None:
+            # (x - 1j) ** 0 and (x + 1j) ** 0 are (1+0j) at every point
+            one = [1+0j] * len(nodes)
+            table = tables[nodes] = ([], [one], [one])
+        powers, lower, upper = table
+        while len(powers) < len(rest):
+            k = len(powers) + 1
+            powers.append([x ** k for x in nodes])
+        while len(lower) <= mp:
+            m = len(lower)
+            lower.append([(x - 1j) ** m for x in nodes])
+        while len(upper) <= mm:
+            m = len(upper)
+            upper.append([(x + 1j) ** m for x in nodes])
+        nums = [head] * len(nodes)
+        for c, column in zip(rest, powers):
+            nums = [n + c * p for n, p in zip(nums, column)]
+        return [n / (lo * up) for n, lo, up in zip(nums, lower[mp], upper[mm])]
+    return values
 
 
-def numeric_line_integral(f: RationalXi) -> complex:
-    """Adaptive quadrature of the rational function over the real line."""
-    return _quad_complex(_rational_function(f))
+def numeric_line_integral(f: RationalXi, tables: dict | None = None) -> complex:
+    """Adaptive quadrature of the rational function over the real line;
+    ``tables`` as for ``_rational_function``."""
+    return _quad_complex(_rational_function(f, tables))
 
 
 def numeric_pi_plus(f: RationalXi, x0: float, drop: float = 0.5) -> complex:
@@ -61,14 +91,13 @@ def numeric_pi_plus(f: RationalXi, x0: float, drop: float = 0.5) -> complex:
     if not 0 < drop < 1:
         raise ValueError("contour must sit strictly between the axis and the lower pole")
     shift = -1j * drop
-    value = _rational_function(f)
 
     def integrand(t):
         eta = t + shift
-        return value(eta) / (eta - x0)
+        return f.evaluate(eta) / (eta - x0)
 
-    integral = _quad_complex(integrand)
-    return value(x0) - integral / (2j * math.pi)
+    integral = _quad_complex(lambda nodes: [integrand(t) for t in nodes])
+    return f.evaluate(x0) - integral / (2j * math.pi)
 
 
 def fd_jet(fn, t: float, h: float = 1e-3):
@@ -244,10 +273,12 @@ def run_quadrature_oracle(seed: int, count: int, rel_tol: float = 1e-8) -> dict:
     worst = 0.0
     failures = 0
     first_failure = None
+    # the integrands' power tables, shared by this run and dropped with it
+    tables: dict = {}
     for index in range(count):
         f = random_rational_xi(rng)
         exact = complex(f.integrate_pi_coefficient().constant_value()) * math.pi
-        approx = numeric_line_integral(f)
+        approx = numeric_line_integral(f, tables)
         err = abs(exact - approx) / max(abs(exact), 1e-6)
         worst = max(worst, err)
         if err > rel_tol:

@@ -4,17 +4,18 @@ A line-by-line transcription of the double-precision routines dqagse,
 dqagie, dqk21, dqk15i, dqpsrt and dqelg of R. Piessens, E. de
 Doncker-Kapenga, C. W. Ueberhuber and D. K. Kahaner, *QUADPACK* (Springer,
 1983).  Every floating-point operation keeps the published order and the
-integrand is called one scalar point at a time in the published order, so
+integrand is asked for the published points in the published order, so
 value and error estimate equal, bit for bit, those of the compiled QUADPACK
 behind ``scipy.integrate.quad``.  Where Python would raise on a division by
 zero or an overflowing power, the IEEE value is used, as compiled code gets.
 
-``quad_complex`` integrates a complex-valued integrand over the real line.
-Its 15-point rule evaluates each point once and carries the real and the
-imaginary sums side by side, and dqagie runs once per part over panels the
-two runs share; bit identity holds per part: each equals
-``scipy.integrate.quad`` of that part.  ``quad``'s infinite ranges run the
-same rule and keep its real part.
+``quad`` calls its integrand one scalar point at a time.  ``quad_complex``
+integrates a complex-valued integrand over the real line and calls it once
+per panel of the 15-point rule, with the tuple of that panel's 30 points,
+so that an integrand can compute a whole panel at once.  dqagie runs once
+per part over panels the two runs share, and bit identity holds per part:
+each equals ``scipy.integrate.quad`` of that part.  Both share one dqk15i
+(``_qk15i``, the sums for one part) and one layout of each panel's points.
 
 The module also holds the 64- and 128-point Gauss-Legendre rules that the
 ``rw`` report's node-doubling check uses.
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple
+from operator import attrgetter
+from typing import Callable, NamedTuple, Sequence
 
 EPMACH = 2.0 ** -52
 UFLOW = sys.float_info.min
@@ -104,7 +106,8 @@ _WG7 = (
 # dqk21's two node loops: the Gauss nodes first, then the Kronrod-only ones
 _GAUSS21 = tuple((2 * j + 1, _XGK21[2 * j + 1], _WGK21[2 * j + 1], _WG10[j]) for j in range(5))
 _KRONROD21 = tuple((2 * j, _XGK21[2 * j], _WGK21[2 * j]) for j in range(5))
-_NODES15 = tuple(zip(_XGK15[:7], _WGK15[:7], _WG7[:7]))
+# dqk15i's (wgk, wg) for each abscissa pair
+_WEIGHTS15 = tuple(zip(_WGK15[:7], _WG7[:7]))
 
 # Gauss-Legendre rules of 64 and 128 points for warped.gauss_legendre_check:
 # the nodes in (0, 1), largest first, with their weights, as the shortest reprs
@@ -228,7 +231,8 @@ def quad(fn: Callable[[float], float], a: float, b: float, *,
 
     Dispatches as ``scipy.integrate.quad`` does: an empty interval gives 0,
     ``b < a`` integrates over ``[b, a]`` and negates, a finite interval runs
-    dqagse and an infinite one dqagie.
+    dqagse and an infinite one dqagie.  ``fn`` is called one point at a
+    time, in the published order.
     """
     if a == b:
         return QuadResult(0.0, 0.0, 0, 0)
@@ -237,39 +241,54 @@ def quad(fn: Callable[[float], float], a: float, b: float, *,
         def rule(lo, hi):
             return _qk21(fn, lo, hi)
         npts = 21
+    elif a == -math.inf and b == math.inf:
+        def rule(lo, hi):
+            panel = _panel(lo, hi)
+            return _qk15i(panel, _mirror_sums([float(fn(x)) for x in panel.nodes]))
+        npts = 30
+        a, b = 0.0, 1.0
     else:
-        inf = 2 if a == -math.inf and b == math.inf else (1 if b == math.inf else -1)
-        boun = 0.0 if inf == 2 else (a if inf == 1 else b)
+        # dqk15i's map x = boun + dinf*(1-t)/t onto [a, inf) or (-inf, b]
+        boun, dinf = (a, 1.0) if b == math.inf else (b, -1.0)
 
         def rule(lo, hi):
-            return _qk15i(fn, boun, inf, lo, hi)[0]
-        npts = 30 if inf == 2 else 15
+            panel = _panel(lo, hi)
+            return _qk15i(panel, [float(fn(boun + dinf * (1.0 - t) / t)) for t in panel.t])
+        npts = 15
         a, b = 0.0, 1.0
     value, abserr, ier, last = _qags(rule, a, b, epsabs, epsrel, limit)
     return QuadResult(-value if flip else value, abserr, ier, npts * (2 * last - 1) if last else 0)
 
 
-def quad_complex(fn: Callable[[float], complex], *, epsabs: float = 1.49e-8,
-                 epsrel: float = 1.49e-8, limit: int = 50) -> tuple[QuadResult, QuadResult]:
-    """Integral of the complex-valued ``fn`` over the whole real line, as one
-    ``QuadResult`` for the real part and one for the imaginary part.
+def quad_complex(fn: Callable[[tuple[float, ...]], Sequence[complex]], *,
+                 epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
+                 limit: int = 50) -> tuple[QuadResult, QuadResult]:
+    """Integral of a complex-valued integrand over the whole real line, as
+    one ``QuadResult`` for the real part and one for the imaginary part.
 
-    dqagie runs once per part, so each result equals ``quad`` of that part,
-    bit for bit, and ``neval`` is what that ``quad`` would count.  The two
-    runs share every panel they both bisect to: each panel's 30 integrand
-    calls are made once, and the imaginary run reuses the real run's sums.
+    ``fn`` is called once per panel of the 15-point rule, with the tuple of
+    that panel's 30 points in dqk15i's published order (the centre ``x`` and
+    ``-x``, then ``x1, x2, -x1, -x2`` for each abscissa), and returns the 30
+    values there.  dqagie runs once per part, so each result equals ``quad``
+    of that part, bit for bit, and ``neval`` is what that ``quad`` would
+    count.  The two runs share every panel they both bisect to: ``fn`` is
+    called once for it, and each run sums its own part of the values.
     """
-    panels = {}
+    # f(x) + f(-x) at each panel's 15 points: complex sums are componentwise
+    sums = {}
 
     def integrate(part):
+        take = attrgetter(part)
+
         def rule(lo, hi):
-            panel = panels.get((lo, hi))
-            if panel is None:
-                panel = panels[lo, hi] = _qk15i(fn, 0.0, 2, lo, hi)
-            return panel[part]
+            panel = _panel(lo, hi)
+            fvals = sums.get((lo, hi))
+            if fvals is None:
+                fvals = sums[lo, hi] = _mirror_sums(fn(panel.nodes))
+            return _qk15i(panel, map(take, fvals))
         value, abserr, ier, last = _qags(rule, 0.0, 1.0, epsabs, epsrel, limit)
         return QuadResult(value, abserr, ier, 30 * (2 * last - 1) if last else 0)
-    return integrate(0), integrate(1)
+    return integrate("real"), integrate("imag")
 
 
 def gauss_legendre(n: int) -> list[tuple[float, float]]:
@@ -354,73 +373,80 @@ def _qk21(f, a, b):
     return result, _rule_error(resk, resg, hlgth, resabs, resasc), resabs, resasc
 
 
-def _qk15i(f, boun, inf, a, b):
-    """dqk15i: the 15-point Kronrod rule on [a, b] within (0, 1], after the
-    map x = boun + dinf*(1-t)/t of the infinite range (and, for inf = 2, the
-    mirror image -x added).
+class _Panel(NamedTuple):
+    """dqk15i's geometry on [a, b] within (0, 1]: the half-length, the 15
+    points t (the centre, then centr - hlgth*x and centr + hlgth*x for each
+    abscissa x) and the 30 points of the whole line that they map to, the
+    centre's x = (1-t)/t and -x, then x1, x2, -x1, -x2 for each abscissa."""
+    hlgth: float
+    t: tuple[float, ...]
+    nodes: tuple[float, ...]
 
-    ``f`` may return complex values: each point is evaluated once, in the
-    published order, and the real and imaginary sums are carried side by
-    side, each part with dqk15i's float operations in their order.  Returns
-    one (result, abserr, resabs, resasc) per part, the real part first.
+
+# dyadic panels recur across integrals, so each is laid out once per process;
+# the bound keeps a long-lived process from growing without end (1.7 KB each)
+_PANELS: dict[tuple[float, float], _Panel] = {}
+_PANELS_MAX = 4096
+
+
+def _panel(a, b):
+    panel = _PANELS.get((a, b))
+    if panel is None:
+        centr = 0.5 * (a + b)
+        hlgth = 0.5 * (b - a)
+        t = [centr]
+        for x in _XGK15[:7]:
+            absc = hlgth * x
+            t += (centr - absc, centr + absc)
+        # the map of the whole line: boun = 0.0 and dinf = 1.0
+        x = [0.0 + 1.0 * (1.0 - s) / s for s in t]
+        nodes = [x[0], -x[0]]
+        for j in range(1, 15, 2):
+            nodes += (x[j], x[j + 1], -x[j], -x[j + 1])
+        panel = _Panel(hlgth, tuple(t), tuple(nodes))
+        if len(_PANELS) < _PANELS_MAX:
+            _PANELS[a, b] = panel
+    return panel
+
+
+def _mirror_sums(v):
+    """The 15 values f(x) + f(-x) of a whole-line panel from its 30 values
+    f(x), f(-x), f(x1), f(x2), f(-x1), f(-x2), ..."""
+    out = [v[0] + v[1]]
+    for j in range(2, 30, 4):
+        out += (v[j] + v[j + 2], v[j + 1] + v[j + 3])
+    return out
+
+
+def _qk15i(panel, fvals):
+    """dqk15i: the 15-point Kronrod rule on one panel, for one real part.
+
+    ``fvals`` yields the integrand's values at the panel's 15 points t (on
+    the whole line, f(x) + f(-x)); each is divided by t^2 and the sums run
+    in dqk15i's order.  Returns (result, abserr, resabs, resasc).
     """
     # no division below meets a zero: dqagie's ier = 4 test stops bisecting
     # before an interval near t = 0 shrinks below about 1e-305
-    dinf = float(min(1, inf))
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    tabsc1 = boun + dinf * (1.0 - centr) / centr
-    # complex(v) has float(v) as its real part, and complex sums are
-    # componentwise, so each part starts from the float values dqk15i has
-    fval1 = complex(f(tabsc1))
-    if inf == 2:
-        fval1 = fval1 + complex(f(-tabsc1))
-    fc = (fval1.real / centr) / centr
-    fci = (fval1.imag / centr) / centr
+    hlgth, t, _ = panel
+    points = zip(fvals, t)
+    f, s = next(points)
+    fc = (f / s) / s
     resg = _WG7[7] * fc
-    resgi = _WG7[7] * fci
     resk = _WGK15[7] * fc
-    reski = _WGK15[7] * fci
     resabs = abs(resk)
-    resabsi = abs(reski)
-    fvals = []
-    for x, wk, wg in _NODES15:
-        absc = hlgth * x
-        absc1 = centr - absc
-        absc2 = centr + absc
-        tabsc1 = boun + dinf * (1.0 - absc1) / absc1
-        tabsc2 = boun + dinf * (1.0 - absc2) / absc2
-        fval1 = complex(f(tabsc1))
-        fval2 = complex(f(tabsc2))
-        if inf == 2:
-            fval1 = fval1 + complex(f(-tabsc1))
-            fval2 = fval2 + complex(f(-tabsc2))
-        fv1 = (fval1.real / absc1) / absc1
-        fv2 = (fval2.real / absc2) / absc2
-        fv1i = (fval1.imag / absc1) / absc1
-        fv2i = (fval2.imag / absc2) / absc2
-        fvals.append((wk, fv1, fv2, fv1i, fv2i))
+    fvs = []
+    for (wk, wg), (f1, s1), (f2, s2) in zip(_WEIGHTS15, points, points):
+        fv1 = (f1 / s1) / s1
+        fv2 = (f2 / s2) / s2
+        fvs.append((wk, fv1, fv2))
         fsum = fv1 + fv2
         resg = resg + wg * fsum
         resk = resk + wk * fsum
         resabs = resabs + wk * (abs(fv1) + abs(fv2))
-        fsum = fv1i + fv2i
-        resgi = resgi + wg * fsum
-        reski = reski + wk * fsum
-        resabsi = resabsi + wk * (abs(fv1i) + abs(fv2i))
     reskh = resk * 0.5
-    reskhi = reski * 0.5
     resasc = _WGK15[7] * abs(fc - reskh)
-    resasci = _WGK15[7] * abs(fci - reskhi)
-    for wk, fv1, fv2, fv1i, fv2i in fvals:
+    for wk, fv1, fv2 in fvs:
         resasc = resasc + wk * (abs(fv1 - reskh) + abs(fv2 - reskh))
-        resasci = resasci + wk * (abs(fv1i - reskhi) + abs(fv2i - reskhi))
-    return (_qk15i_part(resk, resg, resabs, resasc, hlgth),
-            _qk15i_part(reski, resgi, resabsi, resasci, hlgth))
-
-
-def _qk15i_part(resk, resg, resabs, resasc, hlgth):
-    """dqk15i's last lines for one part: scale the sums to [a, b]."""
     result = resk * hlgth
     resasc = resasc * hlgth
     resabs = resabs * hlgth

@@ -333,6 +333,43 @@ def test_failed_check_exits_1_with_its_report(argv, force_failure, monkeypatch, 
     assert any(not check["pass"] for check in json.loads(printed)["checks"])
 
 
+def _closed_pipe():
+    """The write end of a pipe whose reader has already gone, as after
+    ``| head`` has read what it wanted."""
+    r, w = os.pipe()
+    os.close(r)
+    return w
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["verify-boundary", "--dim", "3", "--powers", "1,1"],
+], ids=["help", "report"])
+def test_closed_stdout_is_not_bad_input(argv, tmp_path):
+    # the rest of the output is dropped, the status is the report's, and
+    # stderr holds no error line (verify-boundary's timing line stays)
+    w = _closed_pipe()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wres.cli", *argv], cwd=tmp_path,
+                              env=_cli_env(), stdout=w, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 0, proc.stderr
+    assert all(line.startswith("# scenario ") for line in proc.stderr.splitlines()), proc.stderr
+    if argv == ["--help"]:
+        assert proc.stderr == ""
+
+
+def test_closed_stdout_keeps_a_failed_check_status(monkeypatch):
+    _wrong_expected_total(monkeypatch)
+    with os.fdopen(_closed_pipe(), "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["verify-boundary", "--dim", "3", "--powers", "1,1"]) == 1
+        # stdout now writes to the null device
+        print("more")
+
+
 def test_heat_value_too_large_for_a_float(tmp_path):
     cfg = tmp_path / "big.cfg"
     cfg.write_text("p = 2\nq = 2\nr = 1e400\nvol = 1\n")

@@ -3,6 +3,7 @@ integrands wres builds, and closed forms and edge cases that need no scipy."""
 
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 
 from wres import heat, oracles, quadpack, warped
 from wres.quadpack import quad, quad_complex
+from wres.symbolic import GaussianRational, RationalXi
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +60,12 @@ class Differential:
 
 class ComplexDifferential:
     """Stands in for ``quadpack.quad_complex`` at the call sites.  Each call
-    runs the port, then scipy on the real and on the imaginary part of the
-    same integrand; each part must come back with the same bits.  The port
-    evaluates both parts at once, so its points cannot be replayed one
-    scipy run at a time as ``Differential`` does."""
+    runs the port, recording the points and values of every panel it asks
+    the integrand for, then scipy on the real and on the imaginary part,
+    replaying the recorded values.  Each part must come back with the same
+    bits, and scipy must ask for whole panels of the port, in the port's
+    order: the real run for the panels the port asked for first, and the
+    imaginary run for the rest of them (among panels the real run shared)."""
 
     def __init__(self, scipy_quad):
         self.scipy_quad = scipy_quad
@@ -69,17 +73,39 @@ class ComplexDifferential:
         self.count = 0
 
     def __call__(self, fn, **kw):
-        got = self.port(fn, **kw)
+        order = []
+
+        def recording(nodes):
+            assert len(nodes) == 30
+            values = fn(nodes)
+            order.append(tuple(zip(nodes, values)))
+            return values
+        got = self.port(recording, **kw)
+        values = {x.hex(): v for panel in order for x, v in panel}
+        panels = [tuple(x.hex() for x, _ in panel) for panel in order]
+        seen = set()
         for result, part in zip(got, ("real", "imag")):
+            calls = []
+
+            def replaying(x):
+                calls.append(x.hex())
+                return getattr(values[x.hex()], part)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                want = self.scipy_quad(lambda t: getattr(fn(t), part), -math.inf, math.inf,
-                                       full_output=1, **kw)
+                want = self.scipy_quad(replaying, -math.inf, math.inf, full_output=1, **kw)
             assert result.value.hex() == want[0].hex() and result.abserr.hex() == want[1].hex(), \
                 (part, kw, result, want[:2])
-            assert result.neval == want[2]["neval"]
+            assert result.neval == want[2]["neval"] == len(calls)
             assert (result.ier == 0) == (len(want) == 3)
+            asked = [tuple(calls[i:i + 30]) for i in range(0, len(calls), 30)]
+            # the real run's panels are all new; the imaginary run's new ones
+            # are the port's next calls, in order
+            fresh = [panel for panel in asked if panel not in seen]
+            assert fresh == panels[len(seen):len(seen) + len(fresh)], part
+            seen.update(asked)
             self.count += 1
+        # every panel the port evaluated was asked for by one of the runs
+        assert len(seen) == len(panels)
         return got
 
 
@@ -108,6 +134,17 @@ def test_port_is_bit_identical_to_scipy_quad(monkeypatch):
         oracles.run_quadrature_oracle(seed, 100)
     assert complex_diff.count == 2000
     assert diff.count == 0
+
+    # numeric_pi_plus's contour integrals, whose integrand is complex at
+    # complex points: the input of test_pi_plus_against_contour_oracle and
+    # seeded ones, each still against its exact projection
+    rng = random.Random(21)
+    cases = [(RationalXi.xi() * RationalXi.inv_norm_sq(5), 2.0)]
+    cases += [(oracles.random_rational_xi(rng), rng.uniform(-3.0, 3.0)) for _ in range(9)]
+    for f, x0 in cases:
+        approx = oracles.numeric_pi_plus(f, x0)
+        assert abs(f.pi_plus().evaluate(x0) - approx) <= 1e-8 * max(1.0, abs(approx))
+    assert complex_diff.count == 2000 + 2 * len(cases)
 
     # spectral-moment integrands over [0, inf) (dqagie, inf = 1), the real
     # part of the two-part rule
@@ -151,7 +188,7 @@ def test_port_is_bit_identical_to_scipy_quad(monkeypatch):
         diff(lambda x, p=p: math.log(x) * x ** p if x > 0 else 0.0, 0.0, 1.0)
     diff(lambda x: abs(abs(x) - 0.5) ** 1.5 * math.cos(3 * x), -1.0, 1.0)
     assert {0, 1, 2, 3, 5} <= diff.iers
-    assert complex_diff.count + diff.count >= 2400
+    assert complex_diff.count + diff.count >= 2420
 
 
 # ---------------------------------------------------------------------------
@@ -285,22 +322,29 @@ def _bits(result):
     return result.value.hex(), result.abserr.hex(), result.ier, result.neval
 
 
+def _per_point(fn):
+    """A panel integrand that evaluates the scalar fn at each point in turn."""
+    return lambda nodes: [fn(x) for x in nodes]
+
+
 def _checked_quad_complex(fn, **kw):
-    """quad_complex of fn and the points it evaluated fn at, after checking
-    each part against ``quad`` of that part."""
+    """quad_complex of the panel integrand fn and the points it was called
+    at, after checking each part against ``quad`` of that part, with fn
+    evaluated one point at a time."""
     points = []
 
-    def counting(x):
-        points.append(x)
-        return fn(x)
+    def counting(nodes):
+        assert isinstance(nodes, tuple) and len(nodes) == 30
+        points.extend(nodes)
+        return fn(nodes)
     re, im = quad_complex(counting, **kw)
-    assert _bits(re) == _bits(quad(lambda x: fn(x).real, -math.inf, math.inf, **kw))
-    assert _bits(im) == _bits(quad(lambda x: fn(x).imag, -math.inf, math.inf, **kw))
+    assert _bits(re) == _bits(quad(lambda x: fn((x,))[0].real, -math.inf, math.inf, **kw))
+    assert _bits(im) == _bits(quad(lambda x: fn((x,))[0].imag, -math.inf, math.inf, **kw))
     return re, im, points
 
 
 def test_quad_complex_closed_form():
-    re, im, _ = _checked_quad_complex(lambda x: (2 + 3j) / (x * x + 1))
+    re, im, _ = _checked_quad_complex(_per_point(lambda x: (2 + 3j) / (x * x + 1)))
     assert re.ier == im.ier == 0
     assert abs(re.value - 2 * math.pi) <= 1e-10 * 2 * math.pi
     assert abs(im.value - 3 * math.pi) <= 1e-10 * 3 * math.pi
@@ -308,11 +352,11 @@ def test_quad_complex_closed_form():
 
 def test_quad_complex_of_a_real_and_of_an_imaginary_integrand():
     gauss = lambda x: math.exp(-x * x)  # noqa: E731
-    re, im, _ = _checked_quad_complex(gauss)
+    re, im, _ = _checked_quad_complex(_per_point(gauss))
     assert re.ier == 0 and abs(re.value - math.sqrt(math.pi)) <= 1e-10
     # a zero part stops after the first panel with a zero error estimate
     assert _bits(im) == ((0.0).hex(), (0.0).hex(), 0, 30)
-    re, im, _ = _checked_quad_complex(lambda x: complex(0.0, gauss(x)))
+    re, im, _ = _checked_quad_complex(_per_point(lambda x: complex(0.0, gauss(x))))
     assert _bits(re) == ((0.0).hex(), (0.0).hex(), 0, 30)
     assert im.ier == 0 and abs(im.value - math.sqrt(math.pi)) <= 1e-10
 
@@ -321,7 +365,7 @@ def test_quad_complex_parts_that_bisect_differently():
     # a wide real part and a narrow imaginary peak off the origin: the
     # imaginary run bisects into panels the real run never made
     re, im, points = _checked_quad_complex(
-        lambda x: complex(1.0 / (1.0 + x * x), 1.0 / (1.0 + 400.0 * (x - 3.0) ** 2)),
+        _per_point(lambda x: complex(1.0 / (1.0 + x * x), 1.0 / (1.0 + 400.0 * (x - 3.0) ** 2))),
         epsabs=1e-12, epsrel=1e-11, limit=400)
     assert re.ier == im.ier == 0
     assert abs(re.value - math.pi) <= 1e-10 and abs(im.value - math.pi / 20) <= 1e-10
@@ -341,3 +385,76 @@ def test_quad_complex_shares_the_panels_of_the_two_parts():
         calls += len(points)
         separate += re.neval + im.neval
     assert calls < 0.7 * separate
+
+
+# ---------------------------------------------------------------------------
+# The panel layout and the oracle's panel integrand, without scipy
+# ---------------------------------------------------------------------------
+
+def _dyadic_panels(depth):
+    """The panels of [0, 1] that dqagie can bisect to, down to ``depth``."""
+    for d in range(depth + 1):
+        for i in range(2 ** d):
+            yield i / 2 ** d, (i + 1) / 2 ** d
+
+
+def test_whole_line_asks_for_the_published_points_in_order():
+    # dqk15i on [0, 1] with x = (1-t)/t: the centre x and -x, then for each
+    # abscissa x1 = x(0.5 - 0.5*xgk), x2 = x(0.5 + 0.5*xgk), -x1, -x2
+    xgk = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+           0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+           0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+           0.207784955007898467600689403773245)
+    expected = [1.0, -1.0]
+    for x in xgk:
+        t1, t2 = 0.5 - 0.5 * x, 0.5 + 0.5 * x
+        x1, x2 = (1.0 - t1) / t1, (1.0 - t2) / t2
+        expected += [x1, x2, -x1, -x2]
+    points = []
+    quad(lambda x: points.append(x) or math.exp(-x * x), -math.inf, math.inf)
+    assert [x.hex() for x in points[:30]] == [x.hex() for x in expected]
+    # quad_complex hands the same 30 points to its integrand as one panel
+    panels = []
+    quad_complex(lambda nodes: panels.append(nodes) or [math.exp(-x * x) for x in nodes])
+    assert [x.hex() for x in panels[0]] == [x.hex() for x in expected]
+
+
+def test_panel_integrand_equals_evaluate_bit_for_bit():
+    # every pole pair (mp, mm) in 0..4, numerators up to degree mp + mm, at
+    # every point of the 63 panels down to depth 5; the functions of a seed
+    # share one set of power tables, filled in the order they ask for them
+    panels = [quadpack._panel(a, b).nodes for a, b in _dyadic_panels(5)]
+    assert len(panels) == 63
+    for seed in range(1, 9):
+        rng = random.Random(seed)
+        tables = {}
+        for mp in range(5):
+            for mm in range(5):
+                coeffs = [GaussianRational(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
+                          for _ in range(rng.randint(1, mp + mm + 1))]
+                f = RationalXi(coeffs, mp, mm)
+                assert (f.mp, f.mm) == (mp, mm)
+                values = oracles._rational_function(f, tables)
+                for nodes in rng.sample(panels, len(panels)):
+                    for x, v in zip(nodes, values(nodes)):
+                        want = f.evaluate(x)
+                        assert (v.real.hex(), v.imag.hex()) == (want.real.hex(), want.imag.hex()), \
+                            (seed, mp, mm, x)
+        assert len(tables) == 63
+
+
+def test_power_tables_live_for_one_suite_run(monkeypatch):
+    # run_quadrature_oracle hands all its integrands one set of tables, one
+    # entry per distinct panel, and nothing holds it after the run returns
+    seen = {}
+    real = oracles.numeric_line_integral
+
+    def spying(f, tables=None):
+        seen[id(tables)] = tables
+        return real(f, tables)
+    monkeypatch.setattr(oracles, "numeric_line_integral", spying)
+    oracles.run_quadrature_oracle(7, 100)
+    (tables,) = seen.values()
+    seen.clear()
+    assert 0 < len(tables) < 40
+    assert sys.getrefcount(tables) == 2
