@@ -92,15 +92,14 @@ class Scenario:
                  sphere_unit: str | None, bare_prefactor: bool,
                  labels: dict[CaseIndex, str],
                  expected_cases: dict[str, tuple[UnitValue, str]],
-                 expected_total: UnitValue, total_integrated: bool = False,
+                 expected_total: UnitValue,
                  igrb: UnitValue | None = None, notes: str = ""):
         self.name, self.n, self.powers, self.model = name, n, powers, model
         self.sphere_unit = sphere_unit  # opaque measure label, or None to expand in pi
         self.bare_prefactor = bare_prefactor
         self.labels = labels
         self.expected_cases = expected_cases
-        self.expected_total = expected_total
-        self.total_integrated = total_integrated  # expected total already has dx' -> Vol
+        self.expected_total = expected_total  # integrated over the boundary: dx' -> Vol
         self.igrb = igrb  # I_Gr,b in h'(0) Vol units
         self.notes = notes
 
@@ -203,10 +202,9 @@ def phi_total(scenario: Scenario) -> BoundaryReport:
             expected, note = scenario.expected_cases[label]
             report.checks.append(
                 (f"case {label} [{note}]", repr(expected), repr(value), value == expected))
-    got_total = report.total_over_boundary if scenario.total_integrated else total
     report.checks.append(
-        ("total", repr(scenario.expected_total), repr(got_total),
-         got_total == scenario.expected_total))
+        ("total", repr(scenario.expected_total), repr(report.total_over_boundary),
+         report.total_over_boundary == scenario.expected_total))
     return report
 
 
@@ -290,7 +288,6 @@ def _scenario_dim3() -> Scenario:
         labels={cases[0]: "main"},
         expected_cases={},
         expected_total=UnitValue(GaussianRational(0, 2), {U_PI: Fraction(2), U_VOL: Fraction(1)}),
-        total_integrated=True,
         notes="single case; odd dimension uses the bare integrand",
     )
 
@@ -308,7 +305,6 @@ def _scenario_dim5_22() -> Scenario:
         expected_total=UnitValue(
             GaussianRational(0, Fraction(1, 8)),
             {U_PI: Fraction(1), U_TDIM: Fraction(1), "Omega3": Fraction(1), U_VOL: Fraction(1)}),
-        total_integrated=True,
         notes="single case; odd dimension uses the bare integrand",
     )
 

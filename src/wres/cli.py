@@ -29,12 +29,12 @@ class BadInput(Exception):
     """Input the program rejects: ``main`` prints ``error: <message>`` and exits 2."""
 
 
-def _uv_obj(v, numeric_units: dict | None = None):
+def _uv_obj(v):
     """The exact value, plus its float rendering when every unit has a
     numeric value and the result fits a float."""
     obj = v.json_obj()
     try:
-        z = v.numeric(numeric_units)
+        z = v.numeric()
     except (KeyError, OverflowError):
         return obj
     if math.isfinite(z.real) and math.isfinite(z.imag):
@@ -112,7 +112,8 @@ def cmd_verify_boundary(args) -> dict:
 MAX_DECIMAL_EXPONENT = 1000
 MAX_DIMENSION = 1000
 
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+# \d: Fraction reads every Unicode decimal digit, and so does int()
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
 
 def _parse_value(val: str) -> Fraction:
@@ -184,9 +185,9 @@ def cmd_heat(args) -> dict:
 
     bounded = data.bvol != 0
     if bounded:
-        hc = heat.boundary_coeffs(None, data, n=n, total_dim=total_dim)
+        hc = heat.boundary_coeffs(data, n, total_dim)
     else:
-        hc = heat.interior_coeffs(None, data, n=n, total_dim=total_dim)
+        hc = heat.interior_coeffs(data, n, total_dim)
     payload = {
         "command": "heat",
         "inputs": {"config": args.config, "n": n, "total_dim": total_dim,

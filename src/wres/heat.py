@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 from .clifford import Algebra, AlgebraSignature, CliffordElement, sub_dirac_algebra
@@ -50,61 +51,37 @@ def _r_pair(prefix, a, b, s, t):
     return sym if a < b else -sym
 
 
+def _rfperp_components(p: int, q: int):
+    """Each component of R^{F-perp} in the placeholders, as (its Clifford
+    generators, its placeholder, its weight in -E, its multiplicity in
+    ||R^{F-perp}||^2): R1 = <R(f_i, h_r) h_t, h_s>, then R2 for the pairs
+    (f_i, f_j) and R3 for the pairs (h_r, h_l)."""
+    for i, r, s, t in product(range(p), range(q), range(q), range(q)):
+        yield ((0, i), (1, r), (2, s), (2, t)), _r1(i, r, s, t), Fraction(1, 4), 2
+    for family, prefix, count in ((0, "R2", p), (1, "R3", q)):
+        for a, b, s, t in product(range(count), range(count), range(q), range(q)):
+            yield (((family, a), (family, b), (2, s), (2, t)),
+                   _r_pair(prefix, a, b, s, t), Fraction(1, 8), 1)
+
+
 def lichnerowicz_E(sig: AlgebraSignature) -> CliffordElement:
     """-E = r_M/4 + I1 + I2 + I3 with symbolic curvature placeholders."""
-    p, q = sig.p, sig.q
-    alg = sub_dirac_algebra(p, q)
+    alg = sub_dirac_algebra(sig.p, sig.q)
     out = alg.scalar(ScalarPoly.symbol(R_M) * Fraction(1, 4))
-
-    def word(*gens):
-        e = alg.scalar(1)
-        for g in gens:
-            e = e * alg.gen(g)
-        return e
-
-    for i in range(p):
-        for r in range(q):
-            for s in range(q):
-                for t in range(q):
-                    c = _r1(i, r, s, t)
-                    if not c.is_zero():
-                        out = out + word((0, i), (1, r), (2, s), (2, t)) * (c * Fraction(1, 4))
-    for i in range(p):
-        for j in range(p):
-            for s in range(q):
-                for t in range(q):
-                    c = _r_pair("R2", i, j, s, t)
-                    if not c.is_zero():
-                        out = out + word((0, i), (0, j), (2, s), (2, t)) * (c * Fraction(1, 8))
-    for r in range(q):
-        for l in range(q):
-            for s in range(q):
-                for t in range(q):
-                    c = _r_pair("R3", r, l, s, t)
-                    if not c.is_zero():
-                        out = out + word((1, r), (1, l), (2, s), (2, t)) * (c * Fraction(1, 8))
+    for gens, c, weight, _ in _rfperp_components(sig.p, sig.q):
+        if not c.is_zero():
+            word = alg.scalar(1)
+            for g in gens:
+                word = word * alg.gen(g)
+            out = out + word * (c * weight)
     return out
 
 
 def rfperp_norm_sq(sig: AlgebraSignature) -> ScalarPoly:
     """||R^{F-perp}||^2 expanded in the same placeholders."""
-    p, q = sig.p, sig.q
     out = ScalarPoly.zero()
-    for i in range(p):
-        for r in range(q):
-            for s in range(q):
-                for t in range(q):
-                    out = out + _r1(i, r, s, t) ** 2 * 2
-    for i in range(p):
-        for j in range(p):
-            for s in range(q):
-                for t in range(q):
-                    out = out + _r_pair("R2", i, j, s, t) ** 2
-    for r in range(q):
-        for l in range(q):
-            for s in range(q):
-                for t in range(q):
-                    out = out + _r_pair("R3", r, l, s, t) ** 2
+    for _, c, _, multiplicity in _rfperp_components(sig.p, sig.q):
+        out = out + c ** 2 * multiplicity
     return out
 
 
@@ -297,14 +274,10 @@ def _inv_4pi_pow(m: int) -> UnitValue:
     return UnitValue(1, {"2": Fraction(-m), U_PI: Fraction(-m, 2)})
 
 
-def _assemble(sig, data: CurvatureData, n, total_dim, terms) -> list[UnitValue]:
+def _assemble(data: CurvatureData, n: int, total_dim, terms) -> list[UnitValue]:
     """T (4 pi)^{-(n - k mod 2)/2} prefactor (interior bracket vol + boundary
-    bracket bvol) for each (k, boundary bracket) of ``terms``."""
-    if sig is not None:
-        n = sig.p + sig.q if n is None else n
-        total_dim = sig.total_dim if total_dim is None else total_dim
-    if n is None:
-        raise ValueError("need a signature or an explicit dimension")
+    bracket bvol) for each (k, boundary bracket) of ``terms``, T being
+    ``total_dim`` or, for None, the unit l~2^q."""
     tdim = UnitValue.unit(U_TDIM) if total_dim is None else UnitValue(_fr(total_dim))
     out = []
     for k, boundary in terms:
@@ -315,18 +288,18 @@ def _assemble(sig, data: CurvatureData, n, total_dim, terms) -> list[UnitValue]:
     return out
 
 
-def interior_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
-                    n: int | None = None, total_dim=None) -> HeatCoeffs:
-    """Closed-manifold coefficients a0, a2, a4 (a1 = a3 = 0)."""
-    return HeatCoeffs(*_assemble(sig, data, n, total_dim, [(k, {}) for k in SPINOR]))
+def interior_coeffs(data: CurvatureData, n: int, total_dim=None) -> HeatCoeffs:
+    """Closed-manifold coefficients a0, a2, a4 (a1 = a3 = 0) in dimension n
+    with trace dimension ``total_dim`` (None: the unit l~2^q)."""
+    return HeatCoeffs(*_assemble(data, n, total_dim, [(k, {}) for k in SPINOR]))
 
 
-def boundary_coeffs(sig: AlgebraSignature | None, data: CurvatureData,
-                    n: int | None = None, total_dim=None) -> HeatCoeffs:
-    """Dirichlet-condition coefficients a0..a4 for a bounded manifold; a4 takes
-    the printed boundary bracket and a4_alt the table's."""
+def boundary_coeffs(data: CurvatureData, n: int, total_dim=None) -> HeatCoeffs:
+    """Dirichlet-condition coefficients a0..a4 for a bounded manifold, n and
+    ``total_dim`` as for ``interior_coeffs``; a4 takes the printed boundary
+    bracket and a4_alt the table's."""
     terms = [(k, entry.boundary) for k, entry in SPINOR.items()]
-    return HeatCoeffs(*_assemble(sig, data, n, total_dim,
+    return HeatCoeffs(*_assemble(data, n, total_dim,
                                  terms[:4] + [(4, A4_BOUNDARY_PRINTED), terms[4]]))
 
 
@@ -394,15 +367,14 @@ class LowerVolume:
         self.parity_zero = parity_zero
 
 
-def lower_volume(sig: AlgebraSignature | None, n: int, k: int, data: CurvatureData,
-                 total_dim=None) -> LowerVolume:
+def lower_volume(n: int, k: int, data: CurvatureData, total_dim=None) -> LowerVolume:
     """v_{n,k} times the interior heat coefficient a_{n-k}."""
     if (n - k) % 2 == 1:
         return LowerVolume(UnitValue.zero(), parity_zero=True)
     order = n - k
     if order not in (0, 2, 4):
         raise ValueError("only the a0, a2, a4 coefficients are available")
-    coeffs = interior_coeffs(sig, data, n=n, total_dim=total_dim)
+    coeffs = interior_coeffs(data, n, total_dim)
     a = {0: coeffs.a0, 2: coeffs.a2, 4: coeffs.a4}[order]
     return LowerVolume(v_nk(n, k) * a)
 
@@ -415,7 +387,7 @@ def wres_power(n: int, total_dim=None) -> UnitValue:
         raise ValueError("need even dimension")
     if n < 4:
         raise ValueError("need n >= 4")
-    a2 = interior_coeffs(None, CurvatureData(r=1), n=n, total_dim=total_dim).a2
+    a2 = interior_coeffs(CurvatureData(r=1), n, total_dim).a2
     gamma, _ = gamma_exact(n - 2)  # Gamma(n/2 - 1), an integer for even n
     return a2 * 2 / gamma
 
@@ -424,8 +396,7 @@ def wres_power(n: int, total_dim=None) -> UnitValue:
 # Spectral-action moments
 # ---------------------------------------------------------------------------
 
-def spectral_moments(cutoff: Callable[[float], float],
-                     upper: float = math.inf) -> dict[int, float]:
+def spectral_moments(cutoff: Callable[[float], float]) -> dict[int, float]:
     """F_k = Gamma(k/2)^{-1} * integral_0^inf cutoff(s) s^{k/2-1} ds for
     k = 4..1, and F_0 = cutoff(0).
 
@@ -434,11 +405,10 @@ def spectral_moments(cutoff: Callable[[float], float],
     from .quadpack import quad
 
     out = {0: float(cutoff(0.0))}
-    u_upper = math.sqrt(upper) if math.isfinite(upper) else math.inf
     for k in (1, 2, 3, 4):
         def integrand(u, k=k):
             return 2.0 * cutoff(u * u) * u ** (k - 1)
-        val, err, _, _ = quad(integrand, 0.0, u_upper, limit=300)
+        val, err, _, _ = quad(integrand, 0.0, math.inf, limit=300)
         if not math.isfinite(val) or (abs(val) > 1e-12 and err > 1e-6 * abs(val)):
             raise ValueError(f"non-integrable or ill-conditioned moment F_{k}")
         out[k] = val / math.gamma(k / 2)

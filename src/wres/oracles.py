@@ -17,6 +17,12 @@ from .clifford import AlgebraSignature, MatrixRep, normalize, sub_dirac_algebra
 from .symbolic import GaussianRational, RationalXi, _frac_str
 from .warped import VALUE_RULES, Jet3, _ast_to_string, compile_ast
 
+# the points at which the jet oracle compares a warp's jet with finite differences
+PROBES = (0.2, 0.7, 1.3)
+# the largest relative error each suite accepts
+RESIDUE_REL_TOL = 1e-8
+JET_REL_TOL = 1e-6
+
 
 def _quad_complex(fn):
     """Integral over the real line of ``fn``, a function of a panel's points
@@ -84,16 +90,13 @@ def numeric_line_integral(f: RationalXi, tables: dict | None = None) -> complex:
     return _quad_complex(_rational_function(f, tables))
 
 
-def numeric_pi_plus(f: RationalXi, x0: float, drop: float = 0.5) -> complex:
+def numeric_pi_plus(f: RationalXi, x0: float) -> complex:
     """Half-plane projection at a real point via a shifted-contour Cauchy
-    integral: pi+f(x0) = f(x0) - (2 pi i)^{-1} * integral over Im = -drop of
-    f(eta)/(eta - x0)."""
-    if not 0 < drop < 1:
-        raise ValueError("contour must sit strictly between the axis and the lower pole")
-    shift = -1j * drop
+    integral: pi+f(x0) = f(x0) - (2 pi i)^{-1} * integral over Im = -1/2 of
+    f(eta)/(eta - x0), a contour strictly between the axis and the lower pole."""
 
     def integrand(t):
-        eta = t + shift
+        eta = t - 0.5j
         return f.evaluate(eta) / (eta - x0)
 
     integral = _quad_complex(lambda nodes: [integrand(t) for t in nodes])
@@ -113,41 +116,42 @@ def fd_jet(fn, t: float, h: float = 1e-3):
 # Seeded random inputs
 # ---------------------------------------------------------------------------
 
-def random_rational_xi(rng: random.Random, min_gap: int = 2) -> RationalXi:
-    """Random proper rational function with poles only at +-i."""
+def random_rational_xi(rng: random.Random) -> RationalXi:
+    """Random rational function with poles only at +-i, its degree gap at
+    least 2 so that it is integrable over the real line."""
     while True:
         mp = rng.randint(0, 4)
         mm = rng.randint(0, 4)
-        if mp + mm < min_gap:
+        if mp + mm < 2:
             continue
-        deg = rng.randint(0, mp + mm - min_gap)
+        deg = rng.randint(0, mp + mm - 2)
         coeffs = [GaussianRational(Fraction(rng.randint(-5, 5)),
                                    Fraction(rng.randint(-5, 5)))
                   for _ in range(deg + 1)]
         # in lowest terms, because the oracles evaluate it in floats
         f = RationalXi(coeffs, mp, mm)._normalize()
-        if not f.is_zero() and f.degree_gap() >= min_gap:
+        if not f.is_zero() and f.degree_gap() >= 2:
             return f
 
 
-def random_signature(rng: random.Random, max_pq: int = 3) -> AlgebraSignature:
+def random_signature(rng: random.Random) -> AlgebraSignature:
     while True:
-        p = rng.randint(0, max_pq)
-        q = rng.randint(0, max_pq)
+        p = rng.randint(0, 3)
+        q = rng.randint(0, 3)
         if p + q > 0:
             return AlgebraSignature(p, q)
 
 
-def random_word(rng: random.Random, sig: AlgebraSignature, max_len: int = 8):
+def random_word(rng: random.Random, sig: AlgebraSignature):
     alg = sub_dirac_algebra(sig.p, sig.q)
     gens = alg.gens()
-    return alg, [rng.choice(gens) for _ in range(rng.randint(1, max_len))]
+    return alg, [rng.choice(gens) for _ in range(rng.randint(1, 8))]
 
 
-def tame_warp_jets(ast, probes) -> dict[float, tuple[Jet3, tuple]] | None:
-    """For a warp AST that is finite and tame at the probe points, each
-    probe's jet and its central finite differences at step 1e-3, keyed by
-    probe.  None for any other AST.
+def tame_warp_jets(ast) -> dict[float, tuple[Jet3, tuple]] | None:
+    """For a warp AST that is finite and tame at the ``PROBES``, each probe's
+    jet and its central finite differences at step 1e-3, keyed by probe.
+    None for any other AST.
 
     The jet is computed at the probes only.  The stencil points (steps 2e-3
     and 1e-3, which share their points) are evaluated once each, as plain
@@ -172,7 +176,7 @@ def tame_warp_jets(ast, probes) -> dict[float, tuple[Jet3, tuple]] | None:
         return v
 
     try:
-        for t in probes:
+        for t in PROBES:
             subtrees.clear()
             jet = probe_jet(Jet3.variable(t))
             values[t] = jet.d[0]
@@ -193,8 +197,7 @@ def tame_warp_jets(ast, probes) -> dict[float, tuple[Jet3, tuple]] | None:
     return tame
 
 
-def random_warp_ast(rng: random.Random, max_depth: int = 4,
-                    probes=(0.2, 0.7, 1.3)) -> tuple[tuple, dict[float, tuple[Jet3, tuple]]]:
+def random_warp_ast(rng: random.Random) -> tuple[tuple, dict[float, tuple[Jet3, tuple]]]:
     """Random warp AST that passes ``tame_warp_jets``, and what it returned:
     each probe's jet and finite differences."""
 
@@ -218,8 +221,8 @@ def random_warp_ast(rng: random.Random, max_depth: int = 4,
         return (op, build(depth - 1), build(depth - 1))
 
     while True:
-        ast = build(max_depth)
-        jets = tame_warp_jets(ast, probes)
+        ast = build(4)
+        jets = tame_warp_jets(ast)
         if jets is not None:
             return ast, jets
 
@@ -262,7 +265,7 @@ def run_trace_oracle(seed: int, count: int) -> dict:
     return report
 
 
-def run_quadrature_oracle(seed: int, count: int, rel_tol: float = 1e-8) -> dict:
+def run_quadrature_oracle(seed: int, count: int) -> dict:
     """Random proper rational functions: exact residue integral vs quadrature.
 
     A failing run names its first failing input: its index in the seeded
@@ -281,7 +284,7 @@ def run_quadrature_oracle(seed: int, count: int, rel_tol: float = 1e-8) -> dict:
         approx = numeric_line_integral(f, tables)
         err = abs(exact - approx) / max(abs(exact), 1e-6)
         worst = max(worst, err)
-        if err > rel_tol:
+        if err > RESIDUE_REL_TOL:
             failures += 1
             if first_failure is None:
                 coeffs = [poly.constant_value() for poly in f.num]
@@ -295,7 +298,7 @@ def run_quadrature_oracle(seed: int, count: int, rel_tol: float = 1e-8) -> dict:
     return report
 
 
-def run_ad_oracle(seed: int, count: int, tol: float = 1e-6) -> dict:
+def run_ad_oracle(seed: int, count: int) -> dict:
     """Random warp expressions: order-3 jets vs central finite differences.
 
     The generator's filter has already computed the jet at every probe and
@@ -308,16 +311,15 @@ def run_ad_oracle(seed: int, count: int, tol: float = 1e-6) -> dict:
     worst = 0.0
     failures = 0
     first_failure = None
-    probes = (0.2, 0.7, 1.3)
     for index in range(count):
-        ast, tame = random_warp_ast(rng, probes=probes)
-        t = probes[rng.randrange(len(probes))]
+        ast, tame = random_warp_ast(rng)
+        t = PROBES[rng.randrange(len(PROBES))]
         probe_jet, fd = tame[t]
         jet = probe_jet.derivatives()
         scale = max(1.0, *(abs(v) for v in jet))
         err = max(abs(a - b) for a, b in zip(jet, fd)) / scale
         worst = max(worst, err)
-        if err > tol:
+        if err > JET_REL_TOL:
             failures += 1
             if first_failure is None:
                 first_failure = {"index": index, "t": t, "warp": _ast_to_string(ast)}

@@ -821,17 +821,14 @@ class UnitValue:
             out = out * value
         return out
 
-    def numeric(self, extra: Mapping[str, float] | None = None) -> complex:
+    def numeric(self) -> complex:
         """Lossy float rendering; opaque units need values in the table."""
-        table = dict(_UNIT_NUMERIC)
-        if extra:
-            table.update(extra)
         v = complex(self.coeff)
         for b, e in self.powers.items():
             if b.isdigit():
                 v *= float(int(b)) ** float(e)
-            elif b in table:
-                v *= float(table[b]) ** float(e)
+            elif b in _UNIT_NUMERIC:
+                v *= float(_UNIT_NUMERIC[b]) ** float(e)
             else:
                 raise KeyError(f"no numeric value for unit {b!r}")
         return v

@@ -27,10 +27,11 @@ from .symbolic import (
 
 H1 = "h1"  # h'(0), the normal metric derivative at the boundary point
 TOTAL_DIM_SYMBOL = "ldim2q"  # symbolic trace dimension l~ * 2^q
+GAMMA_N = Fraction(5, 2)  # Gamma^n(x0) as a multiple of h'(0)
 
 
-def h1_poly(power: int = 1) -> ScalarPoly:
-    return ScalarPoly.symbol(H1, power)
+def h1_poly() -> ScalarPoly:
+    return ScalarPoly.symbol(H1)
 
 
 def conn(w: int, u: int, v: int) -> ScalarPoly:
@@ -105,7 +106,7 @@ class BoundaryModel:
     """
 
     def __init__(self, n: int, algebra: Algebra, tangential: list[Gen], coords: list[str],
-                 normal: Gen, total_dim, gamma_n: Fraction = Fraction(5, 2)):
+                 normal: Gen, total_dim):
         if len(tangential) != n - 1 or len(coords) != n - 1:
             raise ValueError("need n-1 tangential generators and coordinates")
         self.n = n
@@ -114,7 +115,6 @@ class BoundaryModel:
         self.coords = coords
         self.normal = normal
         self.total_dim = total_dim  # int | ScalarPoly
-        self.gamma_n = gamma_n  # Gamma^n(x0) as a multiple of h'(0)
         self._jets = {}  # symbol_jet memo
         self._subs = self._normal_coordinate_table()
 
@@ -211,21 +211,21 @@ class BoundaryModel:
         return Jet(val, dxn)
 
 
-def foliation_model(p: int, q: int, total_dim, gamma_n=Fraction(5, 2)) -> BoundaryModel:
+def foliation_model(p: int, q: int, total_dim) -> BoundaryModel:
     """Sub-Dirac collar model: dx_n = h_q*, tangential f_1..f_p, h_1..h_{q-1}."""
     if q < 1:
         raise ValueError("foliation model needs q >= 1 (dx_n lies in the perp factor)")
     algebra = sub_dirac_algebra(p, q)
     tang = [(0, i) for i in range(p)] + [(1, s) for s in range(q - 1)]
     coords = [f"a{i + 1}" for i in range(p)] + [f"b{u + 1}" for u in range(q - 1)]
-    return BoundaryModel(p + q, algebra, tang, coords, (1, q - 1), total_dim, gamma_n)
+    return BoundaryModel(p + q, algebra, tang, coords, (1, q - 1), total_dim)
 
 
-def spin_model(n: int, total_dim, gamma_n=Fraction(5, 2)) -> BoundaryModel:
+def spin_model(n: int, total_dim) -> BoundaryModel:
     algebra = spin_algebra(n)
     tang = [(0, i) for i in range(n - 1)]
     coords = [f"a{i + 1}" for i in range(n - 1)]
-    return BoundaryModel(n, algebra, tang, coords, (0, n - 1), total_dim, gamma_n)
+    return BoundaryModel(n, algebra, tang, coords, (0, n - 1), total_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +322,7 @@ def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
     """Third symbol of the inverse square at the boundary point (value only).
 
     A1 = -2i h'(0) xi_n |xi|^{-6};  A2 = -i |xi|^{-4} xi_k (Gamma^k + W_k),
-    Gamma^n(x0) = gamma_n * h'(0), tangential Gamma^k(x0) = 0.
+    Gamma^n(x0) = GAMMA_N * h'(0), tangential Gamma^k(x0) = 0.
     """
     alg = model.algebra
     xi = RationalXi.xi()
@@ -332,7 +332,7 @@ def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
     a1 = alg.scalar(xi * inv3 * (h1_poly() * GaussianRational(0, -2)))
 
     # k = n: xi_n ( Gamma^n + W_n )
-    a2 = alg.scalar(xi * inv2 * (h1_poly() * GaussianRational(model.gamma_n)))
+    a2 = alg.scalar(xi * inv2 * (h1_poly() * GaussianRational(GAMMA_N)))
     a2 = a2 + connection_word(model, model.n - 1).map_coeffs(lambda c: c * (xi * inv2))
     # tangential k: coordinate-weighted word terms (odd on the cosphere)
     for g, name in zip(model.tangential, model.coords):

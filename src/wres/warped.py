@@ -257,10 +257,11 @@ class _Tokenizer:
                 self.tokens.append((ch, ch, i))
                 i += 1
                 continue
-            if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
+            # isdecimal: the digits Fraction reads, so '2²' fails here with its offset
+            if ch.isdecimal() or (ch == "." and i + 1 < len(text) and text[i + 1].isdecimal()):
                 j = i
                 seen_dot = False
-                while j < len(text) and (text[j].isdigit() or text[j] == "."):
+                while j < len(text) and (text[j].isdecimal() or text[j] == "."):
                     if text[j] == ".":
                         if seen_dot:
                             raise WarpSyntaxError("malformed number", i)
@@ -292,7 +293,7 @@ class _Tokenizer:
 
 
 def parse_warp(text: str) -> "WarpFunction":
-    """Parse the warp grammar into an AST; errors carry the byte offset.
+    """Parse the warp grammar into an AST; errors carry the character offset.
 
     Each parse function returns (node, AST depth); both the AST depth and the
     nesting of parentheses and calls are limited to MAX_WARP_DEPTH.
@@ -673,7 +674,7 @@ def _consistency_against_generic(ends: list, total_dim: int, got, vol, r_int):
         return Fraction(_boundary_sum(ends, lambda d: float(getter(d)))) / bvol
 
     # feed boundary-averaged totals through the generic Dirichlet formulas
-    hc = boundary_coeffs(None, CurvatureData(
+    hc = boundary_coeffs(CurvatureData(
         vol=Fraction(vol), bvol=bvol,
         r=Fraction(r_int) / Fraction(vol),
         L_aa=bavg(lambda d: d.L_aa),
@@ -681,7 +682,7 @@ def _consistency_against_generic(ends: list, total_dim: int, got, vol, r_int):
         L2_aabb=bavg(lambda d: d.L2_aabb),
         R_aNaN=bavg(lambda d: d.R_aNaN),
         r_bd=bavg(lambda d: d.r),
-    ), n=4, total_dim=total_dim)
+    ), 4, total_dim)
     generic = [complex(x.numeric()).real for x in (hc.a0, hc.a1, hc.a2, hc.a3)]
     return {
         "generic_a0": generic[0], "generic_a1": generic[1],

@@ -174,7 +174,7 @@ def test_criterion_7_heat_closed_forms():
     ok &= SPINOR[4].interior == {"r2": Fraction(5, 4), "ric2": Fraction(-2),
                                  "riem2": Fraction(-7, 4), "rfperp2": Fraction(15, 2)}
     # a0/a2 prefactors: trace dimension 2^{p+q} in dimension 2p+q
-    hc = interior_coeffs(None, CurvatureData(r=1, vol=1), n=6, total_dim=16)
+    hc = interior_coeffs(CurvatureData(r=1, vol=1), 6, 16)
     ok &= hc.a0 == UnitValue(Fraction(1, 4), {"pi": Fraction(-3)})
     ok &= hc.a2 == UnitValue(Fraction(-1, 48), {"pi": Fraction(-3)})
     report("criterion 7", ok,
@@ -195,9 +195,8 @@ def test_criterion_8_constants():
     print(f"  note: the source display chain for v_5,1 ends in "
           f"{garbled:.6f}, its defining member evaluates to {formula_value:.6f}; "
           f"the engine follows the defining formula")
-    lv = lower_volume(AlgebraSignature(2, 2), 4, 2, CurvatureData(r=1, vol=1))
-    ok_vol = lv.value == v_nk(4, 2) * interior_coeffs(
-        AlgebraSignature(2, 2), CurvatureData(r=1, vol=1)).a2
+    lv = lower_volume(4, 2, CurvatureData(r=1, vol=1), 8)
+    ok_vol = lv.value == v_nk(4, 2) * interior_coeffs(CurvatureData(r=1, vol=1), 4, 8).a2
     ok_vol &= lv.value == UnitValue(Fraction(-1, 96),
                                     {"2": Fraction(1, 2), "pi": Fraction(-3)})
     report("criterion 8", ok_v42 and ok_v51 and ok_vol,

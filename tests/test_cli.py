@@ -200,6 +200,9 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
                  id="heat-exponent-1e999999999"),
     pytest.param(["heat"], "p = 2\nq = 2\nr = 1e-999999999\n", {}, 2, "decimal exponent",
                  id="heat-exponent-negative"),
+    # Fraction reads any Unicode decimal digit: here the fullwidth 2000
+    pytest.param(["heat"], "p = 2\nq = 2\nr = 1e\uff12\uff10\uff10\uff10\n", {}, 2,
+                 "decimal exponent", id="heat-exponent-fullwidth-digits"),
     pytest.param(["heat"], "p = 1000000000\nq = 2\nr = 1\n", {}, 2, "p must be at most",
                  id="heat-huge-p"),
     pytest.param(["heat"], "p = 2\nq = 1000000000\nr = 1\n", {}, 2, "q must be at most",
@@ -302,9 +305,7 @@ def _wrong_expected_total(monkeypatch):
 
 
 def _negative_jet_tolerance(monkeypatch):
-    real = oracles.run_ad_oracle
-    monkeypatch.setattr(oracles, "run_ad_oracle",
-                        lambda seed, count: real(seed, count, tol=-1.0))
+    monkeypatch.setattr(oracles, "JET_REL_TOL", -1.0)
 
 
 def _far_apart_gauss_legendre(monkeypatch):

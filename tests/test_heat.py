@@ -62,18 +62,18 @@ def test_interior_bracket_coefficients():
 
 def test_interior_coefficient_prefactors():
     # dimension 6, trace dimension 16: a2 = -1/(48 pi^3), a0 = 1/(4 pi^3)
-    hc = interior_coeffs(None, CurvatureData(r=1, vol=1), n=6, total_dim=16)
+    hc = interior_coeffs(CurvatureData(r=1, vol=1), 6, 16)
     assert hc.a2 == UnitValue(Fraction(-1, 48), {"pi": Fraction(-3)})
     assert hc.a0 == UnitValue(Fraction(1, 4), {"pi": Fraction(-3)})
     assert hc.a1.is_zero() and hc.a3.is_zero()
-    flat = interior_coeffs(None, CurvatureData(vol=2), n=4, total_dim=8)
+    flat = interior_coeffs(CurvatureData(vol=2), 4, 8)
     assert flat.a2.is_zero() and flat.a4.is_zero()
     assert flat.a0 == UnitValue(1, {"pi": Fraction(-2)})
 
 
 def test_interior_a4_value():
     data = CurvatureData(r2=1, ric2=1, riem2=1, rfperp2=1, vol=1)
-    hc = interior_coeffs(None, data, n=4, total_dim=8)
+    hc = interior_coeffs(data, 4, 8)
     want = Fraction(5, 4) - 2 - Fraction(7, 4) + Fraction(15, 2)
     assert hc.a4 == UnitValue(Fraction(8, 360) * want * Fraction(1, 16),
                               {"pi": Fraction(-2)})
@@ -81,8 +81,8 @@ def test_interior_a4_value():
 
 def test_boundary_reduces_to_interior():
     data = CurvatureData(r=2, r2=4, vol=3)
-    b = boundary_coeffs(None, data, n=4, total_dim=8)
-    i = interior_coeffs(None, data, n=4, total_dim=8)
+    b = boundary_coeffs(data, 4, 8)
+    i = interior_coeffs(data, 4, 8)
     assert (b.a0, b.a2, b.a4) == (i.a0, i.a2, i.a4)
     assert b.a1.is_zero() and b.a3.is_zero()
 
@@ -90,14 +90,14 @@ def test_boundary_reduces_to_interior():
 def test_boundary_a2_form():
     # a2 = pref/12 (-int r + 4 int L_aa)
     data = CurvatureData(r=1, vol=1, L_aa=1, bvol=1)
-    hc = boundary_coeffs(None, data, n=4, total_dim=8)
+    hc = boundary_coeffs(data, 4, 8)
     pref = Fraction(8, 16)  # T (4pi)^{-2} without the pi part
     assert hc.a2 == UnitValue(pref * Fraction(3, 12), {"pi": Fraction(-2)})
 
 
 def test_boundary_a1_and_a3_factors():
     data = CurvatureData(vol=0, bvol=1, r_bd=1, R_aNaN=1, L2_aabb=1, L2_abab=1)
-    hc = boundary_coeffs(None, data, n=4, total_dim=8)
+    hc = boundary_coeffs(data, 4, 8)
     # a1 = -(1/4) (4 pi)^{-3/2} T bvol
     assert hc.a1 == UnitValue(-2, {"2": Fraction(-3), "pi": Fraction(-3, 2)})
     # a3 bracket: -8 r + 8 R_aNaN + 7 L_aa L_bb - 10 L_ab L_ab = -3 here
@@ -144,11 +144,11 @@ def test_v_constants():
 
 def test_lower_volume_composition():
     # v_{4,2} * a_2 for the dim-4 residue: -sqrt(2)/96 * pi^{-3} per unit integral
-    lv = lower_volume(AlgebraSignature(2, 2), 4, 2, CurvatureData(r=1, vol=1))
+    lv = lower_volume(4, 2, CurvatureData(r=1, vol=1), 8)
     assert lv.value == UnitValue(Fraction(-1, 96), {"2": Fraction(1, 2), "pi": Fraction(-3)})
     assert not lv.parity_zero
-    assert lower_volume(None, 6, 3, CurvatureData(), total_dim=8).parity_zero
-    top = lower_volume(AlgebraSignature(2, 2), 4, 4, CurvatureData(vol=1))
+    assert lower_volume(6, 3, CurvatureData(), 8).parity_zero
+    top = lower_volume(4, 4, CurvatureData(vol=1), 8)
     assert top.value == v_nk(4, 4) * UnitValue(Fraction(8, 16), {"pi": Fraction(-2)})
 
 
@@ -185,7 +185,7 @@ def test_spectral_moments_gamma_cutoff():
 
 
 def test_spectral_moments_indicator():
-    ms = spectral_moments(lambda s: 1.0 if s <= 1 else 0.0, upper=1.0)
+    ms = spectral_moments(lambda s: 1.0 if s <= 1 else 0.0)
     assert abs(ms[4] - 0.5) <= 1e-9          # (1/Gamma(2)) * int_0^1 s ds
     assert abs(ms[2] - 1.0) <= 1e-9
     assert abs(ms[1] - 2.0 / math.sqrt(math.pi) * 1.0) <= 1e-9

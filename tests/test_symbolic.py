@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wres import oracles
 from wres.clifford import sub_dirac_algebra
 from wres.oracles import (
     numeric_line_integral,
@@ -459,10 +460,11 @@ def test_integrate_against_quadrature_200():
         assert abs(exact - approx) <= 1e-8 * max(abs(exact), 1e-6)
 
 
-def test_residue_oracle_names_its_first_failure():
+def test_residue_oracle_names_its_first_failure(monkeypatch):
     assert "first_failure" not in run_quadrature_oracle(seed=5, count=3)
     # a negative tolerance fails every input
-    report = run_quadrature_oracle(seed=5, count=3, rel_tol=-1.0)
+    monkeypatch.setattr(oracles, "RESIDUE_REL_TOL", -1.0)
+    report = run_quadrature_oracle(seed=5, count=3)
     assert report["failures"] == 3 and not report["pass"]
     f = random_rational_xi(random.Random(5))
     failure = report["first_failure"]

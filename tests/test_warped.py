@@ -88,6 +88,9 @@ def test_third_derivative_against_finite_differences():
     ("2*", "unexpected token"),
     ("sin(t", "arity mismatch"),
     ("t^t", "exponent must be an integer"),
+    # superscript two is a digit but not a decimal one, which Fraction rejects
+    ("2\u00b2", "unexpected character '\u00b2' (at offset 1)"),
+    ("t^\u00b2", "unexpected character '\u00b2' (at offset 2)"),
 ])
 def test_parse_errors_carry_offsets(text, offset_hint):
     with pytest.raises(WarpSyntaxError) as err:
@@ -117,7 +120,7 @@ def test_ad_oracle_skips_subtrees_lost_to_rounding():
 
 
 def test_tame_filter_bounds_every_subtree_in_its_single_pass():
-    probes = (0.2, 0.7, 1.3)
+    probes = oracles.PROBES
     steps = (-4e-3, -2e-3, -1e-3, 0.0, 1e-3, 2e-3, 4e-3)
     warp = parse_warp("sin(exp(4^3) + t)")
     # every jet is tame, and exp(64) + t rounds to exp(64), so both stencils
@@ -125,25 +128,26 @@ def test_tame_filter_bounds_every_subtree_in_its_single_pass():
     for t in probes:
         assert all(abs(v) <= 1 for v in warp.derivatives(t))
         assert len({warp(t + k) for k in steps}) == 1
-    assert tame_warp_jets(warp.ast, probes) is None
+    assert tame_warp_jets(warp.ast) is None
     # an accepted warp comes with exactly the probes, each with its jet and
     # the finite differences at step 1e-3 that fd_jet gives from the warp
     square = parse_warp("t^2")
-    tame = tame_warp_jets(square.ast, probes)
+    tame = tame_warp_jets(square.ast)
     assert set(tame) == set(probes)
     for t, (jet, fd) in tame.items():
         assert _bits(jet) == _bits(square.jet(t))
         assert [v.hex() for v in fd] == [v.hex() for v in fd_jet(square, t)]
 
 
-def test_ad_oracle_names_its_first_failure():
+def test_ad_oracle_names_its_first_failure(monkeypatch):
     assert "first_failure" not in run_ad_oracle(seed=3, count=3)
     # a negative tolerance fails every input
-    report = run_ad_oracle(seed=3, count=3, tol=-1.0)
+    monkeypatch.setattr(oracles, "JET_REL_TOL", -1.0)
+    report = run_ad_oracle(seed=3, count=3)
     assert report["failures"] == 3 and not report["pass"]
     rng = random.Random(3)
-    probes = (0.2, 0.7, 1.3)
-    ast, _ = random_warp_ast(rng, probes=probes)
+    probes = oracles.PROBES
+    ast, _ = random_warp_ast(rng)
     t = probes[rng.randrange(len(probes))]
     assert report["first_failure"] == {"index": 0, "t": t, "warp": warped._ast_to_string(ast)}
     # the text replays: rw --f parses it to a warp with the same values
@@ -184,12 +188,11 @@ def _stencil(t):
 
 def test_compiled_warp_matches_a_walk_of_the_tree():
     rng = random.Random(77)
-    probes = (0.2, 0.7, 1.3)
     for _ in range(300):
-        ast, tame = random_warp_ast(rng, probes=probes)
+        ast, tame = random_warp_ast(rng)
         warp = WarpFunction(ast)
         value = warped.compile_ast(ast, rules=warped.VALUE_RULES)
-        assert set(tame) == set(probes)
+        assert set(tame) == set(oracles.PROBES)
         for t, (jet, _) in tame.items():
             expected = _bits(_walk(ast, Jet3.variable(t)))
             assert _bits(warp.jet(t)) == expected == _bits(jet), (warp.to_string(), t)
@@ -244,8 +247,9 @@ def test_tame_filter_decides_as_a_filter_with_jets_at_every_stencil_point(monkey
     filtered = oracles.tame_warp_jets
     drawn = []
 
-    def compared(ast, probes):
-        got, want = filtered(ast, probes), _reference_tame_warp_jets(ast, probes)
+    def compared(ast):
+        probes = oracles.PROBES
+        got, want = filtered(ast), _reference_tame_warp_jets(ast, probes)
         assert (got is None) == (want is None), warped._ast_to_string(ast)
         if got is not None:
             assert set(got) == set(want)
