@@ -16,6 +16,8 @@ from math import factorial
 
 from .symbolic import (
     GR_I,
+    U_PI,
+    U_TDIM,
     GaussianRational,
     ScalarPoly,
     UnitValue,
@@ -32,12 +34,10 @@ from .symbols import (
     trace_product,
 )
 
-# unit names used in boundary values
-U_PI = "pi"
+# unit names used in boundary values, besides symbolic's U_PI and U_TDIM
 U_H1 = "h'(0)"
 U_VOL = "Vol_dM"
 U_DX = "dx'"
-U_TDIM = "l~2^q"
 U_IGRB = "I_Gr,b"
 
 
@@ -135,25 +135,25 @@ def _poly_to_unitvalue(poly: ScalarPoly) -> UnitValue:
 
 def eval_case(scenario: Scenario, case: CaseIndex) -> UnitValue:
     """Exact value of one boundary case: trace, cosphere moment, conormal
-    line integral, prefactor, carried as coefficient times unit word."""
+    line integral, prefactor, carried as coefficient times unit word.
+
+    The cosphere integral itself imposes |xi'| = 1, so the trace
+    coefficients are integrated as they come, and the normal-coordinate
+    contract is applied once to each integrated coefficient."""
     model = scenario.model
     p1, p2 = scenario.powers
     if case.alpha > 0:
         # tangential x'-derivatives of every symbol vanish at the base point
         return UnitValue.zero()
 
-    left = symbol_jet(model, p1, case.r).pi_plus()
-    f1 = left.component(case.j).dxi(case.k)
-    right = symbol_jet(model, p2, case.l)
-    f2 = right.component(case.k).dxi(case.j + 1)
+    f1 = symbol_jet(model, p1, case.r).component(case.j).pi_plus().dxi(case.k)
+    f2 = symbol_jet(model, p2, case.l).component(case.k).dxi(case.j + 1)
 
     tr = trace_product(f1, f2, model.total_dim_poly())
-    tr = tr.map_coeffs(model.reduce_coeff)
     m = model.n - 1  # cosphere lives in R^{n-1}
-    moments = tr.map_coeffs(lambda p: sphere_integrate(p, model.coords, m))
+    moments = tr.map_coeffs(lambda p: model.reduce_coeff(sphere_integrate(p, model.coords, m)))
     pi_coeff = moments.integrate_pi_coefficient()
-    pref = case_prefactor(case, scenario.bare_prefactor)
-    value = _poly_to_unitvalue(model.reduce_coeff(pi_coeff) * pref)
+    value = _poly_to_unitvalue(pi_coeff * case_prefactor(case, scenario.bare_prefactor))
     if value.is_zero():
         return value
     value = value * UnitValue.unit(U_PI) * UnitValue.unit(U_DX)

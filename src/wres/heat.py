@@ -18,10 +18,15 @@ from itertools import product
 from typing import Callable
 
 from .clifford import Algebra, AlgebraSignature, CliffordElement, sub_dirac_algebra
-from .symbolic import ScalarPoly, UnitValue, _as_poly, gamma_exact
-
-U_PI = "pi"
-U_TDIM = "l~2^q"
+from .symbolic import (
+    U_PI,
+    U_TDIM,
+    ScalarPoly,
+    UnitValue,
+    _as_poly,
+    antisymmetric_symbol,
+    gamma_exact,
+)
 
 R_M = "r_M"  # scalar curvature placeholder
 
@@ -30,16 +35,8 @@ R_M = "r_M"  # scalar curvature placeholder
 # Curvature endomorphism from the Lichnerowicz identity
 # ---------------------------------------------------------------------------
 
-def _anti_pair(prefix: str, a: int, b: int) -> ScalarPoly:
-    if a == b:
-        return ScalarPoly.zero()
-    if a < b:
-        return ScalarPoly.symbol(f"{prefix}_{a}_{b}")
-    return -ScalarPoly.symbol(f"{prefix}_{b}_{a}")
-
-
 def _r1(i, r, s, t):  # <R(f_i, h_r) h_t, h_s>, antisymmetric in (s, t)
-    return _anti_pair(f"R1_{i}_{r}", t, s)
+    return antisymmetric_symbol(f"R1_{i}_{r}", t, s)
 
 
 def _r_pair(prefix, a, b, s, t):
@@ -47,7 +44,7 @@ def _r_pair(prefix, a, b, s, t):
     R3 for (h_a, h_b); antisymmetric in (a, b) and in (s, t)."""
     if a == b:
         return ScalarPoly.zero()
-    sym = _anti_pair(f"{prefix}_{min(a, b)}_{max(a, b)}", t, s)
+    sym = antisymmetric_symbol(f"{prefix}_{min(a, b)}_{max(a, b)}", t, s)
     return sym if a < b else -sym
 
 
@@ -110,10 +107,10 @@ def omega_squared_trace(n: int, q: int, total_dim=None) -> dict:
     td = _as_poly(total_dim) if total_dim is not None else ScalarPoly.symbol("T")
 
     def rm(i, j, k, l):
-        return _anti_pair(f"RM_{i}_{j}", k, l)
+        return antisymmetric_symbol(f"RM_{i}_{j}", k, l)
 
     def rp(i, j, s, t):
-        return _anti_pair(f"RP_{i}_{j}", s, t)
+        return antisymmetric_symbol(f"RP_{i}_{j}", s, t)
 
     total = riem2 = rfperp2 = ScalarPoly.zero()  # |R|^2 and |RF|^2 for the expected form
     for i in range(n):
@@ -197,7 +194,7 @@ def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-# CurvatureData's fields, in its positional order
+# CurvatureData's fields: the volumes (positional), then the invariants
 CURVATURE_FIELDS = (
     "vol", "bvol",
     # interior
@@ -219,20 +216,18 @@ class CurvatureData:
     """Pointwise curvature invariants (interior and boundary) and the volumes.
 
     Interior entries are per unit volume and multiplied by ``vol``; boundary
-    entries by ``bvol``.  All fields accept exact rationals or floats, and
-    are kept as Fractions.
+    entries by ``bvol``.  The invariants are keywords, each 0 unless given
+    (``r_bd`` None).  All fields accept exact rationals or floats, and are
+    kept as Fractions.
     """
 
-    def __init__(self, vol=Fraction(1), bvol=Fraction(0), r=Fraction(0), r2=Fraction(0),
-                 ric2=Fraction(0), riem2=Fraction(0), rfperp2=Fraction(0),
-                 L_aa=Fraction(0), L2_abab=Fraction(0), L2_aabb=Fraction(0),
-                 L3_aabbcc=Fraction(0), L3_ababcc=Fraction(0), L3_abbcac=Fraction(0),
-                 R_aNaN=Fraction(0), R_aNaN_L_bb=Fraction(0), R_aNbN_L_ab=Fraction(0),
-                 R_abcb_L_ac=Fraction(0), L_aa_bb=Fraction(0), r_N=Fraction(0),
-                 r_L_aa=Fraction(0), r_bd=None):
-        given = locals()
+    def __init__(self, vol=1, bvol=0, **invariants):
+        unknown = sorted(set(invariants).difference(CURVATURE_FIELDS))
+        if unknown:
+            raise TypeError(f"CurvatureData() got an unexpected keyword argument {unknown[0]!r}")
+        invariants.update(vol=vol, bvol=bvol)
         for name in CURVATURE_FIELDS:
-            v = given[name]
+            v = invariants.get(name, None if name == "r_bd" else 0)
             setattr(self, name, None if v is None else _fr(v))
 
     @property

@@ -231,6 +231,32 @@ def random_warp_ast(rng: random.Random) -> tuple[tuple, dict[float, tuple[Jet3, 
 # Oracle suites (used by the command line and the tests)
 # ---------------------------------------------------------------------------
 
+def _run_suite(name: str, count: int, check, relative: bool) -> dict:
+    """The report of a suite of ``count`` seeded inputs: ``check()`` draws
+    the next input and returns whether it failed, its error (None for a
+    suite that is not ``relative``) and a function that gives the fields
+    naming the input.  A relative suite reports its largest error as
+    ``worst_rel_err``; a failing run names its first failing input under
+    ``first_failure``, with its ``index`` in the seeded sequence."""
+    worst = 0.0
+    failures = 0
+    first_failure = None
+    for index in range(count):
+        failed, err, describe = check()
+        if relative:
+            worst = max(worst, err)
+        if failed:
+            failures += 1
+            if first_failure is None:
+                first_failure = {"index": index, **describe()}
+    report = {"name": name, "count": count, "failures": failures, "pass": failures == 0}
+    if relative:
+        report["worst_rel_err"] = worst
+    if first_failure is not None:
+        report["first_failure"] = first_failure
+    return report
+
+
 def run_trace_oracle(seed: int, count: int) -> dict:
     """Random words: symbolic normal ordering against the monomial matrices.
 
@@ -238,10 +264,9 @@ def run_trace_oracle(seed: int, count: int) -> dict:
     seeded sequence, the signature and the word as generator names.
     """
     rng = random.Random(seed)
-    failures = 0
-    first_failure = None
     reps: dict[tuple[int, int], MatrixRep] = {}
-    for index in range(count):
+
+    def check():
         sig = random_signature(rng)
         alg, word = random_word(rng, sig)
         key = (sig.p, sig.q)
@@ -251,18 +276,11 @@ def run_trace_oracle(seed: int, count: int) -> dict:
         sym = normalize(alg, word)
         mat = rep.word_matrix(word)
         sym_tr = sym.trace(sig.total_dim).constant_value()
-        if (rep.element_matrix(sym) == mat
-                and sym_tr == rep.normalized_trace(mat) * GaussianRational(sig.total_dim)):
-            continue
-        failures += 1
-        if first_failure is None:
-            first_failure = {"index": index, "p": sig.p, "q": sig.q,
-                             "word": [alg.gen_name(g) for g in word]}
-    report = {"name": "trace-matrix", "count": count, "failures": failures,
-              "pass": failures == 0}
-    if first_failure is not None:
-        report["first_failure"] = first_failure
-    return report
+        ok = (rep.element_matrix(sym) == mat
+              and sym_tr == rep.normalized_trace(mat) * GaussianRational(sig.total_dim))
+        return not ok, None, lambda: {"p": sig.p, "q": sig.q,
+                                      "word": [alg.gen_name(g) for g in word]}
+    return _run_suite("trace-matrix", count, check, relative=False)
 
 
 def run_quadrature_oracle(seed: int, count: int) -> dict:
@@ -273,29 +291,19 @@ def run_quadrature_oracle(seed: int, count: int) -> dict:
     term first.
     """
     rng = random.Random(seed)
-    worst = 0.0
-    failures = 0
-    first_failure = None
     # the integrands' power tables, shared by this run and dropped with it
     tables: dict = {}
-    for index in range(count):
+
+    def check():
         f = random_rational_xi(rng)
         exact = complex(f.integrate_pi_coefficient().constant_value()) * math.pi
         approx = numeric_line_integral(f, tables)
         err = abs(exact - approx) / max(abs(exact), 1e-6)
-        worst = max(worst, err)
-        if err > RESIDUE_REL_TOL:
-            failures += 1
-            if first_failure is None:
-                coeffs = [poly.constant_value() for poly in f.num]
-                first_failure = {"index": index, "mp": f.mp, "mm": f.mm,
-                                 "coefficients": [{"re": _frac_str(c.re), "im": _frac_str(c.im)}
-                                                  for c in coeffs]}
-    report = {"name": "residue-quadrature", "count": count, "failures": failures,
-              "worst_rel_err": worst, "pass": failures == 0}
-    if first_failure is not None:
-        report["first_failure"] = first_failure
-    return report
+        return err > RESIDUE_REL_TOL, err, lambda: {
+            "mp": f.mp, "mm": f.mm,
+            "coefficients": [{"re": _frac_str(c.re), "im": _frac_str(c.im)}
+                             for c in (poly.constant_value() for poly in f.num)]}
+    return _run_suite("residue-quadrature", count, check, relative=True)
 
 
 def run_ad_oracle(seed: int, count: int) -> dict:
@@ -308,23 +316,13 @@ def run_ad_oracle(seed: int, count: int) -> dict:
     ``wres rw --f`` parses.
     """
     rng = random.Random(seed)
-    worst = 0.0
-    failures = 0
-    first_failure = None
-    for index in range(count):
+
+    def check():
         ast, tame = random_warp_ast(rng)
         t = PROBES[rng.randrange(len(PROBES))]
         probe_jet, fd = tame[t]
         jet = probe_jet.derivatives()
         scale = max(1.0, *(abs(v) for v in jet))
         err = max(abs(a - b) for a, b in zip(jet, fd)) / scale
-        worst = max(worst, err)
-        if err > JET_REL_TOL:
-            failures += 1
-            if first_failure is None:
-                first_failure = {"index": index, "t": t, "warp": _ast_to_string(ast)}
-    report = {"name": "jet-finite-difference", "count": count, "failures": failures,
-              "worst_rel_err": worst, "pass": failures == 0}
-    if first_failure is not None:
-        report["first_failure"] = first_failure
-    return report
+        return err > JET_REL_TOL, err, lambda: {"t": t, "warp": _ast_to_string(ast)}
+    return _run_suite("jet-finite-difference", count, check, relative=True)

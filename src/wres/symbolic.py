@@ -10,7 +10,7 @@ helpers used by the numeric oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, pi
 from typing import Iterable, Mapping
 
 
@@ -410,6 +410,16 @@ def _as_poly(x) -> ScalarPoly:
     return y
 
 
+def antisymmetric_symbol(prefix: str, a: int, b: int) -> ScalarPoly:
+    """Placeholder for an entry antisymmetric in (a, b): the symbol
+    ``{prefix}_{a}_{b}`` for a < b, its negative for a > b, zero for a == b."""
+    if a == b:
+        return ScalarPoly.zero()
+    if a < b:
+        return ScalarPoly.symbol(f"{prefix}_{a}_{b}")
+    return -ScalarPoly.symbol(f"{prefix}_{b}_{a}")
+
+
 def reduce_unit_norm(poly: ScalarPoly, coords: Iterable[str]) -> ScalarPoly:
     """Reduce modulo the cosphere constraint sum(coords^2) = 1.
 
@@ -708,13 +718,12 @@ def _inv_binomial_series(a: GaussianRational, b: int, order: int):
 # Symbolic result values: exact coefficient times a unit word
 # ---------------------------------------------------------------------------
 
-# numeric values of the opaque units (lossy rendering only)
-_UNIT_NUMERIC = {
-    "pi": 3.141592653589793,
-    "Omega2": 4 * 3.141592653589793,            # vol(S^2)
-    "Omega3": 2 * 3.141592653589793 ** 2,       # vol(S^3)
-    "Omega4": Fraction(8, 3) * 3.141592653589793 ** 2,  # vol(S^4)
-}
+U_PI = "pi"
+U_TDIM = "l~2^q"  # the formal trace dimension l~ 2^q
+
+# numeric values of the opaque units (lossy rendering only); the sphere
+# measures Omega2..Omega4 are added below, once sphere_measure is defined
+_UNIT_NUMERIC = {U_PI: pi}
 
 
 class UnitValue:
@@ -828,7 +837,7 @@ class UnitValue:
             if b.isdigit():
                 v *= float(int(b)) ** float(e)
             elif b in _UNIT_NUMERIC:
-                v *= float(_UNIT_NUMERIC[b]) ** float(e)
+                v *= _UNIT_NUMERIC[b] ** float(e)
             else:
                 raise KeyError(f"no numeric value for unit {b!r}")
         return v
@@ -866,7 +875,7 @@ def integrate_line(f: RationalXi) -> UnitValue:
     if coeff is None:
         raise ValueError("integrand coefficients carry formal symbols; "
                          "use integrate_pi_coefficient for the symbolic path")
-    return UnitValue(coeff, {"pi": Fraction(1)})
+    return UnitValue(coeff, {U_PI: Fraction(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +928,11 @@ def gamma_exact(two_z: int) -> tuple[Fraction, Fraction]:
 def sphere_measure(m: int) -> UnitValue:
     """vol(S^{m-1}) = 2 pi^(m/2) / Gamma(m/2) as an exact rational times a power of pi."""
     gamma, gamma_pi = gamma_exact(m)
-    return UnitValue(2 / gamma, {"pi": Fraction(m, 2) - gamma_pi})
+    return UnitValue(2 / gamma, {U_PI: Fraction(m, 2) - gamma_pi})
+
+
+# vol(S^2), vol(S^3), vol(S^4)
+_UNIT_NUMERIC.update({f"Omega{m - 1}": sphere_measure(m).numeric().real for m in (3, 4, 5)})
 
 
 def sphere_moment(exponents: Iterable[int], m: int) -> UnitValue:

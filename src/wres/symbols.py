@@ -22,7 +22,7 @@ from .symbolic import (
     RationalXi,
     ScalarPoly,
     _as_poly,
-    reduce_unit_norm,
+    antisymmetric_symbol,
 )
 
 H1 = "h1"  # h'(0), the normal metric derivative at the boundary point
@@ -36,11 +36,7 @@ def h1_poly() -> ScalarPoly:
 
 def conn(w: int, u: int, v: int) -> ScalarPoly:
     """<nabla_{e_w} e_u, e_v> as an antisymmetrized placeholder symbol."""
-    if u == v:
-        return ScalarPoly.zero()
-    if u < v:
-        return ScalarPoly.symbol(f"g_{w}_{u}_{v}")
-    return -ScalarPoly.symbol(f"g_{w}_{v}_{u}")
+    return antisymmetric_symbol(f"g_{w}", u, v)
 
 
 def omega(s: int, t: int, w: int) -> ScalarPoly:
@@ -62,12 +58,6 @@ class Jet(NamedTuple):
                 raise ValueError("x_n-jet not available for this symbol")
             return self.dxn
         raise ValueError("only first-order x_n-jets are carried")
-
-    def pi_plus(self) -> "Jet":
-        return Jet(self.val.pi_plus(), None if self.dxn is None else self.dxn.pi_plus())
-
-    def dxi(self, order: int = 1) -> "Jet":
-        return Jet(self.val.dxi(order), None if self.dxn is None else self.dxn.dxi(order))
 
     def mul(self, other: "Jet") -> "Jet":
         val = self.val * other.val
@@ -175,11 +165,9 @@ class BoundaryModel:
         assert not any(v.symbols() & table.keys() for v in table.values())
         return table
 
-    def normal_reduce(self, poly: ScalarPoly) -> ScalarPoly:
-        return poly.subs_many(self._subs)
-
     def reduce_coeff(self, poly: ScalarPoly) -> ScalarPoly:
-        return reduce_unit_norm(self.normal_reduce(poly), self.coords)
+        """The normal-coordinate contract applied to a coefficient."""
+        return poly.subs_many(self._subs)
 
     # -- Clifford-valued building blocks ---------------------------------------
     def gen_elem(self, g: Gen, coeff=1) -> CliffordElement:

@@ -16,7 +16,13 @@ from wres.boundary import (
     res_partial,
 )
 from wres.clifford import MatrixRep
-from wres.symbolic import GaussianRational, RationalXi, UnitValue, sphere_integrate
+from wres.symbolic import (
+    GaussianRational,
+    RationalXi,
+    UnitValue,
+    reduce_unit_norm,
+    sphere_integrate,
+)
 
 
 def test_enumeration_counts():
@@ -123,7 +129,8 @@ def test_unknown_scenario():
 
 
 def _eval_case_with_matrix_trace(scenario, case) -> UnitValue:
-    """Trace-path swap: word traces through the Jordan-Wigner matrix oracle."""
+    """Trace-path swap: word traces through the Jordan-Wigner matrix oracle,
+    reduced modulo the cosphere constraint before the sphere integral."""
     from wres.boundary import case_prefactor, _poly_to_unitvalue, U_PI, U_DX
     from wres.symbolic import sphere_measure
     from wres.symbols import symbol_jet
@@ -132,7 +139,7 @@ def _eval_case_with_matrix_trace(scenario, case) -> UnitValue:
     p1, p2 = scenario.powers
     if case.alpha > 0:
         return UnitValue.zero()
-    f1 = symbol_jet(model, p1, case.r).pi_plus().component(case.j).dxi(case.k)
+    f1 = symbol_jet(model, p1, case.r).component(case.j).pi_plus().dxi(case.k)
     f2 = symbol_jet(model, p2, case.l).component(case.k).dxi(case.j + 1)
 
     rep = MatrixRep(model.algebra)
@@ -145,7 +152,7 @@ def _eval_case_with_matrix_trace(scenario, case) -> UnitValue:
             if not tr.is_zero():
                 acc = acc + c1 * c2 * tr
     acc = acc * model.total_dim_poly()
-    acc = acc.map_coeffs(model.reduce_coeff)
+    acc = acc.map_coeffs(lambda p: reduce_unit_norm(model.reduce_coeff(p), model.coords))
     moments = acc.map_coeffs(lambda p: sphere_integrate(p, model.coords, model.n - 1))
     poly = model.reduce_coeff(moments.integrate_pi_coefficient())
     value = _poly_to_unitvalue(poly * case_prefactor(case, scenario.bare_prefactor))
@@ -159,9 +166,9 @@ def _eval_case_with_matrix_trace(scenario, case) -> UnitValue:
     return value
 
 
-def test_trace_path_swap_dim4_and_dim3():
+def test_trace_path_swap_every_scenario():
     # the matrix-oracle trace path reproduces every case value exactly
-    for key in ((4, 1, 1), (3, 1, 1)):
+    for key in registered_scenarios():
         scenario = get_scenario(*key)
         for case in scenario.cases():
             assert _eval_case_with_matrix_trace(scenario, case) == \

@@ -407,11 +407,24 @@ def test_report_matches_reference(op, monkeypatch, capsys):
     assert capsys.readouterr().out.encode() == reference
 
 
-def test_oracle_seed7_count100_matches_reference(capsys):
-    # the timed oracle runs' report, from the compiled warps and shared stencils
-    assert main(["oracle", "--seed", "7", "--count", "100"]) == 0
-    reference = (ROOT / "perfbench" / "reference" / "oracle_seed7.json").read_bytes()
-    assert capsys.readouterr().out.encode() == reference
+def test_benchmark_hooks_resolve():
+    # the traced benchmark replaces each hooked name where its callers look
+    # it up: in a class's own namespace, else on the module; a renamed one
+    # would drop its per-layer metric from the traced runs
+    tracing = _perfbench_module("tracing")
+    points = [(module, cls, attr) for module, cls, attr, *_ in tracing.SPAN_POINTS]
+    points += [(module, cls, attr) for module, cls, attrs, *_ in tracing.COUNT_POINTS
+               for attr in attrs]
+    missing = []
+    for module, cls, attr in points:
+        owner = importlib.import_module(module)
+        if cls is None:
+            hooked = getattr(owner, attr, None)
+        else:
+            hooked = vars(getattr(owner, cls)).get(attr)
+        if not callable(hooked):
+            missing.append(f"{module}:{cls or ''}.{attr}")
+    assert missing == []
 
 
 @pytest.mark.parametrize("script, digest", [

@@ -531,6 +531,33 @@ def test_sphere_integrate_polynomial():
     assert out == ScalarPoly.symbol("h1") * Fraction(1, 2)
 
 
+@st.composite
+def cosphere_polys(draw):
+    """A Gaussian-rational polynomial in m cosphere coordinates and one
+    symbol outside them, with its coordinates and m."""
+    m = draw(st.integers(1, 5))
+    coords = [f"a{i + 1}" for i in range(m)]
+    monomials = st.dictionaries(st.sampled_from(coords + ["h1"]), st.integers(1, 6),
+                                max_size=3)
+    poly = ScalarPoly.zero()
+    for c, mono in draw(st.lists(st.tuples(gauss, monomials), min_size=1, max_size=6)):
+        term = ScalarPoly.const(c)
+        for name, e in mono.items():
+            term = term * ScalarPoly.symbol(name, e)
+        poly = poly + term
+    return poly, coords, m
+
+
+@settings(deadline=None)
+@given(cosphere_polys())
+def test_sphere_integral_imposes_the_unit_norm(case):
+    # the normalised moments give the integral of x^alpha (|x|^2 - 1) as
+    # exactly 0, so reducing modulo |x|^2 = 1 first changes no integral
+    poly, coords, m = case
+    assert (sphere_integrate(reduce_unit_norm(poly, coords), coords, m)
+            == sphere_integrate(poly, coords, m))
+
+
 def test_unitvalue_algebra():
     v = UnitValue(Fraction(3, 4), {"pi": 1, "h'(0)": 1})
     w = UnitValue(Fraction(-3, 4), {"pi": 1, "h'(0)": 1})
