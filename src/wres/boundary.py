@@ -47,11 +47,6 @@ class CaseIndex(namedtuple("CaseIndex", "r l k j alpha")):
 
     __slots__ = ()
 
-    def degree_check(self, n: int, p1: int, p2: int) -> bool:
-        return (self.k + self.j + self.alpha - self.r - self.l == n - 1
-                and self.r <= -p1 and self.l <= -p2
-                and min(self.k, self.j, self.alpha) >= 0)
-
 
 def enumerate_cases(n: int, p1: int, p2: int) -> list[CaseIndex]:
     """All index cases of the boundary sum for the given dimension and powers.

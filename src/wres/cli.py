@@ -211,7 +211,8 @@ def cmd_rw(args) -> dict:
     try:
         return _rw_report(args)
     except (OverflowError, ZeroDivisionError) as exc:  # overflow, or underflow to 0.0
-        raise BadInput(f"value out of floating-point range: {exc}") from exc
+        # a float power's OverflowError is (errno, text): the text alone
+        raise BadInput(f"value out of floating-point range: {exc.args[-1]}") from exc
     except ValueError as exc:  # WarpSyntaxError and WarpDomainError included
         raise BadInput(str(exc)) from exc
 

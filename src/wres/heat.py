@@ -4,7 +4,7 @@ constants, and spectral-action moments.
 
 Every coefficient comes from one table of the general Laplace-type heat
 coefficients (``_GENERAL``) composed with the Lichnerowicz trace identities
-(``_TRACES``, which ``endomorphism_traces`` and ``omega_squared_trace`` check).
+(``_TRACES``, which ``tests/references.py`` derives symbolically).
 The one hand-typed deviation is the paper's printed a4 boundary reading,
 -51 r_{;N} where the table gives +12; both readings are reported.
 """
@@ -17,13 +17,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from .clifford import Algebra, AlgebraSignature, CliffordElement, sub_dirac_algebra
+from .clifford import AlgebraSignature, CliffordElement, sub_dirac_algebra
 from .symbolic import (
     U_PI,
     U_TDIM,
     ScalarPoly,
     UnitValue,
-    _as_poly,
     antisymmetric_symbol,
     gamma_exact,
 )
@@ -50,88 +49,27 @@ def _r_pair(prefix, a, b, s, t):
 
 def _rfperp_components(p: int, q: int):
     """Each component of R^{F-perp} in the placeholders, as (its Clifford
-    generators, its placeholder, its weight in -E, its multiplicity in
-    ||R^{F-perp}||^2): R1 = <R(f_i, h_r) h_t, h_s>, then R2 for the pairs
-    (f_i, f_j) and R3 for the pairs (h_r, h_l)."""
+    generators, its placeholder, its weight in -E): R1 = <R(f_i, h_r) h_t, h_s>,
+    then R2 for the pairs (f_i, f_j) and R3 for the pairs (h_r, h_l)."""
     for i, r, s, t in product(range(p), range(q), range(q), range(q)):
-        yield ((0, i), (1, r), (2, s), (2, t)), _r1(i, r, s, t), Fraction(1, 4), 2
+        yield ((0, i), (1, r), (2, s), (2, t)), _r1(i, r, s, t), Fraction(1, 4)
     for family, prefix, count in ((0, "R2", p), (1, "R3", q)):
         for a, b, s, t in product(range(count), range(count), range(q), range(q)):
             yield (((family, a), (family, b), (2, s), (2, t)),
-                   _r_pair(prefix, a, b, s, t), Fraction(1, 8), 1)
+                   _r_pair(prefix, a, b, s, t), Fraction(1, 8))
 
 
 def lichnerowicz_E(sig: AlgebraSignature) -> CliffordElement:
     """-E = r_M/4 + I1 + I2 + I3 with symbolic curvature placeholders."""
     alg = sub_dirac_algebra(sig.p, sig.q)
     out = alg.scalar(ScalarPoly.symbol(R_M) * Fraction(1, 4))
-    for gens, c, weight, _ in _rfperp_components(sig.p, sig.q):
+    for gens, c, weight in _rfperp_components(sig.p, sig.q):
         if not c.is_zero():
             word = alg.scalar(1)
             for g in gens:
                 word = word * alg.gen(g)
             out = out + word * (c * weight)
     return out
-
-
-def rfperp_norm_sq(sig: AlgebraSignature) -> ScalarPoly:
-    """||R^{F-perp}||^2 expanded in the same placeholders."""
-    out = ScalarPoly.zero()
-    for _, c, _, multiplicity in _rfperp_components(sig.p, sig.q):
-        out = out + c ** 2 * multiplicity
-    return out
-
-
-def endomorphism_traces(sig: AlgebraSignature, total_dim=None) -> dict:
-    """tr E and tr E^2 derived symbolically, with their expected closed forms."""
-    td = _as_poly(total_dim if total_dim is not None else sig.total_dim)
-    minus_e = lichnerowicz_E(sig)
-    tr_e = (-minus_e).trace(td)
-    tr_e2 = (minus_e * minus_e).trace(td)
-    r = ScalarPoly.symbol(R_M)
-    tr = _TRACES["E2"]
-    return {
-        "tr_E": tr_e,
-        "tr_E_expected": td * r * _TRACES["E"]["r"],
-        "tr_E2": tr_e2,
-        "tr_E2_expected": td * (r * r * tr["r2"] + rfperp_norm_sq(sig) * tr["rfperp2"]),
-    }
-
-
-def omega_squared_trace(n: int, q: int, total_dim=None) -> dict:
-    """tr(Omega_ij Omega_ij) on the twisted module, derived and expected.
-
-    Omega_ij = -(1/4) R^M_{ijkl} c(e_k)c(e_l) - (1/4) <R'(e_i,e_j)h_s,h_t> c'(h_s)c'(h_t).
-    """
-    alg = Algebra([("e", n, -1), ("s", q, -1)])
-    td = _as_poly(total_dim) if total_dim is not None else ScalarPoly.symbol("T")
-
-    def rm(i, j, k, l):
-        return antisymmetric_symbol(f"RM_{i}_{j}", k, l)
-
-    def rp(i, j, s, t):
-        return antisymmetric_symbol(f"RP_{i}_{j}", s, t)
-
-    total = riem2 = rfperp2 = ScalarPoly.zero()  # |R|^2 and |RF|^2 for the expected form
-    for i in range(n):
-        for j in range(n):
-            om = alg.scalar(0)
-            for k in range(n):
-                for l in range(n):
-                    c = rm(i, j, k, l)
-                    if not c.is_zero():
-                        om = om + alg.gen((0, k)) * alg.gen((0, l)) * (c * Fraction(-1, 4))
-                        riem2 = riem2 + c ** 2
-            for s in range(q):
-                for t in range(q):
-                    c = rp(i, j, s, t)
-                    if not c.is_zero():
-                        om = om + alg.gen((1, s)) * alg.gen((1, t)) * (c * Fraction(-1, 4))
-                        rfperp2 = rfperp2 + c ** 2
-            total = total + (om * om).trace(td)
-    tr = _TRACES["Omega2"]
-    return {"tr_Omega2": total,
-            "tr_Omega2_expected": td * (riem2 * tr["riem2"] + rfperp2 * tr["rfperp2"])}
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +96,10 @@ _GENERAL = {
          "L3_abbcac": Fraction(320, 21)}),
 }
 
-# Per unit trace for the sub-Dirac E and Omega, as endomorphism_traces and
-# omega_squared_trace derive them: tr E = -r/4, tr E^2 = (r^2 + |RF|^2)/16,
-# tr Omega^2 = -(|R|^2 + |RF|^2)/8.  rE, E_N and E_L_aa are linear in E, so
-# their traces carry tr E's factor onto r^2, r_{;N} and r L_aa.
+# Per unit trace for the sub-Dirac E and Omega, as tests/references.py derives
+# them: tr E = -r/4, tr E^2 = (r^2 + |RF|^2)/16, tr Omega^2 = -(|R|^2 + |RF|^2)/8.
+# rE, E_N and E_L_aa are linear in E, so their traces carry tr E's factor
+# onto r^2, r_{;N} and r L_aa.
 _TR_E = Fraction(-1, 4)
 _TRACES = {
     "E": {"r": _TR_E}, "rE": {"r2": _TR_E}, "E_N": {"r_N": _TR_E}, "E_L_aa": {"r_L_aa": _TR_E},
@@ -344,16 +282,6 @@ def v_nk(n: int, k: int) -> UnitValue:
         out = out * UnitValue(1, {"2": Fraction((k - n) * (n + 1), 2 * n),
                                   U_PI: Fraction(k - n, 2)})
     return out
-
-
-def v_nk_numeric(n: int, k: int) -> float:
-    """Defining formula evaluated in floats (test oracle)."""
-    if (n - k) % 2 == 1:
-        return 0.0
-    g = math.gamma(n / 2 + 1) ** (k / n) / math.gamma(k / 2 + 1)
-    if n % 2 == 0:
-        return k / n * (2 * math.pi) ** ((k - n) / 2) * g
-    return k / n * 2 ** ((k - n) * (n + 1) / (2 * n)) * math.pi ** ((k - n) / 2) * g
 
 
 class LowerVolume:

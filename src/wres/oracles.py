@@ -1,10 +1,9 @@
-"""Independent numeric oracles: adaptive quadrature for line integrals and the
-half-plane projection, finite differences for jets, and seeded random
-generators for the randomized suites.
+"""Independent numeric oracles: adaptive quadrature for line integrals,
+finite differences for jets, and seeded random generators for the
+randomized suites.
 
 These deliberately avoid the exact code paths they check: integrals go
-through adaptive quadrature on the real line (or a shifted contour), never
-through residues.
+through adaptive quadrature on the real line, never through residues.
 """
 
 from __future__ import annotations
@@ -24,15 +23,6 @@ RESIDUE_REL_TOL = 1e-8
 JET_REL_TOL = 1e-6
 
 
-def _quad_complex(fn):
-    """Integral over the real line of ``fn``, a function of a panel's points
-    that returns the complex values there (``quadpack.quad_complex``)."""
-    from .quadpack import quad_complex
-
-    re, im = quad_complex(fn, epsabs=1e-12, epsrel=1e-11, limit=400)
-    return complex(re.value, im.value)
-
-
 def _rational_function(f: RationalXi, tables: dict | None = None):
     """f as a function of a panel's points, a tuple of real floats, that
     returns the list of its values there.
@@ -40,10 +30,10 @@ def _rational_function(f: RationalXi, tables: dict | None = None):
     ``tables`` maps a panel's points to columns of their powers ``x ** k``
     (k >= 1), ``(x - 1j) ** m`` and ``(x + 1j) ** m``, each column built the
     first time a function needs it, so the integrands that share ``tables``
-    share them; without it the function keeps its own.  Each entry is
-    ``RationalXi.evaluate``'s expression on the same float, and the values
-    take its arithmetic in its order, one column at a time, so they are the
-    same floats.
+    share them; without it the function keeps its own.  The value at x is
+    num(x) / ((x - 1j) ** mp * (x + 1j) ** mm) with the numerator summed
+    from the int 0 in ascending powers, one column at a time: the floats of
+    the point-by-point ``evaluate_rational`` in ``tests/references.py``.
     """
     coeffs = []
     for poly in f.num:
@@ -85,22 +75,13 @@ def _rational_function(f: RationalXi, tables: dict | None = None):
 
 
 def numeric_line_integral(f: RationalXi, tables: dict | None = None) -> complex:
-    """Adaptive quadrature of the rational function over the real line;
-    ``tables`` as for ``_rational_function``."""
-    return _quad_complex(_rational_function(f, tables))
+    """Adaptive quadrature of the rational function over the real line, one
+    panel of ``quadpack.quad_complex`` at a time; ``tables`` as for
+    ``_rational_function``."""
+    from .quadpack import quad_complex
 
-
-def numeric_pi_plus(f: RationalXi, x0: float) -> complex:
-    """Half-plane projection at a real point via a shifted-contour Cauchy
-    integral: pi+f(x0) = f(x0) - (2 pi i)^{-1} * integral over Im = -1/2 of
-    f(eta)/(eta - x0), a contour strictly between the axis and the lower pole."""
-
-    def integrand(t):
-        eta = t - 0.5j
-        return f.evaluate(eta) / (eta - x0)
-
-    integral = _quad_complex(lambda nodes: [integrand(t) for t in nodes])
-    return f.evaluate(x0) - integral / (2j * math.pi)
+    re, im = quad_complex(_rational_function(f, tables), epsabs=1e-12, epsrel=1e-11, limit=400)
+    return complex(re.value, im.value)
 
 
 def fd_jet(fn, t: float, h: float = 1e-3):

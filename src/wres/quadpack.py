@@ -226,38 +226,36 @@ class QuadResult(NamedTuple):
 
 def quad(fn: Callable[[float], float], a: float, b: float, *,
          epsabs: float = 1.49e-8, epsrel: float = 1.49e-8, limit: int = 50) -> QuadResult:
-    """Integral of the real-valued ``fn`` over ``[a, b]``; either end may be
-    infinite.
-
-    Dispatches as ``scipy.integrate.quad`` does: an empty interval gives 0,
-    ``b < a`` integrates over ``[b, a]`` and negates, a finite interval runs
-    dqagse and an infinite one dqagie.  ``fn`` is called one point at a
-    time, in the published order.
+    """Integral of the real-valued ``fn`` over a finite ``[a, b]`` with
+    ``a < b`` (dqagse), over ``[a, inf)`` or over the whole real line
+    (dqagie), as ``scipy.integrate.quad`` computes it.  ``fn`` is called one
+    point at a time, in the published order.
     """
-    if a == b:
-        return QuadResult(0.0, 0.0, 0, 0)
-    flip, a, b = b < a, float(min(a, b)), float(max(a, b))
-    if a != -math.inf and b != math.inf:
+    a, b = float(a), float(b)
+    if not a < b or (a == -math.inf and b != math.inf):
+        raise ValueError(f"quad integrates over [a, b] with a < b, [a, inf) or the "
+                         f"whole line, not [{a}, {b}]")
+    if b != math.inf:
         def rule(lo, hi):
             return _qk21(fn, lo, hi)
         npts = 21
-    elif a == -math.inf and b == math.inf:
+    elif a == -math.inf:
         def rule(lo, hi):
             panel = _panel(lo, hi)
             return _qk15i(panel, _mirror_sums([float(fn(x)) for x in panel.nodes]))
         npts = 30
         a, b = 0.0, 1.0
     else:
-        # dqk15i's map x = boun + dinf*(1-t)/t onto [a, inf) or (-inf, b]
-        boun, dinf = (a, 1.0) if b == math.inf else (b, -1.0)
+        # dqk15i's map x = boun + (1-t)/t onto [boun, inf)
+        boun = a
 
         def rule(lo, hi):
             panel = _panel(lo, hi)
-            return _qk15i(panel, [float(fn(boun + dinf * (1.0 - t) / t)) for t in panel.t])
+            return _qk15i(panel, [float(fn(boun + (1.0 - t) / t)) for t in panel.t])
         npts = 15
         a, b = 0.0, 1.0
     value, abserr, ier, last = _qags(rule, a, b, epsabs, epsrel, limit)
-    return QuadResult(-value if flip else value, abserr, ier, npts * (2 * last - 1) if last else 0)
+    return QuadResult(value, abserr, ier, npts * (2 * last - 1) if last else 0)
 
 
 def quad_complex(fn: Callable[[tuple[float, ...]], Sequence[complex]], *,

@@ -3,8 +3,9 @@ rational functions of the conormal variable with poles restricted to ±i,
 the half-plane projection, residue-based line integration, and unit-sphere
 monomial moments.
 
-Everything in this module is exact; floats appear only in ``evaluate``
-helpers used by the numeric oracles.
+Everything in this module is exact; floats appear only in lossy renderings
+of exact values: ``complex()`` of a Gaussian rational and
+``UnitValue.numeric``.
 """
 
 from __future__ import annotations
@@ -110,9 +111,6 @@ class GaussianRational:
             base = base * base
             k >>= 1
         return out
-
-    def conjugate(self):
-        return _gr(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
         return not self.a and not self.b
@@ -369,15 +367,6 @@ class ScalarPoly:
                 out[m2] = out[m2] + x if m2 in out else x
         return ScalarPoly(out)
 
-    def evaluate(self, env: Mapping[str, complex]) -> complex:
-        total = 0j
-        for m, c in self.terms.items():
-            v = complex(c)
-            for n, e in m:
-                v *= env[n] ** e
-            total += v
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -418,33 +407,6 @@ def antisymmetric_symbol(prefix: str, a: int, b: int) -> ScalarPoly:
     if a < b:
         return ScalarPoly.symbol(f"{prefix}_{a}_{b}")
     return -ScalarPoly.symbol(f"{prefix}_{b}_{a}")
-
-
-def reduce_unit_norm(poly: ScalarPoly, coords: Iterable[str]) -> ScalarPoly:
-    """Reduce modulo the cosphere constraint sum(coords^2) = 1.
-
-    Eliminates the square of the last coordinate: c_last^2 -> 1 - sum(others^2).
-    """
-    coords = list(coords)
-    if not coords:
-        return poly
-    target = coords[-1]
-    others = coords[:-1]
-    rest = ScalarPoly.one()
-    for n in others:
-        rest = rest - ScalarPoly.symbol(n, 2)
-    out = ScalarPoly.zero()
-    for m, c in poly.terms.items():
-        piece = ScalarPoly({_EMPTY: c})
-        for n, e in m:
-            if n == target and e >= 2:
-                piece = piece * rest ** (e // 2)
-                if e % 2:
-                    piece = piece * ScalarPoly.symbol(target)
-            else:
-                piece = piece * ScalarPoly.symbol(n, e)
-        out = out + piece
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +576,6 @@ class RationalXi:
         # truncated Taylor polynomial in u = xi - i, shifted back to xi
         return RationalXi(_shift_poly(self._upper_taylor(self.mp), -GR_I), self.mp, 0)
 
-    def pi_minus(self) -> "RationalXi":
-        return (self - self.pi_plus())._normalize()
-
     def residue_at_plus_i(self) -> ScalarPoly:
         if not self.is_proper():
             raise DivergentSymbol("divergent symbol")
@@ -634,12 +593,6 @@ class RationalXi:
         if gap == 1:
             raise ConditionallyConvergent("conditionally convergent, unsupported")
         return self.residue_at_plus_i() * (GR_I * 2)
-
-    # -- numeric evaluation (oracles only) --------------------------------------
-    def evaluate(self, xi: complex, env: Mapping[str, complex] | None = None) -> complex:
-        env = env or {}
-        num = sum(c.evaluate(env) * xi ** k for k, c in enumerate(self.num))
-        return num / ((xi - 1j) ** self.mp * (xi + 1j) ** self.mm)
 
     def __repr__(self):
         num = " + ".join(f"({c!r})*xi^{k}" if k else f"({c!r})"

@@ -220,11 +220,6 @@ def spin_model(n: int, total_dim) -> BoundaryModel:
 # Symbol builders
 # ---------------------------------------------------------------------------
 
-def sigma1_D(model: BoundaryModel) -> Jet:
-    """Leading symbol i*c(xi)."""
-    return model.c_xi_jet().scale(GR_I)
-
-
 def connection_word(model: BoundaryModel, k: int) -> CliffordElement:
     """The Clifford word W_k through which the connection along the frame vector
     e_k (global index k) enters the symbols of D_F = sum_k c(e_k) nabla_{e_k}:

@@ -238,10 +238,12 @@ MAX_WARP_DEPTH = 100
 
 
 class _Tokenizer:
+    """The tokens of a warp as (kind, source text, offset); the end token's
+    text is None."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, object, int]] = []
+        self.tokens: list[tuple[str, str | None, int]] = []
         self._scan()
         self.idx = 0
 
@@ -270,7 +272,7 @@ class _Tokenizer:
                 lit = text[i:j]
                 if lit.endswith(".") or lit == ".":
                     raise WarpSyntaxError("malformed number", i)
-                self.tokens.append(("num", Fraction(lit), i))
+                self.tokens.append(("num", lit, i))
                 i = j
                 continue
             if ch.isalpha() or ch == "_":
@@ -331,16 +333,16 @@ def parse_warp(text: str) -> "WarpFunction":
                 tk.next()
                 sign = -1
             kind, val, off = tk.next()
-            if kind != "num" or val.denominator != 1:
+            if kind != "num" or Fraction(val).denominator != 1:
                 raise WarpSyntaxError("exponent must be an integer", off)
-            node, depth = ("pow", node, sign * int(val)), limit(depth + 1, off)
+            node, depth = ("pow", node, sign * int(Fraction(val))), limit(depth + 1, off)
         return node, depth
 
     def base():
         nonlocal nesting
         kind, val, off = tk.next()
         if kind == "num":
-            return ("num", val), 1
+            return ("num", Fraction(val)), 1
         if kind == "(":
             nesting = limit(nesting + 1, off)
             node = expr()
@@ -361,7 +363,8 @@ def parse_warp(text: str) -> "WarpFunction":
             tk.next()
             nesting -= 1
             return ("call", val, arg), limit(depth + 1, off)
-        raise WarpSyntaxError(f"unexpected token {kind!r}", off)
+        raise WarpSyntaxError("unexpected token: end of input" if val is None
+                              else f"unexpected token {val!r}", off)
 
     def _expect(symbol):
         kind, _, off = tk.next()
@@ -369,9 +372,9 @@ def parse_warp(text: str) -> "WarpFunction":
             raise WarpSyntaxError(f"expected {symbol!r}", off)
 
     node, _ = expr()
-    kind, _, off = tk.peek()
+    kind, val, off = tk.peek()
     if kind != "end":
-        raise WarpSyntaxError(f"trailing input {kind!r}", off)
+        raise WarpSyntaxError(f"trailing input {val!r}", off)
     return WarpFunction(node, text)
 
 

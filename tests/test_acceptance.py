@@ -14,16 +14,7 @@ import pytest
 from wres.boundary import get_scenario, phi_total, res_partial
 from wres.cli import main as cli_main
 from wres.clifford import AlgebraSignature
-from wres.heat import (
-    SPINOR,
-    CurvatureData,
-    endomorphism_traces,
-    interior_coeffs,
-    lower_volume,
-    omega_squared_trace,
-    v_nk,
-    v_nk_numeric,
-)
+from wres.heat import SPINOR, CurvatureData, interior_coeffs, lower_volume, v_nk
 from wres.oracles import (
     numeric_line_integral,
     random_rational_xi,
@@ -36,11 +27,11 @@ from wres.symbolic import (
     RationalXi,
     UnitValue,
     integrate_line,
-    reduce_unit_norm,
 )
 from wres.symbols import foliation_model, trace_product
 from wres.warped import RWModel, parse_warp, rw_lower_volumes, rw_spectral_coeffs
 
+from references import endomorphism_traces, omega_squared_trace, reduce_unit_norm, v_nk_numeric
 from test_warped import FROZEN_EXP_RUN, FROZEN_EXP_VOLUMES, _riemann
 
 

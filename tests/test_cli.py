@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import io
@@ -231,6 +232,10 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
                  "floating-point range", id="rw-inverse-underflow"),
     pytest.param(["rw", "--f", "((0.5)^11)^33", "--interval", "0,1"], None, {}, 2,
                  "floating-point range", id="rw-warp-underflow"),
+    # a float power overflows with (errno, text): the error line gives the text alone
+    pytest.param(["rw", "--f", "t", "--interval", "0,1e308", "--curv", "1"], None, {}, 2,
+                 f"error: value out of floating-point range: {os.strerror(errno.ERANGE)}\n",
+                 id="rw-interval-power-overflow"),
     pytest.param(RW_EXP + ["--curv", "inf"], None, {}, 2, "finite", id="rw-curv-inf"),
     pytest.param(["rw", "--f", "2+t", "--interval", "-1,1"], None, {}, 0, "",
                  id="rw-spaced-negative-interval"),

@@ -13,18 +13,16 @@ from wres.heat import (
     CurvatureData,
     boundary_coeffs,
     bracket,
-    endomorphism_traces,
     interior_coeffs,
     lichnerowicz_E,
     lower_volume,
-    omega_squared_trace,
-    rfperp_norm_sq,
     spectral_moments,
     v_nk,
-    v_nk_numeric,
     wres_power,
 )
 from wres.symbolic import ScalarPoly, UnitValue
+
+from references import endomorphism_traces, omega_squared_trace, rfperp_norm_sq, v_nk_numeric
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (1, 2), (2, 3), (3, 2)])
@@ -58,6 +56,17 @@ def test_interior_bracket_coefficients():
     assert SPINOR[4].prefactor == Fraction(1, 360)
     assert SPINOR[4].interior == {"r2": Fraction(5, 4), "ric2": Fraction(-2),
                                   "riem2": Fraction(-7, 4), "rfperp2": Fraction(15, 2)}
+
+
+def test_dirichlet_a2_weighs_r_against_l_aa_as_one_to_minus_four():
+    # rw's a2 is the Dirichlet spectral coefficient, proportional to
+    # int R - 4 int L_aa; the Einstein-Hilbert action with its Gibbons-Hawking
+    # term, int R + 2 int K, would weigh the boundary +2
+    pref, interior, boundary = SPINOR[2]
+    assert set(interior) == {"r"} and set(boundary) == {"L_aa"}
+    r_weight, l_weight = pref * interior["r"], pref * boundary["L_aa"]
+    assert (r_weight, l_weight) == (Fraction(-1, 12), Fraction(1, 3))
+    assert l_weight / r_weight == -4
 
 
 def test_interior_coefficient_prefactors():

@@ -13,6 +13,8 @@ from wres import heat, oracles, quadpack, warped
 from wres.quadpack import quad, quad_complex
 from wres.symbolic import GaussianRational, RationalXi
 
+from references import evaluate_rational, numeric_pi_plus
+
 
 # ---------------------------------------------------------------------------
 # Differential: the port against the compiled QUADPACK behind scipy
@@ -142,8 +144,8 @@ def test_port_is_bit_identical_to_scipy_quad(monkeypatch):
     cases = [(RationalXi.xi() * RationalXi.inv_norm_sq(5), 2.0)]
     cases += [(oracles.random_rational_xi(rng), rng.uniform(-3.0, 3.0)) for _ in range(9)]
     for f, x0 in cases:
-        approx = oracles.numeric_pi_plus(f, x0)
-        assert abs(f.pi_plus().evaluate(x0) - approx) <= 1e-8 * max(1.0, abs(approx))
+        approx = numeric_pi_plus(f, x0)
+        assert abs(evaluate_rational(f.pi_plus(), x0) - approx) <= 1e-8 * max(1.0, abs(approx))
     assert complex_diff.count == 2000 + 2 * len(cases)
 
     # spectral-moment integrands over [0, inf) (dqagie, inf = 1), the real
@@ -176,7 +178,6 @@ def test_port_is_bit_identical_to_scipy_quad(monkeypatch):
          0.0, 1.0, {}, 2),
         (lambda x: 1.0 / x if x else 0.0, -1.0, 2.0, {}, 5),
         (lambda x: x ** -0.99 if x > 0 else 0.0, 0.0, 1.0, {}, 0),
-        (lambda x: math.exp(x), 1.0, -2.0, {}, 0),
     ]:
         assert diff(fn, a, b, **kw).ier == ier
     # endpoint singularities, which run the epsilon algorithm, and even
@@ -199,18 +200,23 @@ def test_port_is_bit_identical_to_scipy_quad(monkeypatch):
     (lambda x: math.exp(-x * x), -math.inf, math.inf, math.sqrt(math.pi)),
     (lambda x: 1.0 / (1.0 + x * x), -math.inf, math.inf, math.pi),
     (lambda u: math.exp(-u * u) * u, 0.0, math.inf, 0.5),
-    (lambda x: math.exp(x), -math.inf, 0.0, 1.0),
-    (lambda x: math.exp(x), 0.0, -math.inf, -1.0),
     (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, 2.0),
-    (lambda x: math.cos(x), 1.0, 0.0, -math.sin(1.0)),
-    (lambda x: math.cos(x), 2.0, 2.0, 0.0),
-], ids=["gauss", "cauchy", "half-gauss-moment", "exp-left", "exp-flipped",
-        "sqrt-singularity", "reversed", "empty"])
+], ids=["gauss", "cauchy", "half-gauss-moment", "sqrt-singularity"])
 def test_closed_forms(fn, a, b, exact):
     result = quad(fn, a, b)
     assert result.ier == 0
     assert abs(result.value - exact) <= 1e-10 * max(1.0, abs(exact))
     assert result.abserr <= 1.49e-8 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 0.0), (2.0, 2.0), (-math.inf, 0.0), (0.0, -math.inf),
+                                 (math.inf, math.inf), (math.nan, 1.0)])
+def test_ranges_without_a_caller_are_refused(a, b):
+    # wres integrates over [a, b] with a < b, [a, inf) and the whole line only
+    calls = []
+    with pytest.raises(ValueError, match="a < b"):
+        quad(lambda x: calls.append(x) or 1.0, a, b)
+    assert calls == []
 
 
 def _random_poly(rng, degree):
@@ -437,7 +443,7 @@ def test_panel_integrand_equals_evaluate_bit_for_bit():
                 values = oracles._rational_function(f, tables)
                 for nodes in rng.sample(panels, len(panels)):
                     for x, v in zip(nodes, values(nodes)):
-                        want = f.evaluate(x)
+                        want = evaluate_rational(f, x)
                         assert (v.real.hex(), v.imag.hex()) == (want.real.hex(), want.imag.hex()), \
                             (seed, mp, mm, x)
         assert len(tables) == 63

@@ -1,0 +1,68 @@
+"""The product ships only what a command, an example script or the benchmark
+reaches: every function, class and method defined in ``src/wres`` is named
+by code in ``src/wres``, ``scripts/`` or ``perfbench/``, or exported by
+``wres.__all__``.  Test references live in ``tests/references.py``."""
+
+import ast
+from pathlib import Path
+
+import wres
+
+ROOT = Path(__file__).resolve().parent.parent
+PRODUCT = ROOT / "src" / "wres"
+CALLERS = (PRODUCT, ROOT / "scripts", ROOT / "perfbench")
+
+
+def _definitions(tree):
+    """(qualified name, node) of each module-level function and class and of
+    each method of a module-level class; closures are local names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _names(node):
+    """Every name that code under ``node`` uses: variables, attributes and
+    imports.  Strings, docstrings among them, name nothing."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.append(sub.name.rsplit(".", 1)[-1])
+    return out
+
+
+def unreached_definitions() -> list[str]:
+    """The definitions of ``src/wres`` that no product code names, outside
+    their own body, and that ``wres.__all__`` does not export.  Dunder
+    methods are called by the language and count as reached."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for folder in CALLERS for path in sorted(folder.rglob("*.py"))}
+    used: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _names(tree):
+            used[name] = used.get(name, 0) + 1
+    out = []
+    for path, tree in trees.items():
+        if PRODUCT not in path.parents:
+            continue
+        for qualname, node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in wres.__all__:
+                continue
+            if used.get(name, 0) > _names(node).count(name):
+                continue
+            out.append(f"{path.stem}.{qualname}")
+    return out
+
+
+def test_every_definition_in_wres_has_a_product_caller():
+    unreached = unreached_definitions()
+    assert not unreached, "no product code reaches " + ", ".join(unreached)

@@ -1,0 +1,226 @@
+"""Exact heat-trace asymptotics from spectra, against the heat table.
+
+An operator with eigenvalues (k + theta)^2 + delta, k = 0, 1, ..., each with
+multiplicity P(k + theta) for a polynomial P(nu) = sum_m p_m nu^m, has the
+small-t expansion
+
+    Tr e^{-tL} ~ e^{-t delta} sum_m p_m [ Gamma((m+1)/2)/2 t^{-(m+1)/2}
+                                          + sum_j (-t)^j/j! zeta(-m-2j, theta) ]
+
+with the Hurwitz values zeta(-k, theta) = -B_{k+1}(theta)/(k+1).  Each
+coefficient is a rational times a power of sqrt(pi), so it compares exactly
+with the table's ``UnitValue``s, and the heat trace of a product of manifolds
+is the product of the heat traces.  The spectra need nothing of wres, and
+the table gets only the curvature invariants of each manifold:
+
+* ``D^2`` on the round S^n, n even: (k + n/2)^2 with multiplicity
+  2 * 2^(n/2) * C(k+n-1, k) (Camporesi and Higuchi, J. Geom. Phys. 20 (1996));
+* the Hodge Laplacian on all forms of S^2: l(l+1) = (l + 1/2)^2 - 1/4 with
+  multiplicity 4(2l+1) for l >= 1, and 2 at l = 0;
+* the sub-Dirac operator of the foliation F = TS^2 of S^2 x S^2, whose square
+  is D^2 (x) 1 + 1 (x) Delta_Lambda(S^2), so its heat trace is the product of
+  the two above; its R^{F-perp} is the curvature of the second S^2.
+
+Standard library only.
+"""
+
+import math
+from fractions import Fraction
+from math import comb, factorial
+
+import pytest
+
+from wres.heat import CurvatureData, interior_coeffs, wres_power
+from wres.symbolic import UnitValue
+
+HALF = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli polynomials and the Hurwitz zeta function at negative integers
+# ---------------------------------------------------------------------------
+
+def bernoulli_numbers(count: int) -> list[Fraction]:
+    """B_0 .. B_{count-1}, with B_1 = -1/2: sum_{k<=m} C(m+1, k) B_k = 0 for m >= 1."""
+    b = [Fraction(1)]
+    for m in range(1, count):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+_B = bernoulli_numbers(40)
+
+
+def bernoulli_poly(n: int, x: Fraction) -> Fraction:
+    return sum(comb(n, k) * _B[k] * x ** (n - k) for k in range(n + 1))
+
+
+def hurwitz_zeta(minus_k: int, theta: Fraction) -> Fraction:
+    """zeta(-k, theta) for k >= 0."""
+    k = -minus_k
+    return -bernoulli_poly(k + 1, theta) / (k + 1)
+
+
+def test_hurwitz_values():
+    one = Fraction(1)
+    # the Riemann values
+    assert [hurwitz_zeta(-k, one) for k in range(4)] == [
+        Fraction(-1, 2), Fraction(-1, 12), 0, Fraction(1, 120)]
+    # zeta(s, 1/2) = (2^s - 1) zeta(s)
+    for k in range(12):
+        assert hurwitz_zeta(-k, HALF) == (Fraction(1, 2 ** k) - 1) * hurwitz_zeta(-k, one)
+    # zeta(s, theta) - zeta(s, theta + 1) = theta^(-s)
+    for theta in (HALF, one, Fraction(3, 2), Fraction(2)):
+        for k in range(12):
+            assert hurwitz_zeta(-k, theta) - hurwitz_zeta(-k, theta + 1) == theta ** k
+
+
+# ---------------------------------------------------------------------------
+# Heat-trace series: {exponent of t: UnitValue}, exponents in (1/2) Z
+# ---------------------------------------------------------------------------
+
+def gamma_half(m: int) -> UnitValue:
+    """Gamma(m/2) for m >= 1: an integer, or a rational times sqrt(pi)."""
+    if m % 2 == 0:
+        return UnitValue(factorial(m // 2 - 1))
+    # Gamma(j + 1/2) = (2j)! / (4^j j!) sqrt(pi)
+    j = (m - 1) // 2
+    return UnitValue(Fraction(factorial(2 * j), 4 ** j * factorial(j)), {"pi": HALF})
+
+
+def _add(series, exponent, value):
+    if not value.is_zero():
+        series[exponent] = series[exponent] + value if exponent in series else value
+
+
+def series_mul(a: dict, b: dict, top: Fraction) -> dict:
+    out = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            if ea + eb <= top:
+                _add(out, ea + eb, va * vb)
+    return out
+
+
+def heat_series(mult: list, theta: Fraction, delta: Fraction, top) -> dict:
+    """The expansion of sum_{k>=0} P(k+theta) e^{-t((k+theta)^2 + delta)}
+    up to t^top, P's coefficients ``mult`` constant term first."""
+    top = Fraction(top)
+    base: dict = {}
+    lowest = Fraction(-len(mult), 2)
+    for m, p in enumerate(mult):
+        if not p:
+            continue
+        _add(base, Fraction(-(m + 1), 2), gamma_half(m + 1) * Fraction(p, 2))
+        for j in range(math.floor(top) + 1):
+            _add(base, Fraction(j), UnitValue(
+                Fraction(p * (-1) ** j, factorial(j)) * hurwitz_zeta(-m - 2 * j, theta)))
+    shift = {Fraction(i): UnitValue(Fraction((-delta) ** i, factorial(i)))
+             for i in range(int(top - lowest) + 1)}
+    return series_mul(base, shift, top)
+
+
+def poly_from_roots(roots, scale) -> list[Fraction]:
+    """scale * prod (nu - root), constant term first."""
+    out = [Fraction(scale)]
+    for r in roots:
+        out = [-r * out[0]] + [lo - r * hi for lo, hi in zip(out, out[1:])] + [out[-1]]
+    return out
+
+
+def sphere_dirac(n: int):
+    """D^2 on the round S^n, n even: nu = k + n/2 and multiplicity
+    2 * 2^(n/2) * C(k+n-1, n-1), a polynomial in nu with roots -(n/2-1)..(n/2-1)."""
+    h = n // 2
+    roots = [Fraction(i) for i in range(-(h - 1), h)]
+    return poly_from_roots(roots, Fraction(2 * 2 ** h, factorial(n - 1))), Fraction(h)
+
+
+def test_multiplicities_are_the_published_ones():
+    for n in (2, 4, 6, 8):
+        mult, theta = sphere_dirac(n)
+        for k in range(10):
+            nu = k + theta
+            want = 2 * 2 ** (n // 2) * comb(k + n - 1, k)
+            assert sum(p * nu ** m for m, p in enumerate(mult)) == want
+
+
+def forms_s2_series(top) -> dict:
+    """The Hodge Laplacian on all forms of S^2: 8 nu for nu = l + 1/2 with
+    delta = -1/4, less the 2 that the formula overcounts at l = 0."""
+    series = heat_series([0, 8], HALF, Fraction(-1, 4), top)
+    _add(series, Fraction(0), UnitValue(-2))
+    return series
+
+
+def _summed(mult, theta, delta, t, kmax=400):
+    return sum(sum(float(p) * float(k + theta) ** m for m, p in enumerate(mult))
+               * math.exp(-t * float((k + theta) ** 2 + delta)) for k in range(kmax))
+
+
+def _series_value(series, t):
+    return sum(v.numeric().real * t ** float(e) for e, v in series.items())
+
+
+@pytest.mark.parametrize("t", [0.01, 0.03])
+def test_series_against_the_summed_trace(t):
+    # the exponentially small remainder and the truncation stay far below 1e-9
+    for n in (2, 4, 6, 8):
+        mult, theta = sphere_dirac(n)
+        want = _summed(mult, theta, 0, t)
+        assert abs(_series_value(heat_series(mult, theta, 0, 3), t) - want) <= 1e-9 * want
+    want = _summed([0, 8], HALF, Fraction(-1, 4), t) - 2
+    assert abs(_series_value(forms_s2_series(3), t) - want) <= 1e-9 * want
+
+
+# ---------------------------------------------------------------------------
+# The table against the spectra
+# ---------------------------------------------------------------------------
+
+def coefficient(series, n, k) -> UnitValue:
+    """a_k: the coefficient of t^((k - n)/2)."""
+    return series.get(Fraction(k - n, 2), UnitValue.zero())
+
+
+def round_sphere(n: int) -> CurvatureData:
+    """The unit S^n per unit volume: r = n(n-1), |Ric|^2 = n(n-1)^2, |Riem|^2 = 2n(n-1)."""
+    r = n * (n - 1)
+    return CurvatureData(r=r, r2=r * r, ric2=n * (n - 1) ** 2, riem2=2 * n * (n - 1))
+
+
+def sphere_volume(n: int) -> UnitValue:
+    """vol(S^n) = 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
+    return UnitValue(2, {"pi": Fraction(n + 1, 2)}) / gamma_half(n + 1)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_interior_coefficients_of_round_spheres(n):
+    mult, theta = sphere_dirac(n)
+    series = heat_series(mult, theta, 0, Fraction(4 - n, 2))
+    table = interior_coeffs(round_sphere(n), n, 2 ** (n // 2))
+    vol = sphere_volume(n)
+    for k, a in ((0, table.a0), (2, table.a2), (4, table.a4)):
+        assert a * vol == coefficient(series, n, k), (n, k)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_wres_power_is_the_spectral_a2(n):
+    # Wres(D^{2-n}) = 2 a2 / Gamma(n/2 - 1), and a2 is linear in int R
+    mult, theta = sphere_dirac(n)
+    a2 = coefficient(heat_series(mult, theta, 0, Fraction(2 - n, 2)), n, 2)
+    int_r = sphere_volume(n) * (n * (n - 1))
+    assert wres_power(n, 2 ** (n // 2)) * int_r == a2 * 2 / gamma_half(n - 2)
+
+
+def test_sub_dirac_operator_of_s2_x_s2():
+    # n = 4 and T = 2 * 4: the spinors of the leaf times all forms of F-perp
+    mult, theta = sphere_dirac(2)
+    series = series_mul(heat_series(mult, theta, 0, 1), forms_s2_series(1), Fraction(0))
+    data = CurvatureData(r=4, r2=16, ric2=4, riem2=8, rfperp2=4)
+    table = interior_coeffs(data, 4, 8)
+    vol = sphere_volume(2) * sphere_volume(2)
+    got = [coefficient(series, 4, k) for k in (0, 2, 4)]
+    assert [table.a0 * vol, table.a2 * vol, table.a4 * vol] == got
+    # without the R^{F-perp} terms of tr E^2 and tr Omega^2, a4 would differ
+    flat_perp = interior_coeffs(CurvatureData(r=4, r2=16, ric2=4, riem2=8), 4, 8)
+    assert flat_perp.a4 * vol != got[2]

@@ -14,7 +14,6 @@ from wres import oracles
 from wres.clifford import sub_dirac_algebra
 from wres.oracles import (
     numeric_line_integral,
-    numeric_pi_plus,
     random_rational_xi,
     run_quadrature_oracle,
 )
@@ -30,12 +29,13 @@ from wres.symbolic import (
     _mono_mul,
     _poly_mul,
     integrate_line,
-    reduce_unit_norm,
     sphere_integrate,
     sphere_measure,
     sphere_moment,
     sphere_moment_ratio,
 )
+
+from references import evaluate_poly, evaluate_rational, numeric_pi_plus, reduce_unit_norm
 
 gauss = st.builds(GaussianRational,
                   st.fractions(max_denominator=8),
@@ -106,7 +106,7 @@ def test_gaussian_kernel_against_fraction_pairs():
         _check_fields(zx - zy, (x[0] - y[0], x[1] - y[1]))
         _check_fields(zx * zy, _pair_mul(x, y))
         _check_fields(-zx, (-x[0], -x[1]))
-        _check_fields(zx.conjugate(), (x[0], -x[1]))
+        _check_fields(GaussianRational(zx.re, -zx.im), (x[0], -x[1]))
         _check_fields(zx - zx, (Fraction(0), Fraction(0)))
         # mixed operands: ints and Fractions on either side
         r = y[0]
@@ -152,7 +152,7 @@ def test_poly_identities_against_evaluation():
         lhs = (a + b) * c
         rhs = a * c + b * c
         for env in env_points:
-            assert lhs.evaluate(env) == pytest.approx(rhs.evaluate(env), abs=1e-12)
+            assert evaluate_poly(lhs, env) == pytest.approx(evaluate_poly(rhs, env), abs=1e-12)
         assert lhs == rhs  # exact as well
 
 
@@ -239,7 +239,7 @@ def _rand_rational_xi(rng):
 
 
 def test_rational_xi_arithmetic_against_evaluation():
-    # RationalXi.evaluate divides by (xi-i)^mp (xi+i)^mm in floats and shares
+    # evaluate_rational divides by (xi-i)^mp (xi+i)^mm in floats and shares
     # no code with the exact numerator kernel behind +, -, * and derivative
     rng = random.Random(23)
     env = {"x": 0.3 - 0.7j, "y": 1.1 + 0.2j, "h1": -0.6 + 0.4j}
@@ -251,14 +251,16 @@ def test_rational_xi_arithmetic_against_evaluation():
         seen_zero += f.is_zero() or g.is_zero()
         df = f.derivative()
         for xi in points:
-            fv, gv = f.evaluate(xi, env), g.evaluate(xi, env)
+            fv, gv = evaluate_rational(f, xi, env), evaluate_rational(g, xi, env)
             scale = 1 + abs(fv) + abs(gv)
-            assert (f + g).evaluate(xi, env) == pytest.approx(fv + gv, abs=1e-12 * scale)
-            assert (f - g).evaluate(xi, env) == pytest.approx(fv - gv, abs=1e-12 * scale)
-            assert (f * g).evaluate(xi, env) == pytest.approx(fv * gv, abs=1e-12 * scale ** 2)
+            assert evaluate_rational(f + g, xi, env) == pytest.approx(fv + gv, abs=1e-12 * scale)
+            assert evaluate_rational(f - g, xi, env) == pytest.approx(fv - gv, abs=1e-12 * scale)
+            assert (evaluate_rational(f * g, xi, env)
+                    == pytest.approx(fv * gv, abs=1e-12 * scale ** 2))
             h = 1e-5
-            central = (f.evaluate(xi + h, env) - f.evaluate(xi - h, env)) / (2 * h)
-            assert df.evaluate(xi, env) == pytest.approx(central, rel=1e-6, abs=1e-6)
+            central = (evaluate_rational(f, xi + h, env)
+                       - evaluate_rational(f, xi - h, env)) / (2 * h)
+            assert evaluate_rational(df, xi, env) == pytest.approx(central, rel=1e-6, abs=1e-6)
     assert seen_unequal > 40 and seen_zero > 5
 
 
@@ -415,7 +417,7 @@ def test_pi_plus_known_forms():
 
 def test_pi_plus_against_contour_oracle():
     f = RationalXi.xi() * RationalXi.inv_norm_sq(5)
-    exact = f.pi_plus().evaluate(2.0)
+    exact = evaluate_rational(f.pi_plus(), 2.0)
     approx = numeric_pi_plus(f, 2.0)
     assert abs(exact - approx) <= 1e-10
 
@@ -426,10 +428,11 @@ def test_pi_plus_properties_randomized():
         f = random_rational_xi(rng)
         g = random_rational_xi(rng)
         pf, pg = f.pi_plus(), g.pi_plus()
+        pi_minus = (f - pf)._normalize()
         assert pf.pi_plus() == pf                      # idempotent
         assert (f + g).pi_plus() == pf + pg            # linear
-        assert pf + f.pi_minus() == f                  # splitting
-        assert pf.mm == 0 and f.pi_minus().mp == 0     # pole separation
+        assert pf + pi_minus == f                      # splitting
+        assert pf.mm == 0 and pi_minus.mp == 0         # pole separation
 
 
 def test_pi_plus_divergent_guard():
@@ -480,7 +483,7 @@ def test_residue_oracle_names_its_first_failure(monkeypatch):
 def test_pi_split_poles(deg_seed, extra):
     rng = random.Random(deg_seed * 1000 + extra)
     f = random_rational_xi(rng)
-    assert f.pi_plus() + f.pi_minus() == f
+    assert f.pi_plus() + (f - f.pi_plus())._normalize() == f
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,11 @@ def test_third_derivative_against_finite_differences():
     # superscript two is a digit but not a decimal one, which Fraction rejects
     ("2\u00b2", "unexpected character '\u00b2' (at offset 1)"),
     ("t^\u00b2", "unexpected character '\u00b2' (at offset 2)"),
+    # the message names the source text of the token, or the end of input
+    ("1e400", "trailing input 'e400' (at offset 1)"),
+    ("t end", "trailing input 'end' (at offset 2)"),
+    ("2 3", "trailing input '3' (at offset 2)"),
+    ("t+", "unexpected token: end of input (at offset 2)"),
 ])
 def test_parse_errors_carry_offsets(text, offset_hint):
     with pytest.raises(WarpSyntaxError) as err:
