@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs every CLI report that has a reference in perfbench/reference/, each
-# from a cold process, and compares it byte for byte.  Needs no installed
+# from a cold process, and both example scripts, whose outputs are in
+# tests/reference/, and compares each byte for byte.  Needs no installed
 # package: wres has no runtime dependency.  Run from the repository root:
 #   bash .github/check_references.sh
 # -o pipefail: a run that prints the reference bytes but exits nonzero fails,
@@ -41,3 +42,7 @@ print(text)
 sys.exit(0 if ok else 1)' \
   | cmp - perfbench/reference/res_partial.json
 echo "res_partial matches"
+for script in boundary_tables rw_action; do
+  PYTHONPATH=src python "scripts/$script.py" | cmp - "tests/reference/$script.txt"
+done
+echo "example scripts match"

@@ -88,7 +88,7 @@ class Scenario:
                  labels: dict[CaseIndex, str],
                  expected_cases: dict[str, tuple[UnitValue, str]],
                  expected_total: UnitValue,
-                 igrb: UnitValue | None = None, notes: str = ""):
+                 igrb: UnitValue | None = None):
         self.name, self.n, self.powers, self.model = name, n, powers, model
         self.sphere_unit = sphere_unit  # opaque measure label, or None to expand in pi
         self.bare_prefactor = bare_prefactor
@@ -96,13 +96,9 @@ class Scenario:
         self.expected_cases = expected_cases
         self.expected_total = expected_total  # integrated over the boundary: dx' -> Vol
         self.igrb = igrb  # I_Gr,b in h'(0) Vol units
-        self.notes = notes
 
     def cases(self) -> list[CaseIndex]:
         return enumerate_cases(self.n, *self.powers)
-
-    def label(self, case: CaseIndex) -> str:
-        return self.labels.get(case, f"(r={case.r},l={case.l},k={case.k},j={case.j},|a|={case.alpha})")
 
 
 class PlaceholderLeak(RuntimeError):
@@ -160,17 +156,12 @@ def eval_case(scenario: Scenario, case: CaseIndex) -> UnitValue:
 
 
 class BoundaryReport:
-    def __init__(self, scenario: str,
-                 cases: list[tuple[str, CaseIndex, UnitValue]] | None = None,
-                 total: UnitValue | None = None,
-                 total_over_boundary: UnitValue | None = None,
-                 checks: list[tuple[str, str, str, bool]] | None = None):
-        self.scenario = scenario
-        self.cases = [] if cases is None else cases
-        self.total = UnitValue.zero() if total is None else total
-        self.total_over_boundary = (UnitValue.zero() if total_over_boundary is None
-                                    else total_over_boundary)
-        self.checks = [] if checks is None else checks
+    def __init__(self, cases: list[tuple[str, CaseIndex, UnitValue]], total: UnitValue,
+                 total_over_boundary: UnitValue, checks: list[tuple[str, str, str, bool]]):
+        self.cases = cases
+        self.total = total
+        self.total_over_boundary = total_over_boundary
+        self.checks = checks
 
     @property
     def all_pass(self) -> bool:
@@ -184,23 +175,22 @@ def integrate_over_boundary(v: UnitValue) -> UnitValue:
 
 def phi_total(scenario: Scenario) -> BoundaryReport:
     """Evaluate every case, sum them, and run the scenario's expected checks."""
-    report = BoundaryReport(scenario.name)
+    cases = []
     total = UnitValue.zero()
     for case in scenario.cases():
         value = eval_case(scenario, case)
-        report.cases.append((scenario.label(case), case, value))
+        cases.append((scenario.labels[case], case, value))
         total = total + value
-    report.total = total
-    report.total_over_boundary = integrate_over_boundary(total)
-    for label, case, value in report.cases:
+    over_boundary = integrate_over_boundary(total)
+    checks = []
+    for label, case, value in cases:
         if label in scenario.expected_cases:
             expected, note = scenario.expected_cases[label]
-            report.checks.append(
+            checks.append(
                 (f"case {label} [{note}]", repr(expected), repr(value), value == expected))
-    report.checks.append(
-        ("total", repr(scenario.expected_total), repr(report.total_over_boundary),
-         report.total_over_boundary == scenario.expected_total))
-    return report
+    checks.append(("total", repr(scenario.expected_total), repr(over_boundary),
+                   over_boundary == scenario.expected_total))
+    return BoundaryReport(cases, total, over_boundary, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +236,6 @@ def _scenario_dim4() -> Scenario:
         },
         expected_total=UnitValue.zero(),
         igrb=_uv(-3, h1=1, vol=1),
-        notes="five-case table, exact cancellation",
     )
 
 
@@ -268,7 +257,6 @@ def _scenario_dim6() -> Scenario:
         },
         expected_total=UnitValue.zero(),
         igrb=_uv(-5, pi=1, h1=1, vol=1),
-        notes="trace dimension carried symbolically",
     )
 
 
@@ -283,7 +271,6 @@ def _scenario_dim3() -> Scenario:
         labels={cases[0]: "main"},
         expected_cases={},
         expected_total=UnitValue(GaussianRational(0, 2), {U_PI: Fraction(2), U_VOL: Fraction(1)}),
-        notes="single case; odd dimension uses the bare integrand",
     )
 
 
@@ -300,7 +287,6 @@ def _scenario_dim5_22() -> Scenario:
         expected_total=UnitValue(
             GaussianRational(0, Fraction(1, 8)),
             {U_PI: Fraction(1), U_TDIM: Fraction(1), "Omega3": Fraction(1), U_VOL: Fraction(1)}),
-        notes="single case; odd dimension uses the bare integrand",
     )
 
 
@@ -316,7 +302,6 @@ def _scenario_dim5_21() -> Scenario:
                         for lbl in ("aI", "aII", "aIII", "b", "c")},
         expected_total=UnitValue.zero(),
         igrb=_uv(-4, h1=1, vol=1),
-        notes="all five cases vanish",
     )
 
 
@@ -331,7 +316,6 @@ def _scenario_dim4_21() -> Scenario:
         labels={cases[0]: "main"},
         expected_cases={"main": (UnitValue.zero(), "odd traces vanish")},
         expected_total=UnitValue.zero(),
-        notes="single vanishing case",
     )
 
 
@@ -379,9 +363,7 @@ _RES_KINDS = {
 
 
 class ResPartial:
-    def __init__(self, kind: str, raw: UnitValue, igrb_multiple: UnitValue,
-                 expected: UnitValue):
-        self.kind = kind
+    def __init__(self, raw: UnitValue, igrb_multiple: UnitValue, expected: UnitValue):
         self.raw = raw                      # exact value integrated over the boundary
         self.igrb_multiple = igrb_multiple  # the same value expressed through I_Gr,b
         self.expected = expected
@@ -398,11 +380,11 @@ def res_partial(kind: str) -> ResPartial:
         raise KeyError(f"unknown res-partial kind {kind!r}")
     key, label, expected = _RES_KINDS[kind]
     scenario = get_scenario(*key)
-    case = next(c for c in scenario.cases() if scenario.label(c) == label)
+    case = next(c for c in scenario.cases() if scenario.labels[c] == label)
     raw = integrate_over_boundary(eval_case(scenario, case))
     if raw.is_zero():
-        return ResPartial(kind, raw, UnitValue.zero(), expected)
+        return ResPartial(raw, UnitValue.zero(), expected)
     if scenario.igrb is None:
         raise ValueError(f"scenario {scenario.name} carries no boundary-action data")
     multiple = (raw / scenario.igrb) * UnitValue.unit(U_IGRB)
-    return ResPartial(kind, raw, multiple, expected)
+    return ResPartial(raw, multiple, expected)

@@ -70,8 +70,7 @@ def cmd_verify_boundary(args) -> dict:
         scenario = boundary.Scenario(**{
             **vars(scenario), "name": scenario.name + f"-sig{p}.{q}",
             "model": foliation_model(p, q, AlgebraSignature(p, q).total_dim),
-            "expected_cases": {}, "labels": dict(scenario.labels),
-            "notes": "unverified extrapolation beyond the pinned signature"})
+            "expected_cases": {}})
         extrapolation = True
 
     t0 = time.perf_counter()
@@ -182,6 +181,9 @@ def cmd_heat(args) -> dict:
         data = heat.CurvatureData.from_mapping(cfg)
     except KeyError as exc:
         raise BadInput(exc.args[0]) from exc
+    negative = [k for k in ("vol", "bvol") if getattr(data, k) < 0]
+    if negative:
+        raise BadInput(f"{', '.join(negative)} must be nonnegative")
 
     bounded = data.bvol != 0
     if bounded:

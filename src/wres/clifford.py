@@ -214,10 +214,6 @@ def normalize(algebra: Algebra, gens: Iterable[Gen], coeff=1) -> CliffordElement
 # (p <= 8, q <= 6) give 1024 x 1024 matrices.
 MAX_MATRIX_GENS = 20
 
-# element_matrix takes Gaussian-integer coefficients whose magnitudes add up
-# to less than this.
-_EXACT_WEIGHT = 2 ** 53
-
 # A monomial matrix is a pair (cols, phases): row r holds i^phases[r] in
 # column cols[r] and zeros elsewhere.
 _PAULI_X = ((1, 0), (0, 0))
@@ -298,10 +294,8 @@ class MatrixRep:
         return GaussianMatrix(zip(enumerate(cols), (_UNITS[k] for k in phases)))
 
     def element_matrix(self, elem: CliffordElement) -> GaussianMatrix:
-        """Requires constant Gaussian-integer coefficients whose magnitudes
-        sum to less than 2^53."""
+        """Requires constant Gaussian-integer coefficients."""
         out = {}
-        weight = 0
         for w, c in elem.terms.items():
             cv = c.constant_value()
             if cv is None:
@@ -309,9 +303,6 @@ class MatrixRep:
             if cv.d != 1:
                 raise ValueError("matrix oracle needs Gaussian-integer coefficients")
             a, b = cv.a, cv.b
-            weight += abs(a) + abs(b)
-            if weight >= _EXACT_WEIGHT:
-                raise ValueError("coefficients too large for an exact matrix")
             rotated = ((a, b), (-b, a), (-a, -b), (b, -a))  # (a + b i) i^k
             cols, phases = self._monomial(w)
             for key, k in zip(enumerate(cols), phases):

@@ -284,22 +284,16 @@ def v_nk(n: int, k: int) -> UnitValue:
     return out
 
 
-class LowerVolume:
-    def __init__(self, value: UnitValue, parity_zero: bool = False):
-        self.value = value
-        self.parity_zero = parity_zero
-
-
-def lower_volume(n: int, k: int, data: CurvatureData, total_dim=None) -> LowerVolume:
-    """v_{n,k} times the interior heat coefficient a_{n-k}."""
+def lower_volume(n: int, k: int, data: CurvatureData, total_dim=None) -> UnitValue:
+    """v_{n,k} times the interior heat coefficient a_{n-k}; zero for mixed parity."""
     if (n - k) % 2 == 1:
-        return LowerVolume(UnitValue.zero(), parity_zero=True)
+        return UnitValue.zero()
     order = n - k
     if order not in (0, 2, 4):
         raise ValueError("only the a0, a2, a4 coefficients are available")
     coeffs = interior_coeffs(data, n, total_dim)
     a = {0: coeffs.a0, 2: coeffs.a2, 4: coeffs.a4}[order]
-    return LowerVolume(v_nk(n, k) * a)
+    return v_nk(n, k) * a
 
 
 def wres_power(n: int, total_dim=None) -> UnitValue:

@@ -23,17 +23,17 @@ RESIDUE_REL_TOL = 1e-8
 JET_REL_TOL = 1e-6
 
 
-def _rational_function(f: RationalXi, tables: dict | None = None):
+def _rational_function(f: RationalXi, tables: dict):
     """f as a function of a panel's points, a tuple of real floats, that
     returns the list of its values there.
 
     ``tables`` maps a panel's points to columns of their powers ``x ** k``
     (k >= 1), ``(x - 1j) ** m`` and ``(x + 1j) ** m``, each column built the
     first time a function needs it, so the integrands that share ``tables``
-    share them; without it the function keeps its own.  The value at x is
-    num(x) / ((x - 1j) ** mp * (x + 1j) ** mm) with the numerator summed
-    from the int 0 in ascending powers, one column at a time: the floats of
-    the point-by-point ``evaluate_rational`` in ``tests/references.py``.
+    share them.  The value at x is num(x) / ((x - 1j) ** mp * (x + 1j) ** mm)
+    with the numerator summed from the int 0 in ascending powers, one column
+    at a time: the floats of the point-by-point ``evaluate_rational`` in
+    ``tests/references.py``.
     """
     coeffs = []
     for poly in f.num:
@@ -48,8 +48,6 @@ def _rational_function(f: RationalXi, tables: dict | None = None):
     # x ** 0 == 1.0, is the same float at every point
     head = 0 + coeffs[0] * 1.0 if coeffs else 0
     rest = coeffs[1:]
-    if tables is None:
-        tables = {}
 
     def values(nodes):
         table = tables.get(nodes)
@@ -74,7 +72,7 @@ def _rational_function(f: RationalXi, tables: dict | None = None):
     return values
 
 
-def numeric_line_integral(f: RationalXi, tables: dict | None = None) -> complex:
+def numeric_line_integral(f: RationalXi, tables: dict) -> complex:
     """Adaptive quadrature of the rational function over the real line, one
     panel of ``quadpack.quad_complex`` at a time; ``tables`` as for
     ``_rational_function``."""

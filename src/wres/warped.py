@@ -14,17 +14,24 @@ import functools
 import math
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .heat import A4_BOUNDARY_PRINTED, SPINOR, CurvatureData, boundary_coeffs, bracket, v_nk
 
 QUAD_TOL = 1e-10  # relative tolerance of the adaptive quadrature
 
+# the model's dimension and trace dimension (the interval-leaf value), and
+# the prefactors T (4 pi)^(-m/2) of the interior and T (4 pi)^(-(m-1)/2) of
+# the boundary coefficients
+_DIM = 4
+_TOTAL_DIM = 8
+_C_INTERIOR = float(_TOTAL_DIM) * (4.0 * math.pi) ** (-_DIM / 2)
+_C_BOUNDARY = float(_TOTAL_DIM) * (4.0 * math.pi) ** (-(_DIM - 1) / 2)
+
 
 class WarpSyntaxError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
 
 
 class WarpDomainError(ValueError):
@@ -52,24 +59,14 @@ class Jet3:
         return cls(c)
 
     def __add__(self, o):
-        a, b = self.d, _as_jet(o).d
+        a, b = self.d, o.d
         return Jet3(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet3(*(-a for a in self.d))
-
     def __sub__(self, o):
-        a, b = self.d, _as_jet(o).d
-        return Jet3(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-
-    def __rsub__(self, o):
-        a, b = _as_jet(o).d, self.d
+        a, b = self.d, o.d
         return Jet3(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
     def __mul__(self, o):
-        o = _as_jet(o)
         a, b = self.d, o.d
         return Jet3(
             a[0] * b[0],
@@ -77,8 +74,6 @@ class Jet3:
             a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2],
             a[3] * b[0] + 3 * a[2] * b[1] + 3 * a[1] * b[2] + a[0] * b[3],
         )
-
-    __rmul__ = __mul__
 
     def compose(self, f0, f1, f2, f3) -> "Jet3":
         """Outer function with the given derivatives at self.value (Faa di Bruno)."""
@@ -95,10 +90,7 @@ class Jet3:
         return self.compose(_reciprocal(v), -1 / v ** 2, 2 / v ** 3, -6 / v ** 4)
 
     def __truediv__(self, o):
-        return self * _as_jet(o).inverse()
-
-    def __rtruediv__(self, o):
-        return _as_jet(o) * self.inverse()
+        return self * o.inverse()
 
     def __pow__(self, k: int):
         return _power(self, k, Jet3.const(1.0), Jet3.inverse)
@@ -109,12 +101,6 @@ class Jet3:
 
     def derivatives(self):
         return self.d
-
-
-def _as_jet(x) -> Jet3:
-    if isinstance(x, Jet3):
-        return x
-    return Jet3.const(float(x))
 
 
 # Scalar helpers shared by the jets' value component and ``VALUE_RULES``.
@@ -375,7 +361,7 @@ def parse_warp(text: str) -> "WarpFunction":
     kind, val, off = tk.peek()
     if kind != "end":
         raise WarpSyntaxError(f"trailing input {val!r}", off)
-    return WarpFunction(node, text)
+    return WarpFunction(node)
 
 
 def _ast_to_string(node) -> str:
@@ -439,9 +425,8 @@ def compile_ast(node, record: Callable[[object], object] | None = None,
 
 
 class WarpFunction:
-    def __init__(self, ast: tuple, source: str = ""):
+    def __init__(self, ast: tuple):
         self.ast = ast
-        self.source = source
 
     @functools.cached_property
     def _compiled(self) -> Callable[[Jet3], Jet3]:
@@ -550,12 +535,14 @@ def warped_geometry(model: RWModel, t: float, normal_sign: int = 1) -> Curvature
 
 
 def quad_adaptive(fn: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive Gauss-Kronrod quadrature at relative tolerance ``QUAD_TOL``."""
+    """Adaptive Gauss-Kronrod quadrature at relative tolerance ``QUAD_TOL``;
+    an estimate beyond the float range raises OverflowError."""
     from .quadpack import quad
 
     val, err, _, _ = quad(fn, a, b, epsabs=1e-300, epsrel=QUAD_TOL, limit=400)
-    scale = max(abs(val), 1.0)
-    if not math.isfinite(val) or err > 1e3 * QUAD_TOL * scale + 1e-12:
+    if not math.isfinite(val):
+        raise OverflowError(f"quadrature estimate {val}")
+    if err > 1e3 * QUAD_TOL * max(abs(val), 1.0) + 1e-12:
         raise ValueError(f"quadrature did not converge (estimate {val}, error {err})")
     return val
 
@@ -593,27 +580,20 @@ def _boundary_sum(ends: list, pointwise: Callable[[CurvatureData], float]) -> fl
     return total
 
 
-class InteriorIntegrals(NamedTuple):
-    """The raw interior integrals behind a0 and a2 against the warped volume
-    element."""
-
-    vol: float      # integral of 1
-    r: float        # integral of the scalar curvature
-
-
 class RWCoeffs:
     """Spectral-action coefficients; a4 carries the two boundary readings.
-    ``interior`` holds the raw integrals that ``rw_lower_volumes`` reuses."""
+    ``vol`` and ``r_int``, the integrals of 1 and of the scalar curvature
+    against the warped volume element, are reused by ``rw_lower_volumes``."""
 
     def __init__(self, a0: float, a1: float, a2: float, a3: float, a4_interior: float,
                  a4_printed: float, a4_derived: float, diagnostics: dict,
-                 interior: InteriorIntegrals):
+                 vol: float, r_int: float):
         self.a0, self.a1, self.a2, self.a3 = a0, a1, a2, a3
         self.a4_interior = a4_interior
         self.a4_printed = a4_printed    # stated closed-form boundary bracket
         self.a4_derived = a4_derived    # bracket re-derived from the general heat formula
         self.diagnostics = diagnostics
-        self.interior = interior
+        self.vol, self.r_int = vol, r_int
 
     def as_dict(self):
         return {
@@ -624,19 +604,15 @@ class RWCoeffs:
         }
 
 
-def rw_spectral_coeffs(model: RWModel, total_dim: int = 8) -> RWCoeffs:
-    """a0..a4 for the 4-dimensional warped model (Dirichlet condition).
+def rw_spectral_coeffs(model: RWModel) -> RWCoeffs:
+    """a0..a4 for the 4-dimensional warped model (Dirichlet condition) at
+    trace dimension 8.
 
     Interior integrals use adaptive quadrature against the warped volume
     element; boundary terms are evaluated at both endpoints with the
-    orientation convention above.  The trace dimension defaults to the
-    interval-leaf value 8.
+    orientation convention above.
     """
-    m = 4
-    T = float(total_dim)
-    c_i = T * (4.0 * math.pi) ** (-m / 2)
-    c_b = T * (4.0 * math.pi) ** (-(m - 1) / 2)
-
+    c_i, c_b = _C_INTERIOR, _C_BOUNDARY
     vol = _interior_integral(model, lambda t, jet: 1.0)
     a0 = c_i * vol
     # the exact curvature data at t = a and at t = b, each with its volume element
@@ -659,9 +635,8 @@ def rw_spectral_coeffs(model: RWModel, total_dim: int = 8) -> RWCoeffs:
 
     # consistency of the assembled a0..a2 against the generic bounded-manifold
     # formulas fed the same warped data (reported; asserted by the test suite)
-    diag = _consistency_against_generic(ends, total_dim, (a0, a1, a2, a3), vol, r_int)
-    return RWCoeffs(a0, a1, a2, a3, a4_int, a4_printed, a4_derived, diag,
-                    InteriorIntegrals(vol, r_int))
+    diag = _consistency_against_generic(ends, (a0, a1, a2, a3), vol, r_int)
+    return RWCoeffs(a0, a1, a2, a3, a4_int, a4_printed, a4_derived, diag, vol, r_int)
 
 
 def _a2_interior(r_int: float) -> float:
@@ -670,7 +645,7 @@ def _a2_interior(r_int: float) -> float:
     return float(SPINOR[2].interior["r"]) * r_int
 
 
-def _consistency_against_generic(ends: list, total_dim: int, got, vol, r_int):
+def _consistency_against_generic(ends: list, got, vol, r_int):
     bvol = Fraction(_boundary_sum(ends, lambda d: 1.0))
 
     def bavg(getter):
@@ -685,7 +660,7 @@ def _consistency_against_generic(ends: list, total_dim: int, got, vol, r_int):
         L2_aabb=bavg(lambda d: d.L2_aabb),
         R_aNaN=bavg(lambda d: d.R_aNaN),
         r_bd=bavg(lambda d: d.r),
-    ), 4, total_dim)
+    ), _DIM, _TOTAL_DIM)
     generic = [complex(x.numeric()).real for x in (hc.a0, hc.a1, hc.a2, hc.a3)]
     return {
         "generic_a0": generic[0], "generic_a1": generic[1],
@@ -706,7 +681,7 @@ def asymptotic_action(coeffs: RWCoeffs, moments: dict, scale: float) -> dict[str
             for name, a4 in (("printed", coeffs.a4_printed), ("derived", coeffs.a4_derived))}
 
 
-def rw_lower_volumes(model: RWModel, coeffs: RWCoeffs, total_dim: int = 8) -> dict:
+def rw_lower_volumes(model: RWModel, coeffs: RWCoeffs) -> dict:
     """The three lower-volume lines for the circle-times-base model (closed,
     no boundary terms).  The top line is emitted in both volume-element
     readings: 'weighted' integrates f^3 against the warped volume element,
@@ -714,11 +689,8 @@ def rw_lower_volumes(model: RWModel, coeffs: RWCoeffs, total_dim: int = 8) -> di
 
     ``coeffs`` is ``rw_spectral_coeffs`` of the same model: its interior
     integrals are reused, and only the weighted f^3 is integrated here."""
-    m = 4
-    T = float(total_dim)
-    c_i = T * (4.0 * math.pi) ** (-m / 2)
-
-    f3_plain, r_int = coeffs.interior
+    m, c_i = _DIM, _C_INTERIOR
+    f3_plain, r_int = coeffs.vol, coeffs.r_int
     f3_weighted = _interior_integral(model, lambda t, jet: jet[0] ** 3)
 
     def vconst(k):

@@ -189,6 +189,6 @@ def test_normal_coordinate_contract_is_load_bearing():
     broken_model = foliation_model(2, 2, 8)
     broken_model._subs = {}
     broken = Scenario(**{**vars(scenario), "model": broken_model})
-    case_b = next(c for c in scenario.cases() if scenario.label(c) == "b")
+    case_b = next(c for c in scenario.cases() if scenario.labels[c] == "b")
     with pytest.raises(PlaceholderLeak):
         eval_case(broken, case_b)

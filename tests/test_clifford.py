@@ -275,16 +275,16 @@ def test_element_traces_against_matrix_oracle():
         assert d * sym_tr == mat_tr
 
 
-def test_element_matrix_needs_small_gaussian_integer_coefficients():
+def test_element_matrix_needs_gaussian_integer_coefficients():
     alg = sub_dirac_algebra(1, 1)
     rep = MatrixRep(alg)
     word = normalize(alg, [(0, 0), (1, 0)])
-    for bad in (word * Fraction(1, 3), word * ScalarPoly.symbol("x"), word * 2 ** 53,
-                word * (2 ** 52) + alg.gen((2, 0), 2 ** 52)):
+    for bad in (word * Fraction(1, 3), word * ScalarPoly.symbol("x")):
         with pytest.raises(ValueError):
             rep.element_matrix(bad)
-    big = rep.element_matrix(word * (2 ** 53 - 1))
-    assert big == rep.word_matrix([(0, 0), (1, 0)]) * (2 ** 53 - 1)
+    # plain ints: exact at any size
+    for c in (2 ** 53 - 1, 2 ** 53 + 1, 3 ** 200):
+        assert rep.element_matrix(word * c) == rep.word_matrix([(0, 0), (1, 0)]) * c
 
 
 def test_trace_oracle_names_its_first_failure(monkeypatch):

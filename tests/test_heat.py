@@ -154,11 +154,10 @@ def test_v_constants():
 def test_lower_volume_composition():
     # v_{4,2} * a_2 for the dim-4 residue: -sqrt(2)/96 * pi^{-3} per unit integral
     lv = lower_volume(4, 2, CurvatureData(r=1, vol=1), 8)
-    assert lv.value == UnitValue(Fraction(-1, 96), {"2": Fraction(1, 2), "pi": Fraction(-3)})
-    assert not lv.parity_zero
-    assert lower_volume(6, 3, CurvatureData(), 8).parity_zero
+    assert lv == UnitValue(Fraction(-1, 96), {"2": Fraction(1, 2), "pi": Fraction(-3)})
+    assert lower_volume(6, 3, CurvatureData(r=1, vol=1), 8).is_zero()
     top = lower_volume(4, 4, CurvatureData(vol=1), 8)
-    assert top.value == v_nk(4, 4) * UnitValue(Fraction(8, 16), {"pi": Fraction(-2)})
+    assert top == v_nk(4, 4) * UnitValue(Fraction(8, 16), {"pi": Fraction(-2)})
 
 
 def _wres_closed_form(n, total_dim=None):

@@ -385,7 +385,7 @@ def test_quad_complex_shares_the_panels_of_the_two_parts():
     rng = random.Random(16)
     calls = separate = 0
     for _ in range(25):
-        f = oracles._rational_function(oracles.random_rational_xi(rng))
+        f = oracles._rational_function(oracles.random_rational_xi(rng), {})
         re, im, points = _checked_quad_complex(f, epsabs=1e-12, epsrel=1e-11, limit=400)
         assert len(points) <= re.neval + im.neval
         calls += len(points)
@@ -455,7 +455,7 @@ def test_power_tables_live_for_one_suite_run(monkeypatch):
     seen = {}
     real = oracles.numeric_line_integral
 
-    def spying(f, tables=None):
+    def spying(f, tables):
         seen[id(tables)] = tables
         return real(f, tables)
     monkeypatch.setattr(oracles, "numeric_line_integral", spying)

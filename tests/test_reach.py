@@ -1,7 +1,9 @@
 """The product ships only what a command, an example script or the benchmark
 reaches: every function, class and method defined in ``src/wres`` is named
 by code in ``src/wres``, ``scripts/`` or ``perfbench/``, or exported by
-``wres.__all__``.  Test references live in ``tests/references.py``."""
+``wres.__all__``, and every attribute a class of ``src/wres`` stores on
+``self`` is read by that code.  Test references live in
+``tests/references.py``."""
 
 import ast
 from pathlib import Path
@@ -39,12 +41,16 @@ def _names(node):
     return out
 
 
+def _trees():
+    return {path: ast.parse(path.read_text(), str(path))
+            for folder in CALLERS for path in sorted(folder.rglob("*.py"))}
+
+
 def unreached_definitions() -> list[str]:
     """The definitions of ``src/wres`` that no product code names, outside
     their own body, and that ``wres.__all__`` does not export.  Dunder
     methods are called by the language and count as reached."""
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for folder in CALLERS for path in sorted(folder.rglob("*.py"))}
+    trees = _trees()
     used: dict[str, int] = {}
     for tree in trees.values():
         for name in _names(tree):
@@ -66,3 +72,35 @@ def unreached_definitions() -> list[str]:
 def test_every_definition_in_wres_has_a_product_caller():
     unreached = unreached_definitions()
     assert not unreached, "no product code reaches " + ", ".join(unreached)
+
+
+def _stored_fields(cls):
+    """The attributes that the methods of class ``cls`` assign on ``self``,
+    tuple targets included."""
+    out = set()
+    for sub in ast.walk(cls):
+        if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+            out.add(sub.attr)
+    return out
+
+
+def unread_fields() -> list[str]:
+    """The attributes that a class of ``src/wres`` stores on ``self`` and
+    that no product code reads as an attribute of anything."""
+    trees = _trees()
+    read = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    out = []
+    for path, tree in trees.items():
+        if PRODUCT not in path.parents:
+            continue
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            out += [f"{path.stem}.{cls.name}.{field}"
+                    for field in sorted(_stored_fields(cls) - read)]
+    return out
+
+
+def test_every_stored_field_has_a_product_reader():
+    unread = unread_fields()
+    assert not unread, "no product code reads " + ", ".join(unread)

@@ -16,10 +16,10 @@ from wres.boundary import (
     get_scenario,
 )
 from wres.clifford import AlgebraSignature
-from wres.heat import CurvatureData, HeatCoeffs, LowerVolume
+from wres.heat import CurvatureData, HeatCoeffs
 from wres.symbolic import UnitValue
 from wres.symbols import BoundaryModel, foliation_model
-from wres.warped import InteriorIntegrals, RWCoeffs, RWModel, WarpFunction, parse_warp
+from wres.warped import RWCoeffs, RWModel, WarpFunction, parse_warp
 
 
 def test_case_index_compares_sorts_hashes_and_prints_as_its_fields():
@@ -71,17 +71,16 @@ RECORDS = [
     (CaseIndex, lambda: dict(r=-1, l=-1, k=0, j=0, alpha=0)),
     (AlgebraSignature, lambda: dict(p=2, q=2)),
     (Scenario, lambda: dict(vars(get_scenario(3, 1, 1)))),
-    (BoundaryReport, lambda: dict(scenario="dim3")),
-    (ResPartial, lambda: dict(kind="res21", raw=ZERO, igrb_multiple=ZERO, expected=ZERO)),
+    (BoundaryReport, lambda: dict(cases=[], total=ZERO, total_over_boundary=ZERO, checks=[])),
+    (ResPartial, lambda: dict(raw=ZERO, igrb_multiple=ZERO, expected=ZERO)),
     (BoundaryModel, _model_kwargs),
     (CurvatureData, lambda: dict(r=1)),
     (HeatCoeffs, lambda: dict(a0=ZERO, a1=ZERO, a2=ZERO, a3=ZERO, a4=ZERO)),
-    (LowerVolume, lambda: dict(value=ZERO)),
-    (WarpFunction, lambda: dict(ast=parse_warp("t").ast, source="t")),
+    (WarpFunction, lambda: dict(ast=parse_warp("t").ast)),
     (RWModel, lambda: dict(a=0.0, b=1.0, warp=parse_warp("1"))),
     (RWCoeffs, lambda: dict(a0=0.0, a1=0.0, a2=0.0, a3=0.0, a4_interior=0.0,
                             a4_printed=0.0, a4_derived=0.0, diagnostics={},
-                            interior=InteriorIntegrals(1.0, 0.0))),
+                            vol=1.0, r_int=0.0)),
 ]
 
 

@@ -17,9 +17,18 @@ the table gets only the curvature invariants of each manifold:
   2 * 2^(n/2) * C(k+n-1, k) (Camporesi and Higuchi, J. Geom. Phys. 20 (1996));
 * the Hodge Laplacian on all forms of S^2: l(l+1) = (l + 1/2)^2 - 1/4 with
   multiplicity 4(2l+1) for l >= 1, and 2 at l = 0;
-* the sub-Dirac operator of the foliation F = TS^2 of S^2 x S^2, whose square
+* the sub-Dirac operator of the foliation F = TS^a of S^a x S^2, whose square
   is D^2 (x) 1 + 1 (x) Delta_Lambda(S^2), so its heat trace is the product of
-  the two above; its R^{F-perp} is the curvature of the second S^2.
+  the two above; its R^{F-perp} is the curvature of the S^2;
+* -d^2/dt^2 on [0, pi] with Dirichlet ends: k^2 for k >= 1, whose trace is
+  (sqrt(pi/t) - 1)/2 up to exponentially small terms;
+* -Delta - E on the hemisphere S^n_+ with Dirichlet condition, E constant:
+  l(l+n-1) - E for l >= 1, with multiplicity C(l+n-2, n-1) (the harmonics
+  odd in x_{n+1}).
+
+Products with [0, pi] and the hemispheres have totally geodesic boundaries
+in constant curvature, so every L term, r_{;N} and E_{;N} vanishes there;
+the hemispheres fix the sign convention R_aNaN = -Ric_NN.
 
 Standard library only.
 """
@@ -30,7 +39,15 @@ from math import comb, factorial
 
 import pytest
 
-from wres.heat import CurvatureData, interior_coeffs, wres_power
+from wres import heat
+from wres.heat import (
+    CurvatureData,
+    boundary_coeffs,
+    interior_coeffs,
+    lower_volume,
+    v_nk,
+    wres_power,
+)
 from wres.symbolic import UnitValue
 
 HALF = Fraction(1, 2)
@@ -153,6 +170,27 @@ def forms_s2_series(top) -> dict:
     return series
 
 
+def interval_series(top) -> dict:
+    """[0, pi] with Dirichlet ends: nu = k + 1, multiplicity 1."""
+    return heat_series([1], Fraction(1), 0, top)
+
+
+def hemisphere_spectrum(n: int, e: Fraction):
+    """-Delta - E on S^n_+: nu = l + (n-1)/2 and delta = -((n-1)/2)^2 - E, with
+    multiplicity C(l+n-2, n-1) = prod_{i<n-1} (l+i) / (n-1)!, a polynomial in
+    nu that vanishes at l = 0, so the sum may start there."""
+    theta = Fraction(n - 1, 2)
+    mult = poly_from_roots([theta - i for i in range(n - 1)], Fraction(1, factorial(n - 1)))
+    return mult, theta, -theta * theta - e
+
+
+def test_hemisphere_multiplicities_are_the_published_ones():
+    for n in (3, 4, 5, 6):
+        mult, theta, _ = hemisphere_spectrum(n, Fraction(0))
+        for l in range(10):
+            assert sum(p * (l + theta) ** m for m, p in enumerate(mult)) == comb(l + n - 2, n - 1)
+
+
 def _summed(mult, theta, delta, t, kmax=400):
     return sum(sum(float(p) * float(k + theta) ** m for m, p in enumerate(mult))
                * math.exp(-t * float((k + theta) ** 2 + delta)) for k in range(kmax))
@@ -171,6 +209,13 @@ def test_series_against_the_summed_trace(t):
         assert abs(_series_value(heat_series(mult, theta, 0, 3), t) - want) <= 1e-9 * want
     want = _summed([0, 8], HALF, Fraction(-1, 4), t) - 2
     assert abs(_series_value(forms_s2_series(3), t) - want) <= 1e-9 * want
+    want = _summed([1], 1, 0, t)
+    assert abs(_series_value(interval_series(3), t) - want) <= 1e-9 * want
+    for n in (3, 4, 5, 6):
+        for e in (Fraction(0), Fraction(1, 3), Fraction(-(n - 1) ** 2, 4)):
+            spectrum = hemisphere_spectrum(n, e)
+            want = _summed(*spectrum, t)
+            assert abs(_series_value(heat_series(*spectrum, 6), t) - want) <= 1e-9 * want
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +227,17 @@ def coefficient(series, n, k) -> UnitValue:
     return series.get(Fraction(k - n, 2), UnitValue.zero())
 
 
+def sphere_invariants(*dims: int, rfperp2=0) -> dict:
+    """The interior invariants of a product of unit spheres S^n: each adds
+    r = n(n-1), |Ric|^2 = n(n-1)^2 and |Riem|^2 = 2n(n-1)."""
+    r = sum(n * (n - 1) for n in dims)
+    return dict(r=r, r2=r * r, ric2=sum(n * (n - 1) ** 2 for n in dims),
+                riem2=sum(2 * n * (n - 1) for n in dims), rfperp2=rfperp2)
+
+
 def round_sphere(n: int) -> CurvatureData:
-    """The unit S^n per unit volume: r = n(n-1), |Ric|^2 = n(n-1)^2, |Riem|^2 = 2n(n-1)."""
-    r = n * (n - 1)
-    return CurvatureData(r=r, r2=r * r, ric2=n * (n - 1) ** 2, riem2=2 * n * (n - 1))
+    """The unit S^n per unit volume."""
+    return CurvatureData(**sphere_invariants(n))
 
 
 def sphere_volume(n: int) -> UnitValue:
@@ -212,10 +264,16 @@ def test_wres_power_is_the_spectral_a2(n):
     assert wres_power(n, 2 ** (n // 2)) * int_r == a2 * 2 / gamma_half(n - 2)
 
 
+def sub_dirac_series(a: int, top) -> dict:
+    """The sub-Dirac operator of F = TS^a on S^a x S^2, n = a + 2: the series
+    of D^2 on S^a (from t^(-a/2)) times that of the forms of S^2 (from t^-1)."""
+    mult, theta = sphere_dirac(a)
+    return series_mul(heat_series(mult, theta, 0, top + 1), forms_s2_series(top + a // 2), top)
+
+
 def test_sub_dirac_operator_of_s2_x_s2():
     # n = 4 and T = 2 * 4: the spinors of the leaf times all forms of F-perp
-    mult, theta = sphere_dirac(2)
-    series = series_mul(heat_series(mult, theta, 0, 1), forms_s2_series(1), Fraction(0))
+    series = sub_dirac_series(2, Fraction(0))
     data = CurvatureData(r=4, r2=16, ric2=4, riem2=8, rfperp2=4)
     table = interior_coeffs(data, 4, 8)
     vol = sphere_volume(2) * sphere_volume(2)
@@ -224,3 +282,93 @@ def test_sub_dirac_operator_of_s2_x_s2():
     # without the R^{F-perp} terms of tr E^2 and tr Omega^2, a4 would differ
     flat_perp = interior_coeffs(CurvatureData(r=4, r2=16, ric2=4, riem2=8), 4, 8)
     assert flat_perp.a4 * vol != got[2]
+
+
+def test_sub_dirac_operator_of_s4_x_s2():
+    # n = 6 and T = 4 * 4
+    series = sub_dirac_series(4, Fraction(-1))
+    table = interior_coeffs(CurvatureData(**sphere_invariants(4, 2, rfperp2=4)), 6, 16)
+    vol = sphere_volume(4) * sphere_volume(2)
+    assert [table.a0 * vol, table.a2 * vol, table.a4 * vol] == [
+        coefficient(series, 6, k) for k in (0, 2, 4)]
+
+
+@pytest.mark.parametrize("a", [2, 4], ids=["S2xS2", "S4xS2"])
+def test_lower_volumes_of_foliated_products(a):
+    # v_{n,k} times the spectral a_{n-k}, and zero for mixed parity
+    n, T = a + 2, 2 ** (a // 2) * 4
+    series = sub_dirac_series(a, Fraction(4 - n, 2))
+    data = CurvatureData(**sphere_invariants(a, 2, rfperp2=4))
+    vol = sphere_volume(a) * sphere_volume(2)
+    for k in range(1, n + 1):
+        want = (v_nk(n, k) * coefficient(series, n, n - k) if (n - k) % 2 == 0
+                else UnitValue.zero())
+        assert lower_volume(n, k, data, T) * vol == want, k
+
+
+# ---------------------------------------------------------------------------
+# The Dirichlet table: products with [0, pi], and hemispheres
+# ---------------------------------------------------------------------------
+
+# the boundary invariants that vanish on a totally geodesic boundary of a
+# manifold of constant curvature (every L term, r_{;N} and E_{;N})
+GEODESIC_ZEROS = ("L_aa", "L2_abab", "L2_aabb", "L3_aabbcc", "L3_ababcc", "L3_abbcac",
+                  "R_aNaN_L_bb", "R_aNbN_L_ab", "R_abcb_L_ac", "L_aa_bb", "r_N", "r_L_aa",
+                  "E_N", "E_L_aa")
+
+
+@pytest.mark.parametrize("T, closed, dims, rfperp2", [
+    (4, lambda: heat_series(*sphere_dirac(4), 0, 0), (4,), 0),
+    (8, lambda: sub_dirac_series(2, Fraction(0)), (2, 2), 4),
+], ids=["S4xI", "S2xS2xI"])
+def test_dirichlet_coefficients_of_products_with_an_interval(T, closed, dims, rfperp2):
+    # n = 5; each end is a copy of the closed factor, with R_aNaN = 0
+    series = series_mul(closed(), interval_series(0), Fraction(-1, 2))
+    closed_vol = UnitValue(1)
+    for d in dims:
+        closed_vol = closed_vol * sphere_volume(d)
+    vol, bvol = closed_vol * UnitValue.unit("pi"), closed_vol * 2
+    inv = sphere_invariants(*dims, rfperp2=rfperp2)
+    inner = boundary_coeffs(CurvatureData(vol=1, **inv), 5, T)
+    edge = boundary_coeffs(CurvatureData(vol=0, bvol=1, **inv), 5, T)
+    for name in ("a0", "a1", "a2", "a3", "a4", "a4_alt"):
+        got = getattr(inner, name) * vol + getattr(edge, name) * bvol
+        assert got == coefficient(series, 5, int(name[1])), name
+
+
+def scalar_coefficient(k: int, n: int, e: Fraction, interior: dict, boundary: dict,
+                       vol: UnitValue, bvol: UnitValue) -> UnitValue:
+    """a_k of -Delta - E from ``heat._GENERAL`` with the scalar trace rule
+    tr E = E, tr E^2 = E^2, tr Omega^2 = 0 and T = 1; ``interior`` and
+    ``boundary`` map each invariant of the table, "1" included, to its value."""
+    prefactor, inner, edge = heat._GENERAL[k]
+    traced = {"E": e, "rE": interior["r"] * e, "E2": e * e, "Omega2": 0}
+
+    def total(bracket, values):
+        values = {**values, **traced}
+        return sum((Fraction(c) * values[name] for name, c in bracket.items()), Fraction(0))
+
+    m = n - k % 2
+    four_pi = UnitValue(prefactor, {"2": -m, "pi": Fraction(-m, 2)})
+    return four_pi * (vol * total(inner, interior) + bvol * total(edge, boundary))
+
+
+def hemisphere_coefficient(k, n, e, r_anan):
+    """a_k of -Delta - E on the unit S^n_+, whose boundary is a totally
+    geodesic unit S^(n-1), with R_aNaN = ``r_anan``."""
+    r = n * (n - 1)
+    interior = {"1": 1, **sphere_invariants(n)}
+    boundary = {"1": 1, "r": r, "R_aNaN": r_anan, **dict.fromkeys(GEODESIC_ZEROS, 0)}
+    return scalar_coefficient(k, n, e, interior, boundary,
+                              sphere_volume(n) / 2, sphere_volume(n - 1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_scalar_table_on_hemispheres(n):
+    # the table with R_aNaN = -Ric_NN = -(n-1) gives every a0..a4; the
+    # opposite sign misses a3
+    for e in (Fraction(0), Fraction(1, 3), Fraction(-(n - 1) ** 2, 4)):
+        series = heat_series(*hemisphere_spectrum(n, e), Fraction(4 - n, 2))
+        for k in range(5):
+            assert hemisphere_coefficient(k, n, e, -(n - 1)) == coefficient(series, n, k), (e, k)
+        assert hemisphere_coefficient(3, n, e, n - 1) != coefficient(series, n, 3)

@@ -459,7 +459,7 @@ def test_integrate_against_quadrature_200():
     for _ in range(200):
         f = random_rational_xi(rng)
         exact = complex(f.integrate_pi_coefficient().constant_value()) * math.pi
-        approx = numeric_line_integral(f)
+        approx = numeric_line_integral(f, {})
         assert abs(exact - approx) <= 1e-8 * max(abs(exact), 1e-6)
 
 
