@@ -16,6 +16,7 @@ from math import factorial
 
 from .symbolic import (
     GR_I,
+    U_H1,
     U_PI,
     U_TDIM,
     GaussianRational,
@@ -24,18 +25,9 @@ from .symbolic import (
     sphere_integrate,
     sphere_measure,
 )
-from .symbols import (
-    H1,
-    TOTAL_DIM_SYMBOL,
-    BoundaryModel,
-    foliation_model,
-    spin_model,
-    symbol_jet,
-    trace_product,
-)
+from .symbols import BoundaryModel, foliation_model, spin_model, symbol_jet, trace_product
 
-# unit names used in boundary values, besides symbolic's U_PI and U_TDIM
-U_H1 = "h'(0)"
+# unit names used in boundary values, besides symbolic's U_PI, U_TDIM and U_H1
 U_VOL = "Vol_dM"
 U_DX = "dx'"
 U_IGRB = "I_Gr,b"
@@ -81,18 +73,32 @@ def case_prefactor(case: CaseIndex, bare: bool) -> GaussianRational:
 
 
 class Scenario:
-    """A registered boundary computation with its expected closed forms."""
+    """A registered boundary computation with its expected closed forms.
 
-    def __init__(self, name: str, n: int, powers: tuple[int, int], model: BoundaryModel,
-                 sphere_unit: str | None, bare_prefactor: bool,
-                 labels: dict[CaseIndex, str],
+    The registry key (n, p1, p2) gives the name, the dimension and the powers.
+    The case labels are aI/aII/aIII for the leading orders (r, l) = (-p1, -p2)
+    (tangential, x_n- and xi_n-derivative), b for the orders ``b`` and c for
+    the rest; a scenario with ``b`` None has one case, "main".
+    """
+
+    def __init__(self, key: tuple[int, int, int], b: tuple[int, int] | None,
+                 model: BoundaryModel, sphere_unit: str | None, bare_prefactor: bool,
                  expected_cases: dict[str, tuple[UnitValue, str]],
                  expected_total: UnitValue,
                  igrb: UnitValue | None = None):
-        self.name, self.n, self.powers, self.model = name, n, powers, model
+        n, p1, p2 = key
+        self.name = f"dim{n}-powers{p1}{p2}"
+        self.n, self.powers, self.model = n, (p1, p2), model
         self.sphere_unit = sphere_unit  # opaque measure label, or None to expand in pi
         self.bare_prefactor = bare_prefactor
-        self.labels = labels
+        self.labels = {}
+        for c in self.cases():
+            if b is None:
+                self.labels[c] = "main"
+            elif (c.r, c.l) == (-p1, -p2):
+                self.labels[c] = "aI" if c.alpha == 1 else ("aII" if c.j else "aIII")
+            else:
+                self.labels[c] = "b" if (c.r, c.l) == b else "c"
         self.expected_cases = expected_cases
         self.expected_total = expected_total  # integrated over the boundary: dx' -> Vol
         self.igrb = igrb  # I_Gr,b in h'(0) Vol units
@@ -113,15 +119,10 @@ def _poly_to_unitvalue(poly: ScalarPoly) -> UnitValue:
     if len(poly.terms) != 1:
         raise PlaceholderLeak(f"non-monomial case value: {poly!r}")
     (mono, coeff), = poly.terms.items()
-    powers = {}
-    for name, e in mono:
-        if name == H1:
-            powers[U_H1] = Fraction(e)
-        elif name == TOTAL_DIM_SYMBOL:
-            powers[U_TDIM] = Fraction(e)
-        else:
+    for name, _ in mono:
+        if name not in (U_H1, U_TDIM):
             raise PlaceholderLeak(f"symbol {name!r} survived to a final value")
-    return UnitValue(coeff, powers)
+    return UnitValue(coeff, dict(mono))
 
 
 def eval_case(scenario: Scenario, case: CaseIndex) -> UnitValue:
@@ -197,123 +198,86 @@ def phi_total(scenario: Scenario) -> BoundaryReport:
 # Scenario registry
 # ---------------------------------------------------------------------------
 
-def _uv(coeff, **units) -> UnitValue:
-    table = {"pi": U_PI, "h1": U_H1, "Omega3": "Omega3", "Omega4": "Omega4",
-             "dx": U_DX, "vol": U_VOL, "T": U_TDIM, "igrb": U_IGRB}
-    return UnitValue(coeff, {table[k]: Fraction(v) for k, v in units.items()})
-
-
-def _abc_labels(n: int, p1: int, p2: int, b: tuple[int, int]) -> dict[CaseIndex, str]:
-    """Table labels: aI/aII/aIII for the leading orders (r, l) = (-p1, -p2)
-    (tangential, x_n- and xi_n-derivative), b for the orders ``b``, c for
-    the rest."""
-    labels = {}
-    for c in enumerate_cases(n, p1, p2):
-        if (c.r, c.l) == (-p1, -p2):
-            labels[c] = "aI" if c.alpha == 1 else ("aII" if c.j else "aIII")
-        elif (c.r, c.l) == b:
-            labels[c] = "b"
-        else:
-            labels[c] = "c"
-    return labels
-
-
-def _scenario_dim4() -> Scenario:
-    unit = dict(pi=1, h1=1, Omega3=1, dx=1)
+def _scenario_dim4(key) -> Scenario:
+    unit = {U_PI: 1, U_H1: 1, "Omega3": 1, U_DX: 1}
     return Scenario(
-        name="dim4-powers11",
-        n=4, powers=(1, 1),
+        key, b=(-2, -1),
         model=foliation_model(2, 2, 8),
         sphere_unit="Omega3",
         bare_prefactor=False,
-        labels=_abc_labels(4, 1, 1, b=(-2, -1)),
         expected_cases={
             "aI": (UnitValue.zero(), "tangential derivatives vanish at the base point"),
-            "aII": (_uv(Fraction(-3, 4), **unit), "dim-4 table"),
-            "aIII": (_uv(Fraction(3, 4), **unit), "dim-4 table"),
-            "b": (_uv(Fraction(3, 4), **unit), "dim-4 table"),
-            "c": (_uv(Fraction(-3, 4), **unit), "dim-4 table"),
+            "aII": (UnitValue(Fraction(-3, 4), unit), "dim-4 table"),
+            "aIII": (UnitValue(Fraction(3, 4), unit), "dim-4 table"),
+            "b": (UnitValue(Fraction(3, 4), unit), "dim-4 table"),
+            "c": (UnitValue(Fraction(-3, 4), unit), "dim-4 table"),
         },
         expected_total=UnitValue.zero(),
-        igrb=_uv(-3, h1=1, vol=1),
+        igrb=UnitValue(-3, {U_H1: 1, U_VOL: 1}),
     )
 
 
-def _scenario_dim6() -> Scenario:
-    unit = dict(T=1, pi=1, h1=1, Omega4=1, dx=1)
+def _scenario_dim6(key) -> Scenario:
+    unit = {U_TDIM: 1, U_PI: 1, U_H1: 1, "Omega4": 1, U_DX: 1}
     return Scenario(
-        name="dim6-powers22",
-        n=6, powers=(2, 2),
-        model=foliation_model(2, 4, ScalarPoly.symbol(TOTAL_DIM_SYMBOL)),
+        key, b=(-2, -3),
+        model=foliation_model(2, 4, ScalarPoly.symbol(U_TDIM)),
         sphere_unit="Omega4",
         bare_prefactor=False,
-        labels=_abc_labels(6, 2, 2, b=(-2, -3)),
         expected_cases={
             "aI": (UnitValue.zero(), "tangential derivatives vanish at the base point"),
-            "aII": (_uv(Fraction(-5, 64), **unit), "dim-6 table"),
-            "aIII": (_uv(Fraction(5, 64), **unit), "dim-6 table"),
-            "b": (_uv(Fraction(-15, 64), **unit), "dim-6 table"),
-            "c": (_uv(Fraction(15, 64), **unit), "dim-6 table"),
+            "aII": (UnitValue(Fraction(-5, 64), unit), "dim-6 table"),
+            "aIII": (UnitValue(Fraction(5, 64), unit), "dim-6 table"),
+            "b": (UnitValue(Fraction(-15, 64), unit), "dim-6 table"),
+            "c": (UnitValue(Fraction(15, 64), unit), "dim-6 table"),
         },
         expected_total=UnitValue.zero(),
-        igrb=_uv(-5, pi=1, h1=1, vol=1),
+        igrb=UnitValue(-5, {U_PI: 1, U_H1: 1, U_VOL: 1}),
     )
 
 
-def _scenario_dim3() -> Scenario:
-    cases = enumerate_cases(3, 1, 1)
+def _scenario_dim3(key) -> Scenario:
     return Scenario(
-        name="dim3-powers11",
-        n=3, powers=(1, 1),
+        key, b=None,
         model=spin_model(3, 4),
         sphere_unit=None,  # expand the circle measure: the value is a pure pi power
         bare_prefactor=True,
-        labels={cases[0]: "main"},
         expected_cases={},
-        expected_total=UnitValue(GaussianRational(0, 2), {U_PI: Fraction(2), U_VOL: Fraction(1)}),
+        expected_total=UnitValue(GaussianRational(0, 2), {U_PI: 2, U_VOL: 1}),
     )
 
 
-def _scenario_dim5_22() -> Scenario:
-    cases = enumerate_cases(5, 2, 2)
+def _scenario_dim5_22(key) -> Scenario:
     return Scenario(
-        name="dim5-powers22",
-        n=5, powers=(2, 2),
-        model=foliation_model(1, 4, ScalarPoly.symbol(TOTAL_DIM_SYMBOL)),
+        key, b=None,
+        model=foliation_model(1, 4, ScalarPoly.symbol(U_TDIM)),
         sphere_unit="Omega3",
         bare_prefactor=True,
-        labels={cases[0]: "main"},
         expected_cases={},
-        expected_total=UnitValue(
-            GaussianRational(0, Fraction(1, 8)),
-            {U_PI: Fraction(1), U_TDIM: Fraction(1), "Omega3": Fraction(1), U_VOL: Fraction(1)}),
+        expected_total=UnitValue(GaussianRational(0, Fraction(1, 8)),
+                                 {U_PI: 1, U_TDIM: 1, "Omega3": 1, U_VOL: 1}),
     )
 
 
-def _scenario_dim5_21() -> Scenario:
+def _scenario_dim5_21(key) -> Scenario:
     return Scenario(
-        name="dim5-powers21",
-        n=5, powers=(2, 1),
+        key, b=(-2, -2),
         model=spin_model(5, 4),
         sphere_unit="Omega3",
         bare_prefactor=False,
-        labels=_abc_labels(5, 2, 1, b=(-2, -2)),
         expected_cases={lbl: (UnitValue.zero(), "odd traces vanish")
                         for lbl in ("aI", "aII", "aIII", "b", "c")},
         expected_total=UnitValue.zero(),
-        igrb=_uv(-4, h1=1, vol=1),
+        igrb=UnitValue(-4, {U_H1: 1, U_VOL: 1}),
     )
 
 
-def _scenario_dim4_21() -> Scenario:
-    cases = enumerate_cases(4, 2, 1)
+def _scenario_dim4_21(key) -> Scenario:
     return Scenario(
-        name="dim4-powers21",
-        n=4, powers=(2, 1),
+        key, b=None,
         model=spin_model(4, 4),
         sphere_unit="Omega3",
         bare_prefactor=False,
-        labels={cases[0]: "main"},
         expected_cases={"main": (UnitValue.zero(), "odd traces vanish")},
         expected_total=UnitValue.zero(),
     )
@@ -335,7 +299,7 @@ def get_scenario(n: int, p1: int, p2: int) -> Scenario:
     if key not in _REGISTRY:
         if key not in _FACTORIES:
             raise KeyError(f"unregistered scenario: dim {n}, powers ({p1},{p2})")
-        _REGISTRY[key] = _FACTORIES[key]()
+        _REGISTRY[key] = _FACTORIES[key](key)
     return _REGISTRY[key]
 
 

@@ -59,6 +59,8 @@ def cmd_verify_boundary(args) -> dict:
     if args.p is not None or args.q is not None:
         if len(scenario.model.algebra.families) == 1:
             raise BadInput("signature override not supported for this scenario")
+        import copy
+
         from .clifford import AlgebraSignature
         from .symbols import foliation_model
         p = args.p if args.p is not None else scenario.model.algebra.families[0][1]
@@ -67,10 +69,10 @@ def cmd_verify_boundary(args) -> dict:
             raise BadInput(f"signature ({p},{q}) needs p >= 0 and q >= 1")
         if p + q != args.dim:
             raise BadInput(f"signature ({p},{q}) does not match dimension {args.dim}")
-        scenario = boundary.Scenario(**{
-            **vars(scenario), "name": scenario.name + f"-sig{p}.{q}",
-            "model": foliation_model(p, q, AlgebraSignature(p, q).total_dim),
-            "expected_cases": {}})
+        scenario = copy.copy(scenario)
+        scenario.name += f"-sig{p}.{q}"
+        scenario.model = foliation_model(p, q, AlgebraSignature(p, q).total_dim)
+        scenario.expected_cases = {}
         extrapolation = True
 
     t0 = time.perf_counter()
@@ -184,6 +186,9 @@ def cmd_heat(args) -> dict:
     negative = [k for k in ("vol", "bvol") if getattr(data, k) < 0]
     if negative:
         raise BadInput(f"{', '.join(negative)} must be nonnegative")
+    unread = [k for k in heat.BOUNDARY_FIELDS if k in cfg]
+    if unread and data.bvol == 0:
+        raise BadInput(f"boundary invariants need bvol > 0: {', '.join(unread)}")
 
     bounded = data.bvol != 0
     if bounded:

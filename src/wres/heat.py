@@ -80,8 +80,12 @@ def lichnerowicz_E(sig: AlgebraSignature) -> CliffordElement:
 # total divergences dropped (Vassilevich, Phys. Rep. 388 (2003) sections
 # 4.1-4.2; Branson-Gilkey, Comm. PDE 15 (1990)), as (prefactor, interior
 # bracket, boundary bracket).  A bracket maps an invariant to its coefficient:
-# a CurvatureData field name, "1" for the volume, or E, rE = r E, E2 = E^2,
-# Omega2 = Omega_ij Omega_ij, E_N = E_{;N}, E_L_aa = E L_aa.
+# "1" for the volume; E, rE = r E, E2 = E^2, Omega2 = Omega_ij Omega_ij,
+# E_N = E_{;N}, E_L_aa = E L_aa; or a curvature invariant, which is a
+# CurvatureData field: ric2 = R_ijik R_ljlk, riem2 = R_ijkl^2, rfperp2 =
+# ||R^{F-perp}||^2 (through _TRACES), L_aa_bb = L_aa;bb, r_N = r_{;N} with N
+# the inward normal.  A boundary bracket reads r as r_bd, the scalar curvature
+# on the boundary, when that is given.
 _GENERAL = {
     0: (Fraction(1), {"1": 1}, {}),
     1: (Fraction(-1, 4), {}, {"1": 1}),
@@ -132,22 +136,13 @@ def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-# CurvatureData's fields: the volumes (positional), then the invariants
-CURVATURE_FIELDS = (
-    "vol", "bvol",
-    # interior
-    "r", "r2",
-    "ric2",         # R_ijik R_ljlk
-    "riem2",        # R_ijkl^2
-    "rfperp2",      # ||R^{F-perp}||^2
-    # boundary
-    "L_aa", "L2_abab", "L2_aabb", "L3_aabbcc", "L3_ababcc", "L3_abbcac",
-    "R_aNaN", "R_aNaN_L_bb", "R_aNbN_L_ab", "R_abcb_L_ac",
-    "L_aa_bb",      # L_aa;bb
-    "r_N",          # r_{;N}, inward normal
-    "r_L_aa",
-    "r_bd",         # scalar curvature on the boundary, None for the interior r
-)
+_INTERIOR_KEYS = {name for entry in SPINOR.values() for name in entry.interior} - {"1"}
+_BOUNDARY_KEYS = {name for entry in SPINOR.values() for name in entry.boundary} - {"1"}
+# CurvatureData's fields: the volumes (positional), then every invariant the
+# table's brackets name, and r_bd
+CURVATURE_FIELDS = ("vol", "bvol", *sorted(_INTERIOR_KEYS | _BOUNDARY_KEYS), "r_bd")
+# the invariants that only a boundary bracket reads, which count only with bvol
+BOUNDARY_FIELDS = (*sorted(_BOUNDARY_KEYS - _INTERIOR_KEYS), "r_bd")
 
 
 class CurvatureData:

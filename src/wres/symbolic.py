@@ -286,18 +286,6 @@ class ScalarPoly:
                 return ScalarPoly()
         return _sp({m: x * c for m, x in self.terms.items()})
 
-    def __truediv__(self, other):
-        """Division by a nonzero constant (or constant polynomial)."""
-        if isinstance(other, ScalarPoly):
-            c = other.constant_value()
-            if c is None:
-                raise ZeroDivisionError("division by non-constant polynomial unsupported")
-            other = c
-        other = _as_gr(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by structurally-zero polynomial")
-        return self._scaled(other.inverse())
-
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError(f"negative power {k} of a polynomial")
@@ -335,17 +323,7 @@ class ScalarPoly:
         c = self.constant_value()
         return hash(c) if c is not None else hash(frozenset(self.terms.items()))
 
-    # -- calculus and substitution ------------------------------------------
-    def derivative(self, name: str) -> "ScalarPoly":
-        out: dict[Mono, GaussianRational] = {}
-        for m, c in self.terms.items():
-            for i, (n, e) in enumerate(m):
-                if n == name:
-                    newm = m[:i] + (((n, e - 1),) if e > 1 else ()) + m[i + 1:]
-                    x = c * e
-                    out[newm] = out[newm] + x if newm in out else x
-        return ScalarPoly(out)
-
+    # -- substitution ---------------------------------------------------------
     def subs_many(self, table: Mapping[str, "ScalarPoly"]) -> "ScalarPoly":
         """Substitute every name of ``table`` in one pass over the monomials.
 
@@ -673,9 +651,10 @@ def _inv_binomial_series(a: GaussianRational, b: int, order: int):
 
 U_PI = "pi"
 U_TDIM = "l~2^q"  # the formal trace dimension l~ 2^q
+U_H1 = "h'(0)"  # the normal metric derivative at the boundary point
 
-# numeric values of the opaque units (lossy rendering only); the sphere
-# measures Omega2..Omega4 are added below, once sphere_measure is defined
+# numeric values of the units (lossy rendering only); every other unit, the
+# cosphere-measure labels Omega2..Omega4 among them, renders no float
 _UNIT_NUMERIC = {U_PI: pi}
 
 
@@ -882,10 +861,6 @@ def sphere_measure(m: int) -> UnitValue:
     """vol(S^{m-1}) = 2 pi^(m/2) / Gamma(m/2) as an exact rational times a power of pi."""
     gamma, gamma_pi = gamma_exact(m)
     return UnitValue(2 / gamma, {U_PI: Fraction(m, 2) - gamma_pi})
-
-
-# vol(S^2), vol(S^3), vol(S^4)
-_UNIT_NUMERIC.update({f"Omega{m - 1}": sphere_measure(m).numeric().real for m in (3, 4, 5)})
 
 
 def sphere_moment(exponents: Iterable[int], m: int) -> UnitValue:

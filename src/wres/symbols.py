@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .clifford import Algebra, CliffordElement, Gen, spin_algebra, sub_dirac_algebra
 from .symbolic import (
     GR_I,
+    U_H1,
     GaussianRational,
     RationalXi,
     ScalarPoly,
@@ -25,13 +26,11 @@ from .symbolic import (
     antisymmetric_symbol,
 )
 
-H1 = "h1"  # h'(0), the normal metric derivative at the boundary point
-TOTAL_DIM_SYMBOL = "ldim2q"  # symbolic trace dimension l~ * 2^q
 GAMMA_N = Fraction(5, 2)  # Gamma^n(x0) as a multiple of h'(0)
 
 
 def h1_poly() -> ScalarPoly:
-    return ScalarPoly.symbol(H1)
+    return ScalarPoly.symbol(U_H1)
 
 
 def conn(w: int, u: int, v: int) -> ScalarPoly:
@@ -90,20 +89,18 @@ def trace_product(e1: CliffordElement, e2: CliffordElement, total_dim) -> Ration
 class BoundaryModel:
     """Collar-metric data at a boundary point, on the unit cosphere.
 
-    ``tangential`` lists the n-1 tangential generators paired with their
-    cosphere coordinate symbols; ``normal`` is the conormal generator.
+    The frame is the algebra's unhatted generators in order: the last one is
+    the conormal c(dx_n), and each other one is tangential, paired with its
+    cosphere coordinate, a<i> in the first family and b<i> in the second.
     ``total_dim`` may be an integer or a formal symbol (ScalarPoly).
     """
 
-    def __init__(self, n: int, algebra: Algebra, tangential: list[Gen], coords: list[str],
-                 normal: Gen, total_dim):
-        if len(tangential) != n - 1 or len(coords) != n - 1:
-            raise ValueError("need n-1 tangential generators and coordinates")
-        self.n = n
+    def __init__(self, algebra: Algebra, total_dim):
         self.algebra = algebra
-        self.tangential = tangential
-        self.coords = coords
-        self.normal = normal
+        self.frame = [g for g in algebra.gens() if algebra.square(g) < 0]
+        *self.tangential, self.normal = self.frame
+        self.n = len(self.frame)
+        self.coords = [f"{'ab'[family]}{i + 1}" for family, i in self.tangential]
         self.total_dim = total_dim  # int | ScalarPoly
         self._jets = {}  # symbol_jet memo
         self._subs = self._normal_coordinate_table()
@@ -111,13 +108,7 @@ class BoundaryModel:
     # -- index helpers -------------------------------------------------------
     def gen_index(self, g: Gen) -> int:
         """Global frame index 0..n-1 (tangential order, then the normal)."""
-        if g == self.normal:
-            return self.n - 1
-        return self.tangential.index(g)
-
-    @property
-    def frame(self) -> list[Gen]:
-        return self.tangential + [self.normal]
+        return self.frame.index(g)
 
     @property
     def leaf_gens(self) -> list[Gen]:
@@ -126,8 +117,6 @@ class BoundaryModel:
     @property
     def perp_gens(self) -> list[Gen]:
         """c(h_*) generators, normal included (empty for the spin model)."""
-        if len(self.algebra.families) == 1:
-            return []
         return [g for g in self.frame if g[0] == 1]
 
     def hatted(self, g: Gen) -> Gen:
@@ -203,17 +192,11 @@ def foliation_model(p: int, q: int, total_dim) -> BoundaryModel:
     """Sub-Dirac collar model: dx_n = h_q*, tangential f_1..f_p, h_1..h_{q-1}."""
     if q < 1:
         raise ValueError("foliation model needs q >= 1 (dx_n lies in the perp factor)")
-    algebra = sub_dirac_algebra(p, q)
-    tang = [(0, i) for i in range(p)] + [(1, s) for s in range(q - 1)]
-    coords = [f"a{i + 1}" for i in range(p)] + [f"b{u + 1}" for u in range(q - 1)]
-    return BoundaryModel(p + q, algebra, tang, coords, (1, q - 1), total_dim)
+    return BoundaryModel(sub_dirac_algebra(p, q), total_dim)
 
 
 def spin_model(n: int, total_dim) -> BoundaryModel:
-    algebra = spin_algebra(n)
-    tang = [(0, i) for i in range(n - 1)]
-    coords = [f"a{i + 1}" for i in range(n - 1)]
-    return BoundaryModel(n, algebra, tang, coords, (0, n - 1), total_dim)
+    return BoundaryModel(spin_algebra(n), total_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Boundary-term tables: case enumeration, per-case closed forms, totals, the
 leftover-term functionals, and the trace-path swap oracle."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -182,13 +183,14 @@ def test_integrate_over_boundary_substitution():
 def test_normal_coordinate_contract_is_load_bearing():
     # with the contract substitutions disabled, the curvature-piece case no
     # longer reduces to a pure closed form: connection placeholders leak
-    from wres.boundary import PlaceholderLeak, Scenario
+    from wres.boundary import PlaceholderLeak
     from wres.symbols import foliation_model
 
     scenario = get_scenario(4, 1, 1)
     broken_model = foliation_model(2, 2, 8)
     broken_model._subs = {}
-    broken = Scenario(**{**vars(scenario), "model": broken_model})
+    broken = copy.copy(scenario)
+    broken.model = broken_model
     case_b = next(c for c in scenario.cases() if scenario.labels[c] == "b")
     with pytest.raises(PlaceholderLeak):
         eval_case(broken, case_b)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import copy
 import errno
 import importlib.util
 import io
@@ -224,6 +225,13 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
     # bvol = 0 selects the closed-manifold formulas
     pytest.param(["heat"], "p = 2\nq = 2\nvol = 0\nbvol = 0\n", {}, 0, "",
                  id="heat-volumes-zero"),
+    # only the boundary terms read these invariants, so without bvol they would be dropped
+    pytest.param(["heat"], "p = 2\nq = 1\nr = 1\nvol = 1\nL_aa = 5\nr_N = 3\n", {}, 2,
+                 "error: boundary invariants need bvol > 0: L_aa, r_N\n",
+                 id="heat-boundary-invariants-without-bvol"),
+    pytest.param(["heat"], "p = 2\nq = 2\nbvol = 0\nr_bd = 1\nL3_ababcc = 0\n", {}, 2,
+                 "error: boundary invariants need bvol > 0: L3_ababcc, r_bd\n",
+                 id="heat-boundary-invariants-bvol-zero"),
     pytest.param(["verify-boundary", "--dim", "4", "--powers", "1,1", "--p", "4", "--q", "0"],
                  None, {}, 2, "signature", id="verify-q-zero"),
     pytest.param(["verify-boundary", "--dim", "4", "--powers", "1,1", "--p", "-1", "--q", "5"],
@@ -315,8 +323,12 @@ def test_exit_contract(argv, config, env, code, message, tmp_path):
 
 def _wrong_expected_total(monkeypatch):
     real = boundary.get_scenario
-    monkeypatch.setattr(boundary, "get_scenario", lambda *key: boundary.Scenario(
-        **{**vars(real(*key)), "expected_total": UnitValue(7)}))
+
+    def wrong(*key):
+        scenario = copy.copy(real(*key))
+        scenario.expected_total = UnitValue(7)
+        return scenario
+    monkeypatch.setattr(boundary, "get_scenario", wrong)
 
 
 def _negative_jet_tolerance(monkeypatch):
@@ -395,6 +407,12 @@ def test_heat_value_too_large_for_a_float(tmp_path):
     assert doc["a2"]["coef"] == str(Fraction(-10 ** 400, 48))
     assert "numeric" not in doc["a2"]
     assert "numeric" in doc["a0"]
+
+
+def test_cosphere_measure_label_renders_no_float():
+    # Omega3 is the measure of S^3 in the dim-5 tables and of S^2 in the dim-4 one
+    obj = cli._uv_obj(UnitValue(Fraction(1, 4), {"pi": 1, "Omega3": 1}))
+    assert obj == {"coef": "1/4", "unit": ["Omega3", "pi"]}
 
 
 def _perfbench_module(name):

@@ -7,7 +7,7 @@ import pytest
 
 from wres.boundary import get_scenario, registered_scenarios
 from wres.clifford import CliffordElement
-from wres.symbolic import GR_I, RationalXi, ScalarPoly
+from wres.symbolic import GR_I, U_H1, RationalXi, ScalarPoly
 from wres.symbols import (
     conn,
     connection_word,
@@ -36,7 +36,7 @@ def _zero_connection(expr: CliffordElement, drop_h1=False) -> CliffordElement:
     def clean(poly: ScalarPoly) -> ScalarPoly:
         out = poly
         for s in sorted(poly.symbols()):
-            if s.startswith("g_") or (drop_h1 and s == "h1"):
+            if s.startswith("g_") or (drop_h1 and s == U_H1):
                 out = out.subs_many({s: ScalarPoly.zero()})
         return out
     return expr.map_coeffs(lambda c: c.map_coeffs(clean))
@@ -176,7 +176,7 @@ def test_spin_model_reuses_builders():
     s3 = sigma_minus3_Dsq(m).val
     # scalar part carries Gamma^n = 5/2 h'(0); word parts stay symbolic
     scal = s3.terms[()]
-    env = {"h1": 1.0}
+    env = {U_H1: 1.0}
     # at xi = 0 the A1 term vanishes and xi * inv2 kills the scalar too
     assert abs(evaluate_rational(scal, 0.0, env)) == 0.0
 
