@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs every CLI report that has a reference in perfbench/reference/, each
-# from a cold process, and both example scripts, whose outputs are in
-# tests/reference/, and compares each byte for byte.  Needs no installed
+# from a cold process, the --p/--q extrapolations and both example scripts,
+# whose outputs are in tests/reference/, and compares each byte for byte.  Needs no installed
 # package: wres has no runtime dependency.  Run from the repository root:
 #   bash .github/check_references.sh
 # -o pipefail: a run that prints the reference bytes but exits nonzero fails,
@@ -25,6 +25,13 @@ for op in workloads.fixed_ops():
       PYTHONPATH=src python -m wres.cli "$@" | cmp - "perfbench/reference/$ref.json"
       echo "$ref matches"
     done
+# --p/--q extrapolations, on signatures that no registered scenario has
+for run in "4 1,1 1 3" "6 2,2 3 3" "6 2,2 0 6" "5 2,2 2 3"; do
+  set -- $run
+  PYTHONPATH=src python -m wres.cli verify-boundary --dim "$1" --powers "$2" --p "$3" --q "$4" \
+    | cmp - "tests/reference/verify_dim$1_${2/,/}_sig$3.$4.json"
+done
+echo "extrapolations match"
 # negative values spaced from their flag read as the joined forms above
 PYTHONPATH=src python -m wres.cli rw --f "2+sin(t)" --interval 0.5,1.5 --curv -1.0 \
     --base-vol 1.0 --lambda 2 | cmp - perfbench/reference/rw_fixed2.json

@@ -3,9 +3,9 @@ totals, and the leftover-term functionals with their Einstein-Hilbert
 boundary identifications.
 
 Each registered scenario pins the data the trace tables depend on
-(signature, trace dimension, cosphere-measure label, integrand prefactor
-convention) together with the expected closed forms used by the regression
-and acceptance suites.
+(signature, trace dimension, cosphere-measure label) together with the
+expected closed forms used by the regression and acceptance suites; the
+integrand prefactor follows from the dimension's parity.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ def enumerate_cases(n: int, p1: int, p2: int) -> list[CaseIndex]:
     return out
 
 
-def case_prefactor(case: CaseIndex, bare: bool) -> GaussianRational:
-    """(-i)^(|alpha|+j+k+1) / (alpha! (j+k+1)!); odd-dimension scenarios use
-    the bare integral instead."""
-    if bare:
+def case_prefactor(case: CaseIndex, n: int) -> GaussianRational:
+    """(-i)^(|alpha|+j+k+1) / (alpha! (j+k+1)!) in even dimension n; odd
+    dimensions take the bare integral instead."""
+    if n % 2:
         return GaussianRational(1)
     num = (-GR_I) ** (case.alpha + case.j + case.k + 1)
     return num * Fraction(1, factorial(case.alpha) * factorial(case.j + case.k + 1))
@@ -82,15 +82,16 @@ class Scenario:
     """
 
     def __init__(self, key: tuple[int, int, int], b: tuple[int, int] | None,
-                 model: BoundaryModel, sphere_unit: str | None, bare_prefactor: bool,
+                 model: BoundaryModel, sphere_unit: str | None,
                  expected_cases: dict[str, tuple[UnitValue, str]],
                  expected_total: UnitValue,
                  igrb: UnitValue | None = None):
         n, p1, p2 = key
         self.name = f"dim{n}-powers{p1}{p2}"
+        if model.n != n:
+            raise ValueError(f"scenario {self.name} has a model of dimension {model.n}")
         self.n, self.powers, self.model = n, (p1, p2), model
         self.sphere_unit = sphere_unit  # opaque measure label, or None to expand in pi
-        self.bare_prefactor = bare_prefactor
         self.labels = {}
         for c in self.cases():
             if b is None:
@@ -145,7 +146,7 @@ def eval_case(scenario: Scenario, case: CaseIndex) -> UnitValue:
     m = model.n - 1  # cosphere lives in R^{n-1}
     moments = tr.map_coeffs(lambda p: model.reduce_coeff(sphere_integrate(p, model.coords, m)))
     pi_coeff = moments.integrate_pi_coefficient()
-    value = _poly_to_unitvalue(pi_coeff * case_prefactor(case, scenario.bare_prefactor))
+    value = _poly_to_unitvalue(pi_coeff * case_prefactor(case, scenario.n))
     if value.is_zero():
         return value
     value = value * UnitValue.unit(U_PI) * UnitValue.unit(U_DX)
@@ -204,7 +205,6 @@ def _scenario_dim4(key) -> Scenario:
         key, b=(-2, -1),
         model=foliation_model(2, 2, 8),
         sphere_unit="Omega3",
-        bare_prefactor=False,
         expected_cases={
             "aI": (UnitValue.zero(), "tangential derivatives vanish at the base point"),
             "aII": (UnitValue(Fraction(-3, 4), unit), "dim-4 table"),
@@ -223,7 +223,6 @@ def _scenario_dim6(key) -> Scenario:
         key, b=(-2, -3),
         model=foliation_model(2, 4, ScalarPoly.symbol(U_TDIM)),
         sphere_unit="Omega4",
-        bare_prefactor=False,
         expected_cases={
             "aI": (UnitValue.zero(), "tangential derivatives vanish at the base point"),
             "aII": (UnitValue(Fraction(-5, 64), unit), "dim-6 table"),
@@ -241,7 +240,6 @@ def _scenario_dim3(key) -> Scenario:
         key, b=None,
         model=spin_model(3, 4),
         sphere_unit=None,  # expand the circle measure: the value is a pure pi power
-        bare_prefactor=True,
         expected_cases={},
         expected_total=UnitValue(GaussianRational(0, 2), {U_PI: 2, U_VOL: 1}),
     )
@@ -252,7 +250,6 @@ def _scenario_dim5_22(key) -> Scenario:
         key, b=None,
         model=foliation_model(1, 4, ScalarPoly.symbol(U_TDIM)),
         sphere_unit="Omega3",
-        bare_prefactor=True,
         expected_cases={},
         expected_total=UnitValue(GaussianRational(0, Fraction(1, 8)),
                                  {U_PI: 1, U_TDIM: 1, "Omega3": 1, U_VOL: 1}),
@@ -264,7 +261,6 @@ def _scenario_dim5_21(key) -> Scenario:
         key, b=(-2, -2),
         model=spin_model(5, 4),
         sphere_unit="Omega3",
-        bare_prefactor=False,
         expected_cases={lbl: (UnitValue.zero(), "odd traces vanish")
                         for lbl in ("aI", "aII", "aIII", "b", "c")},
         expected_total=UnitValue.zero(),
@@ -277,7 +273,6 @@ def _scenario_dim4_21(key) -> Scenario:
         key, b=None,
         model=spin_model(4, 4),
         sphere_unit="Omega3",
-        bare_prefactor=False,
         expected_cases={"main": (UnitValue.zero(), "odd traces vanish")},
         expected_total=UnitValue.zero(),
     )
@@ -312,17 +307,14 @@ def registered_scenarios() -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 
 _RES_KINDS = {
-    # kind -> (scenario key, case label, expected multiple of I_Gr,b)
-    "res11": ((4, 1, 1), "aII",
-              UnitValue(Fraction(1, 4), {U_PI: Fraction(1), "Omega3": Fraction(1), U_IGRB: Fraction(1)})),
-    "res21": ((4, 1, 1), "b",
-              UnitValue(Fraction(-1, 4), {U_PI: Fraction(1), "Omega3": Fraction(1), U_IGRB: Fraction(1)})),
-    "res22": ((6, 2, 2), "aII",
-              UnitValue(Fraction(1, 64), {U_TDIM: Fraction(1), "Omega4": Fraction(1), U_IGRB: Fraction(1)})),
-    "res23": ((6, 2, 2), "b",
-              UnitValue(Fraction(3, 64), {U_TDIM: Fraction(1), "Omega4": Fraction(1), U_IGRB: Fraction(1)})),
-    "res21_51": ((5, 2, 1), "aII", UnitValue.zero()),
-    "res22_51": ((5, 2, 1), "b", UnitValue.zero()),
+    # kind -> (scenario key, case label); the expected multiple of I_Gr,b is
+    # the scenario's expected value for that case
+    "res11": ((4, 1, 1), "aII"),
+    "res21": ((4, 1, 1), "b"),
+    "res22": ((6, 2, 2), "aII"),
+    "res23": ((6, 2, 2), "b"),
+    "res21_51": ((5, 2, 1), "aII"),
+    "res22_51": ((5, 2, 1), "b"),
 }
 
 
@@ -337,18 +329,23 @@ class ResPartial:
         return self.igrb_multiple == self.expected
 
 
+def _igrb_multiple(scenario: Scenario, value: UnitValue) -> UnitValue:
+    """A value integrated over the boundary, expressed through I_Gr,b."""
+    if value.is_zero():
+        return UnitValue.zero()
+    if scenario.igrb is None:
+        raise ValueError(f"scenario {scenario.name} carries no boundary-action data")
+    return (value / scenario.igrb) * UnitValue.unit(U_IGRB)
+
+
 def res_partial(kind: str) -> ResPartial:
-    """Evaluate a leftover-term functional and express it through the
-    Einstein-Hilbert boundary term of its scenario."""
+    """Evaluate a leftover-term functional; express it and its case's expected
+    value through the Einstein-Hilbert boundary term of its scenario."""
     if kind not in _RES_KINDS:
         raise KeyError(f"unknown res-partial kind {kind!r}")
-    key, label, expected = _RES_KINDS[kind]
+    key, label = _RES_KINDS[kind]
     scenario = get_scenario(*key)
     case = next(c for c in scenario.cases() if scenario.labels[c] == label)
     raw = integrate_over_boundary(eval_case(scenario, case))
-    if raw.is_zero():
-        return ResPartial(raw, UnitValue.zero(), expected)
-    if scenario.igrb is None:
-        raise ValueError(f"scenario {scenario.name} carries no boundary-action data")
-    multiple = (raw / scenario.igrb) * UnitValue.unit(U_IGRB)
-    return ResPartial(raw, multiple, expected)
+    expected = integrate_over_boundary(scenario.expected_cases[label][0])
+    return ResPartial(raw, _igrb_multiple(scenario, raw), _igrb_multiple(scenario, expected))

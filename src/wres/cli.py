@@ -96,9 +96,9 @@ def cmd_verify_boundary(args) -> dict:
         "total_over_boundary": _uv_obj(report.total_over_boundary),
         "checks": checks,
     }
-    ok = all(c["pass"] for c in checks)
-    print(f"# scenario {scenario.name}: {len(report.cases)} cases, "
-          f"{'all checks pass' if ok else 'CHECK FAILURES'} "
+    status = ("no checks (extrapolation)" if extrapolation else
+              "all checks pass" if all(c["pass"] for c in checks) else "CHECK FAILURES")
+    print(f"# scenario {scenario.name}: {len(report.cases)} cases, {status} "
           f"({elapsed:.3f}s)", file=sys.stderr)
     return payload
 

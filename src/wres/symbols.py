@@ -26,9 +26,6 @@ from .symbolic import (
     antisymmetric_symbol,
 )
 
-GAMMA_N = Fraction(5, 2)  # Gamma^n(x0) as a multiple of h'(0)
-
-
 def h1_poly() -> ScalarPoly:
     return ScalarPoly.symbol(U_H1)
 
@@ -287,8 +284,9 @@ def sigma_minus2_Dsq(model: BoundaryModel) -> Jet:
 def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
     """Third symbol of the inverse square at the boundary point (value only).
 
-    A1 = -2i h'(0) xi_n |xi|^{-6};  A2 = -i |xi|^{-4} xi_k (Gamma^k + W_k),
-    Gamma^n(x0) = GAMMA_N * h'(0), tangential Gamma^k(x0) = 0.
+    A1 = -2i h'(0) xi_n |xi|^{-6};  A2 = -i |xi|^{-4} xi_k (Gamma^k + W_k).
+    The collar metric g_ab = delta_ab / h(x_n) gives
+    Gamma^n(x0) = -1/2 g^ab d_n g_ab = (n-1)/2 h'(0); tangential Gamma^k(x0) = 0.
     """
     alg = model.algebra
     xi = RationalXi.xi()
@@ -298,7 +296,7 @@ def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
     a1 = alg.scalar(xi * inv3 * (h1_poly() * GaussianRational(0, -2)))
 
     # k = n: xi_n ( Gamma^n + W_n )
-    a2 = alg.scalar(xi * inv2 * (h1_poly() * GaussianRational(GAMMA_N)))
+    a2 = alg.scalar(xi * inv2 * (h1_poly() * GaussianRational(Fraction(model.n - 1, 2))))
     a2 = a2 + connection_word(model, model.n - 1).map_coeffs(lambda c: c * (xi * inv2))
     # tangential k: coordinate-weighted word terms (odd on the cosphere)
     for g, name in zip(model.tangential, model.coords):

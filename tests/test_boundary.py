@@ -154,7 +154,7 @@ def _eval_case_with_matrix_trace(scenario, case) -> UnitValue:
     acc = acc.map_coeffs(lambda p: reduce_unit_norm(model.reduce_coeff(p), model.coords))
     moments = acc.map_coeffs(lambda p: sphere_integrate(p, model.coords, model.n - 1))
     poly = model.reduce_coeff(moments.integrate_pi_coefficient())
-    value = _poly_to_unitvalue(poly * case_prefactor(case, scenario.bare_prefactor))
+    value = _poly_to_unitvalue(poly * case_prefactor(case, scenario.n))
     if value.is_zero():
         return value
     value = value * UnitValue.unit(U_PI) * UnitValue.unit(U_DX)

@@ -77,6 +77,40 @@ def test_verify_boundary_signature_override(tmp_path):
                 "--p", "3", "--q", "3", "--json", str(out)]) == 2
 
 
+# --p/--q runs on signatures that no registered scenario has, pinned byte for
+# byte; .github/check_references.sh reruns the same commands
+EXTRAPOLATIONS = [(4, "1,1", 1, 3), (6, "2,2", 3, 3), (6, "2,2", 0, 6), (5, "2,2", 2, 3)]
+
+
+def _extrapolation_argv(dim, powers, p, q):
+    return ["verify-boundary", "--dim", str(dim), "--powers", powers,
+            "--p", str(p), "--q", str(q)]
+
+
+def _extrapolation_ref(dim, powers, p, q):
+    return f"verify_dim{dim}_{powers.replace(',', '')}_sig{p}.{q}"
+
+
+@pytest.mark.parametrize("dim,powers,p,q", EXTRAPOLATIONS,
+                         ids=[_extrapolation_ref(*args) for args in EXTRAPOLATIONS])
+def test_extrapolation_matches_reference(dim, powers, p, q, capsys):
+    assert run(_extrapolation_argv(dim, powers, p, q)) == 0
+    name = _extrapolation_ref(dim, powers, p, q) + ".json"
+    reference = (ROOT / "tests" / "reference" / name).read_bytes()
+    assert capsys.readouterr().out.encode() == reference
+
+
+def test_extrapolation_claims_no_checks(capsys):
+    # the timing line of an extrapolation names no passed checks; a
+    # registered scenario's says its checks pass
+    assert run(_extrapolation_argv(6, "2,2", 0, 6)) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("# scenario dim6-powers22-sig0.6: 5 cases, no checks (extrapolation) (")
+    assert run(["verify-boundary", "--dim", "6", "--powers", "2,2"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("# scenario dim6-powers22: 5 cases, all checks pass (")
+
+
 def test_heat_command(tmp_path):
     cfg = tmp_path / "heat.cfg"
     cfg.write_text("# flat closed manifold\np = 2\nq = 2\nr = 1\nvol = 1\n")

@@ -67,7 +67,7 @@ def _model_kwargs():
 def _scenario_kwargs():
     scenario = get_scenario(3, 1, 1)
     return dict(key=(3, 1, 1), b=None, model=scenario.model,
-                sphere_unit=scenario.sphere_unit, bare_prefactor=scenario.bare_prefactor,
+                sphere_unit=scenario.sphere_unit,
                 expected_cases=scenario.expected_cases,
                 expected_total=scenario.expected_total, igrb=scenario.igrb)
 
@@ -93,6 +93,15 @@ RECORDS = [
 # constructor inputs that a record keeps only in derived form: a scenario's
 # key and b orders become its name, n, powers and labels
 DERIVED = {Scenario: {"key", "b"}}
+
+
+def test_scenario_model_has_the_key_dimension():
+    # the key fixes the dimension of the cases and the model that of the
+    # cosphere: a dimension-5 model under a dimension-4 key would mix the two
+    kwargs = dict(_scenario_kwargs(), key=(4, 1, 1), b=(-2, -1),
+                  model=foliation_model(2, 3, 8))
+    with pytest.raises(ValueError, match="dim4-powers11 has a model of dimension 5"):
+        Scenario(**kwargs)
 
 
 @pytest.mark.parametrize("cls,kwargs", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])

@@ -7,7 +7,7 @@ import pytest
 
 from wres.boundary import get_scenario, registered_scenarios
 from wres.clifford import CliffordElement
-from wres.symbolic import GR_I, U_H1, RationalXi, ScalarPoly
+from wres.symbolic import GR_I, U_H1, GaussianRational, RationalXi, ScalarPoly
 from wres.symbols import (
     conn,
     connection_word,
@@ -114,6 +114,30 @@ def test_flat_degenerations(model):
     assert _zero_connection(sigma0_DF(model)).is_zero()
     flat3 = _zero_connection(sigma_minus3_Dsq(model).val, drop_h1=True)
     assert flat3.is_zero()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: foliation_model(2, 2, 8),
+    lambda: foliation_model(2, 3, 16),
+    lambda: foliation_model(2, 4, 32),
+    lambda: foliation_model(3, 4, 64),
+    lambda: spin_model(5, 4),
+], ids=["p2q2", "p2q3", "p2q4", "p3q4", "spin5"])
+def test_third_square_symbol_takes_gamma_n_from_the_collar(make):
+    # g_ab = delta_ab / h(x_n) on the n-1 tangential directions, h(0) = 1:
+    # d_n g_ab = -h'(0) delta_ab and g^ab = delta^ab at the base point
+    model = make()
+    tangential = range(model.n - 1)
+    d_n_g = {(a, b): -h1_poly() if a == b else ScalarPoly.zero()
+             for a in tangential for b in tangential}
+    g_inv = {(a, b): Fraction(a == b) for a in tangential for b in tangential}
+    gamma_n = sum((d_n_g[a, b] * g_inv[a, b] for a in tangential for b in tangential),
+                  ScalarPoly.zero()) * Fraction(-1, 2)
+    # identity word: -2i h'(0) xi_n |xi|^-6 - i Gamma^n xi_n |xi|^-4
+    xi = RationalXi.xi()
+    want = (xi * RationalXi.inv_norm_sq(3) * (h1_poly() * GaussianRational(0, -2))
+            + xi * RationalXi.inv_norm_sq(2) * (gamma_n * GaussianRational(0, -1)))
+    assert sigma_minus3_Dsq(model).val.identity_coefficient() == want
 
 
 def test_symbol_inverse_at_leading_order(model):
