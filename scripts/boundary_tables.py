@@ -7,7 +7,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from wres.boundary import get_scenario, phi_total, registered_scenarios, res_partial
+from wres.boundary import RES_KINDS, get_scenario, phi_total, registered_scenarios, res_partial
 
 
 def main() -> int:
@@ -27,7 +27,7 @@ def main() -> int:
         print()
 
     print("=== leftover-term functionals ===")
-    for kind in ("res11", "res21", "res22", "res23", "res21_51", "res22_51"):
+    for kind in RES_KINDS:
         r = res_partial(kind)
         flag = "ok" if r.passes else "MISMATCH"
         failed += not r.passes

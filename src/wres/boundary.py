@@ -306,7 +306,7 @@ def registered_scenarios() -> list[tuple[int, int, int]]:
 # Leftover-term functionals
 # ---------------------------------------------------------------------------
 
-_RES_KINDS = {
+RES_KINDS = {
     # kind -> (scenario key, case label); the expected multiple of I_Gr,b is
     # the scenario's expected value for that case
     "res11": ((4, 1, 1), "aII"),
@@ -341,9 +341,9 @@ def _igrb_multiple(scenario: Scenario, value: UnitValue) -> UnitValue:
 def res_partial(kind: str) -> ResPartial:
     """Evaluate a leftover-term functional; express it and its case's expected
     value through the Einstein-Hilbert boundary term of its scenario."""
-    if kind not in _RES_KINDS:
+    if kind not in RES_KINDS:
         raise KeyError(f"unknown res-partial kind {kind!r}")
-    key, label = _RES_KINDS[kind]
+    key, label = RES_KINDS[kind]
     scenario = get_scenario(*key)
     case = next(c for c in scenario.cases() if scenario.labels[c] == label)
     raw = integrate_over_boundary(eval_case(scenario, case))

@@ -180,8 +180,8 @@ def cmd_heat(args) -> dict:
         raise BadInput("config needs either p and q, or n and total_dim")
 
     try:
-        data = heat.CurvatureData.from_mapping(cfg)
-    except KeyError as exc:
+        data = heat.CurvatureData(**cfg)
+    except TypeError as exc:  # a key that names no curvature field
         raise BadInput(exc.args[0]) from exc
     negative = [k for k in ("vol", "bvol") if getattr(data, k) < 0]
     if negative:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .symbolic import GaussianRational, ScalarPoly, _as_poly
+from .symbolic import SCALARS, GaussianRational, ScalarPoly, _as_poly
 
 
 class AlgebraSignature(namedtuple("AlgebraSignature", "p q")):
@@ -107,7 +106,7 @@ def spin_algebra(n: int) -> Algebra:
 
 def _as_coeff(c):
     """Plain numbers become constant polynomials; ring elements pass through."""
-    return _as_poly(c) if isinstance(c, (int, Fraction, GaussianRational)) else c
+    return _as_poly(c) if isinstance(c, SCALARS) else c
 
 
 class CliffordElement:
@@ -155,7 +154,7 @@ class CliffordElement:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, SCALARS):
             other = self.algebra.scalar(other)
         if not isinstance(other, CliffordElement):
             return NotImplemented
@@ -200,10 +199,10 @@ class CliffordElement:
         return " + ".join(bits)
 
 
-def normalize(algebra: Algebra, gens: Iterable[Gen], coeff=1) -> CliffordElement:
+def normalize(algebra: Algebra, gens: Iterable[Gen]) -> CliffordElement:
     """Canonical form of a raw generator word."""
     sign, word = algebra.normalize_word(gens)
-    return CliffordElement(algebra, {word: _as_coeff(coeff) * sign})
+    return CliffordElement(algebra, {word: _as_poly(sign)})
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,9 @@ class CurvatureData:
     """
 
     def __init__(self, vol=1, bvol=0, **invariants):
-        unknown = sorted(set(invariants).difference(CURVATURE_FIELDS))
+        unknown = set(invariants).difference(CURVATURE_FIELDS)
         if unknown:
-            raise TypeError(f"CurvatureData() got an unexpected keyword argument {unknown[0]!r}")
+            raise TypeError(f"unknown curvature keys: {sorted(unknown)}")
         invariants.update(vol=vol, bvol=bvol)
         for name in CURVATURE_FIELDS:
             v = invariants.get(name, None if name == "r_bd" else 0)
@@ -166,13 +166,6 @@ class CurvatureData:
     @property
     def boundary_r(self) -> Fraction:
         return self.r if self.r_bd is None else self.r_bd
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "CurvatureData":
-        unknown = set(mapping).difference(CURVATURE_FIELDS)
-        if unknown:
-            raise KeyError(f"unknown curvature keys: {sorted(unknown)}")
-        return cls(**mapping)
 
 
 class HeatCoeffs:

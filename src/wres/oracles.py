@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .clifford import AlgebraSignature, MatrixRep, normalize, sub_dirac_algebra
 from .symbolic import GaussianRational, RationalXi, _frac_str
-from .warped import VALUE_RULES, Jet3, _ast_to_string, compile_ast
+from .warped import _FUNCTIONS, VALUE_RULES, Jet3, _ast_to_string, compile_ast
 
 # the points at which the jet oracle compares a warp's jet with finite differences
 PROBES = (0.2, 0.7, 1.3)
@@ -186,7 +186,7 @@ def random_warp_ast(rng: random.Random) -> tuple[tuple, dict[float, tuple[Jet3, 
                                ("num", Fraction(rng.randint(1, 9), rng.randint(1, 4)))])
         op = rng.choice(["+", "-", "*", "call", "pow", "/"])
         if op == "call":
-            name = rng.choice(["sin", "cos", "exp", "sinh", "cosh", "ln"])
+            name = rng.choice(list(_FUNCTIONS))
             arg = build(depth - 1)
             if name == "ln":
                 # keep the argument positive by construction

@@ -23,6 +23,22 @@ class ConditionallyConvergent(ValueError):
     """Raised for degree-gap-1 integrands (not absolutely integrable)."""
 
 
+def power(x, k: int, one, inverse):
+    """x ** k by binary exponentiation from ``one``; a negative k inverts
+    the power |k|.  The square after the top bit of k is never used, so it
+    is not taken."""
+    if k < 0:
+        return inverse(power(x, -k, one, inverse))
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
@@ -65,12 +81,10 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _gr_operand(other)
-        return NotImplemented if other is NotImplemented else self + (-other)
+        return self + (-other)
 
     def __rsub__(self, other):
-        other = _gr_operand(other)
-        return NotImplemented if other is NotImplemented else other - self
+        return -self + other
 
     def __mul__(self, other):
         if other.__class__ is not GaussianRational:
@@ -101,16 +115,7 @@ class GaussianRational:
         return _gr(-self.a, -self.b, self.d)
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = GR_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, GR_ONE, GaussianRational.inverse)
 
     def is_zero(self) -> bool:
         return not self.a and not self.b
@@ -183,6 +188,9 @@ GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
+# the plain numbers, which every exact value type takes as an operand
+SCALARS = (int, Fraction, GaussianRational)
+
 
 # ---------------------------------------------------------------------------
 # Multivariate polynomials over Q(i) in named formal symbols
@@ -218,8 +226,8 @@ class ScalarPoly:
         return cls({_EMPTY: _as_gr(c)})
 
     @classmethod
-    def symbol(cls, name: str, exp: int = 1) -> "ScalarPoly":
-        return cls({((name, exp),): GR_ONE})
+    def symbol(cls, name: str) -> "ScalarPoly":
+        return cls({((name, 1),): GR_ONE})
 
     @classmethod
     def zero(cls) -> "ScalarPoly":
@@ -245,12 +253,10 @@ class ScalarPoly:
         return _sp({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = _poly_operand(other)
-        return NotImplemented if other is NotImplemented else self + (-other)
+        return self + (-other)
 
     def __rsub__(self, other):
-        other = _poly_operand(other)
-        return NotImplemented if other is NotImplemented else other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         """A constant operand (a number, or one term on the empty monomial)
@@ -289,10 +295,7 @@ class ScalarPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError(f"negative power {k} of a polynomial")
-        out = ScalarPoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, ScalarPoly.one(), None)
 
     # -- queries ------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -313,7 +316,7 @@ class ScalarPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, SCALARS):
             other = ScalarPoly.const(other)
         if not isinstance(other, ScalarPoly):
             return NotImplemented
@@ -365,7 +368,7 @@ def _sp(terms: dict) -> ScalarPoly:
 def _poly_operand(x):
     if isinstance(x, ScalarPoly):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
+    if isinstance(x, SCALARS):
         return ScalarPoly.const(x)
     return NotImplemented
 
@@ -459,15 +462,13 @@ class RationalXi:
         return RationalXi([-c for c in self.num], self.mp, self.mm)
 
     def __sub__(self, other):
-        other = _rx_operand(other)
-        return NotImplemented if other is NotImplemented else self + (-other)
+        return self + (-other)
 
     def __rsub__(self, other):
-        other = _rx_operand(other)
-        return NotImplemented if other is NotImplemented else other + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
+        if isinstance(other, (*SCALARS, ScalarPoly)):
             return RationalXi([p * other for p in self.num], self.mp, self.mm)
         if other.__class__ is not RationalXi:
             return NotImplemented
@@ -586,7 +587,7 @@ class RationalXi:
 def _rx_operand(x):
     if isinstance(x, RationalXi):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational, ScalarPoly)):
+    if isinstance(x, (*SCALARS, ScalarPoly)):
         return RationalXi((x,), 0, 0)
     return NotImplemented
 
@@ -696,14 +697,14 @@ class UnitValue:
         return cls(0)
 
     @classmethod
-    def unit(cls, name: str, exp=1, coeff=1):
-        return cls(coeff, {name: Fraction(exp)})
+    def unit(cls, name: str):
+        return cls(1, {name: Fraction(1)})
 
     def is_zero(self):
         return self.coeff.is_zero()
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, SCALARS):
             return UnitValue(self.coeff * other, self.powers)
         merged = dict(self.powers)
         for b, e in other.powers.items():
@@ -713,7 +714,7 @@ class UnitValue:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, SCALARS):
             return UnitValue(self.coeff / other, self.powers)
         inv = UnitValue(other.coeff.inverse(), {b: -e for b, e in other.powers.items()})
         return self * inv
@@ -722,7 +723,7 @@ class UnitValue:
         return UnitValue(-self.coeff, self.powers)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, SCALARS):
             other = UnitValue(other)  # a plain number is a unitless value
         if other.is_zero():
             return self
@@ -738,7 +739,7 @@ class UnitValue:
         return self + (-other)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, SCALARS):
             return self.coeff == other and not self.powers
         if not isinstance(other, UnitValue):
             return NotImplemented
@@ -757,10 +758,7 @@ class UnitValue:
         if e != int(e) or e < 0:
             raise ValueError(f"cannot substitute fractional power of {name}")
         rest = {b: x for b, x in self.powers.items() if b != name}
-        out = UnitValue(self.coeff, rest)
-        for _ in range(int(e)):
-            out = out * value
-        return out
+        return UnitValue(self.coeff, rest) * power(value, int(e), UnitValue(1), None)
 
     def numeric(self) -> complex:
         """Lossy float rendering; opaque units need values in the table."""

@@ -178,10 +178,10 @@ class BoundaryModel:
         nterm = self.c_dxn() * RationalXi.xi()
         return Jet(prime.val + nterm, prime.dxn)
 
-    def inv_norm_sq_jet(self, k: int = 1) -> Jet:
-        """|xi|^{-2k} on the cosphere: d/dx_n |xi|^2 (x0) = h'(0)."""
-        val = self.algebra.scalar(RationalXi.inv_norm_sq(k))
-        dxn = self.algebra.scalar(RationalXi.inv_norm_sq(k + 1) * (-h1_poly() * k))
+    def inv_norm_sq_jet(self) -> Jet:
+        """|xi|^{-2} on the cosphere: d/dx_n |xi|^2 (x0) = h'(0)."""
+        val = self.algebra.scalar(RationalXi.inv_norm_sq(1))
+        dxn = self.algebra.scalar(RationalXi.inv_norm_sq(2) * -h1_poly())
         return Jet(val, dxn)
 
 
@@ -256,7 +256,7 @@ def sigma0_DF(model: BoundaryModel) -> CliffordElement:
 
 def sigma_minus1_Dinv(model: BoundaryModel) -> Jet:
     """i c(xi) / |xi|^2 with its x_n-jet."""
-    return model.c_xi_jet().mul(model.inv_norm_sq_jet(1)).scale(GR_I)
+    return model.c_xi_jet().mul(model.inv_norm_sq_jet()).scale(GR_I)
 
 
 def sigma_minus2_Dinv(model: BoundaryModel) -> Jet:
@@ -278,7 +278,7 @@ def sigma_minus2_Dinv(model: BoundaryModel) -> Jet:
 
 def sigma_minus2_Dsq(model: BoundaryModel) -> Jet:
     """|xi|^{-2} times the identity, with its x_n-jet."""
-    return model.inv_norm_sq_jet(1)
+    return model.inv_norm_sq_jet()
 
 
 def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:

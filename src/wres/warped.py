@@ -17,6 +17,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 from .heat import A4_BOUNDARY_PRINTED, SPINOR, CurvatureData, boundary_coeffs, bracket, v_nk
+from .symbolic import power
 
 QUAD_TOL = 1e-10  # relative tolerance of the adaptive quadrature
 
@@ -93,7 +94,7 @@ class Jet3:
         return self * o.inverse()
 
     def __pow__(self, k: int):
-        return _power(self, k, Jet3.const(1.0), Jet3.inverse)
+        return power(self, k, Jet3.const(1.0), Jet3.inverse)
 
     @property
     def value(self):
@@ -109,20 +110,6 @@ def _reciprocal(v: float) -> float:
     if v == 0:
         raise WarpDomainError("division by zero in warp evaluation")
     return 1 / v
-
-
-def _power(x, k: int, one, inverse):
-    """x ** k by binary exponentiation from ``one``; a negative k inverts
-    the power |k|."""
-    if k < 0:
-        return inverse(_power(x, -k, one, inverse))
-    out = one
-    while k:
-        if k & 1:
-            out = out * x
-        x = x * x
-        k >>= 1
-    return out
 
 
 def _log(v: float) -> float:
@@ -161,13 +148,14 @@ def _jet_cosh(x: Jet3) -> Jet3:
     return x.compose(c, s, c, s)
 
 
+# the warp vocabulary: every function name a warp may call
 _FUNCTIONS = {
-    "exp": _jet_exp,
-    "ln": _jet_ln,
     "sin": _jet_sin,
     "cos": _jet_cos,
+    "exp": _jet_exp,
     "sinh": _jet_sinh,
     "cosh": _jet_cosh,
+    "ln": _jet_ln,
 }
 
 
@@ -183,7 +171,7 @@ def _divide_values(a: float, b: float) -> float:
 
 
 def _power_value(x: float, k: int) -> float:
-    return _power(x, k, 1.0, _reciprocal)
+    return power(x, k, 1.0, _reciprocal)
 
 
 # The float evaluator: each rule is the value component of its jet rule,
@@ -200,12 +188,12 @@ def _power_value(x: float, k: int) -> float:
 # those cases.  ``WarpFunction`` stays on jets, and a user's warp keeps its
 # errors.
 VALUE_RULES = SimpleNamespace(const=float, divide=_divide_values, power=_power_value, functions={
-    "exp": math.exp,
-    "ln": _log,
     "sin": math.sin,
     "cos": math.cos,
+    "exp": math.exp,
     "sinh": math.sinh,
     "cosh": math.cosh,
+    "ln": _log,
 })
 
 

@@ -79,7 +79,7 @@ def reduce_unit_norm(poly: ScalarPoly, coords) -> ScalarPoly:
     others = coords[:-1]
     rest = ScalarPoly.one()
     for n in others:
-        rest = rest - ScalarPoly.symbol(n, 2)
+        rest = rest - ScalarPoly.symbol(n) ** 2
     out = ScalarPoly.zero()
     for m, c in poly.terms.items():
         piece = ScalarPoly.const(c)
@@ -89,7 +89,7 @@ def reduce_unit_norm(poly: ScalarPoly, coords) -> ScalarPoly:
                 if e % 2:
                     piece = piece * ScalarPoly.symbol(target)
             else:
-                piece = piece * ScalarPoly.symbol(n, e)
+                piece = piece * ScalarPoly.symbol(n) ** e
         out = out + piece
     return out
 

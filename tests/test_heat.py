@@ -134,8 +134,8 @@ def test_a4_boundary_bracket_variants():
 
 
 def test_curvature_data_mapping_guard():
-    with pytest.raises(KeyError):
-        CurvatureData.from_mapping({"nope": 1})
+    with pytest.raises(TypeError, match=r"unknown curvature keys: \['nope'\]"):
+        CurvatureData(nope=1)
 
 
 def test_v_constants():

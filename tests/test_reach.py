@@ -1,9 +1,9 @@
 """The product ships only what a command, an example script or the benchmark
 reaches: every function, class and method defined in ``src/wres`` is named
 by code in ``src/wres``, ``scripts/`` or ``perfbench/``, or exported by
-``wres.__all__``, and every attribute a class of ``src/wres`` stores on
-``self`` is read by that code.  Test references live in
-``tests/references.py``."""
+``wres.__all__``, every attribute a class of ``src/wres`` stores on
+``self`` is read by that code, and every parameter with a default is passed
+by some call in it.  Test references live in ``tests/references.py``."""
 
 import ast
 from pathlib import Path
@@ -104,3 +104,64 @@ def unread_fields() -> list[str]:
 def test_every_stored_field_has_a_product_reader():
     unread = unread_fields()
     assert not unread, "no product code reads " + ", ".join(unread)
+
+
+def _defaulted_parameters(qualname, node):
+    """(position among the arguments a call writes, name) of each parameter
+    of function ``node`` that has a default; a keyword-only one has position
+    None.  A call writes no self or cls."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    if "." in qualname and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                   for d in node.decorator_list):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    out = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+    out += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _may_pass(call, position, name):
+    """Whether ``call`` may pass the parameter: by keyword, through ``**``,
+    or at its position, which a ``*`` argument may reach."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(
+        isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed_parameters() -> list[str]:
+    """The parameters with a default, of the functions and methods of
+    ``src/wres``, that no call in product code passes, so that the default
+    is the only value they take.  Calls are matched by the called name alone,
+    which can only add callers; a class's calls are its ``__init__``'s.  The
+    other dunder methods, which the language calls, and the names that
+    ``wres.__all__`` exports are left out."""
+    trees = _trees()
+    calls: dict[str, list] = {}
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(sub)
+    out = []
+    for path, tree in trees.items():
+        if PRODUCT not in path.parents:
+            continue
+        for qualname, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            called = qualname.split(".")[0] if node.name == "__init__" else node.name
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if dunder and node.name != "__init__" or called in wres.__all__:
+                continue
+            out += [f"{path.stem}.{qualname}({name})"
+                    for position, name in _defaulted_parameters(qualname, node)
+                    if not any(_may_pass(c, position, name) for c in calls.get(called, ()))]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_by_product_code():
+    unpassed = unpassed_parameters()
+    assert not unpassed, "no product code passes " + ", ".join(unpassed)

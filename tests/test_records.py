@@ -54,9 +54,9 @@ def test_curvature_data_keeps_exact_rationals():
     assert data.r_bd is None and data.boundary_r == 3
     bd = CurvatureData(r=1, r_bd=2.25)
     assert type(bd.r_bd) is Fraction and bd.boundary_r == Fraction(9, 4)
-    assert CurvatureData.from_mapping({"r": 1, "vol": 0.25}).vol == Fraction(1, 4)
-    with pytest.raises(KeyError) as exc:
-        CurvatureData.from_mapping({"zz": 1, "r": 1, "nope": 2})
+    assert CurvatureData(r=1, vol=0.25).vol == Fraction(1, 4)
+    with pytest.raises(TypeError) as exc:
+        CurvatureData(zz=1, r=1, nope=2)
     assert exc.value.args[0] == "unknown curvature keys: ['nope', 'zz']"
 
 

@@ -181,7 +181,7 @@ def test_poly_terms_hold_no_zero_after_cancellation():
         ((x + y) + (-x), y),                                   # +
         ((x + y) * (x - y), x * x - y * y),                    # *, the xy terms cancel
         ((x + y + h).subs_many({"x": -y}), h),                 # substitution cancels y
-        (sphere_integrate(ScalarPoly.symbol("a1", 2) * h - ScalarPoly.symbol("a2", 2) * h
+        (sphere_integrate(ScalarPoly.symbol("a1") ** 2 * h - ScalarPoly.symbol("a2") ** 2 * h
                           + h, ["a1", "a2"], 2), h),           # moments cancel
     ]
     for got, want in cases:
@@ -205,7 +205,7 @@ def test_unit_norm_reduction():
     # quartic reduction
     b1 = ScalarPoly.symbol("b1")
     reduced = reduce_unit_norm(b1 ** 4, coords)
-    rest = ScalarPoly.one() - ScalarPoly.symbol("a1", 2) - ScalarPoly.symbol("a2", 2)
+    rest = ScalarPoly.one() - ScalarPoly.symbol("a1") ** 2 - ScalarPoly.symbol("a2") ** 2
     assert reduced == rest * rest
 
 
@@ -367,14 +367,48 @@ def test_mixed_type_operators_defer_to_the_wider_type():
     assert GaussianRational(1) - x == -(x - 1)
     assert x - xi == -(xi - x)
     assert i + x == x + i and (i / 2) * xi == xi * (i / 2)
-    assert GaussianRational(3) * UnitValue.unit("pi") == UnitValue.unit("pi", coeff=3)
+    assert GaussianRational(3) * UnitValue.unit("pi") == UnitValue(3, {"pi": 1})
     for value in (GaussianRational(1), x, xi):
         for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-            with pytest.raises(TypeError):
-                op(value, "s")
-            with pytest.raises(TypeError):
-                op("s", value)
+            for bad in ("s", 0.5):
+                with pytest.raises(TypeError):
+                    op(value, bad)
+                with pytest.raises(TypeError):
+                    op(bad, value)
     assert xi != "s" and x != "s" and GaussianRational(1) != "s"
+
+
+def test_subtraction_is_addition_of_the_negation():
+    # every pair of the coefficient types, the plain numbers among them, on
+    # either side of the minus
+    x, xi = ScalarPoly.symbol("x"), RationalXi.xi()
+    values = [3, Fraction(-2, 5), GaussianRational(1, -2), x * 2 + 1,
+              xi * RationalXi.inv_norm_sq(1) + x]
+    for a in values:
+        for b in values:
+            if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+                continue
+            diff, total = a - b, a + (-b)
+            assert type(diff) is type(total) and diff == total, (a, b)
+
+
+def test_powers_equal_repeated_products():
+    rng = random.Random(909)
+    for _ in range(20):
+        z = GaussianRational(_rand_fraction(rng), _rand_fraction(rng))
+        p = _rand_poly(rng, ("x", "y"))
+        z_power, p_power = GaussianRational(1), ScalarPoly.one()
+        for k in range(10):
+            assert z ** k == z_power and p ** k == p_power, (z, p, k)
+            z_power, p_power = z_power * z, p_power * p
+        if z.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                z ** -1
+            continue
+        z_power = GaussianRational(1)
+        for k in range(1, 7):
+            z_power = z_power * z.inverse()
+            assert z ** -k == z_power, (z, k)
 
 
 def test_coefficient_list_product_matches_the_general_product():
@@ -515,7 +549,7 @@ def test_sphere_measures_exact():
 
 
 def test_sphere_integrate_polynomial():
-    poly = (ScalarPoly.symbol("a1", 2) * ScalarPoly.symbol("h1")
+    poly = (ScalarPoly.symbol("a1") ** 2 * ScalarPoly.symbol("h1")
             + ScalarPoly.symbol("a1") * ScalarPoly.symbol("a2"))
     out = sphere_integrate(poly, ["a1", "a2"], 2)
     assert out == ScalarPoly.symbol("h1") * Fraction(1, 2)
@@ -533,7 +567,7 @@ def cosphere_polys(draw):
     for c, mono in draw(st.lists(st.tuples(gauss, monomials), min_size=1, max_size=6)):
         term = ScalarPoly.const(c)
         for name, e in mono.items():
-            term = term * ScalarPoly.symbol(name, e)
+            term = term * ScalarPoly.symbol(name) ** e
         poly = poly + term
     return poly, coords, m
 

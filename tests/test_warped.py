@@ -192,6 +192,8 @@ def _stencil(t):
 
 
 def test_compiled_warp_matches_a_walk_of_the_tree():
+    # the float evaluator knows the names of the warp vocabulary, no more
+    assert list(warped.VALUE_RULES.functions) == list(warped._FUNCTIONS)
     rng = random.Random(77)
     for _ in range(300):
         ast, tame = random_warp_ast(rng)
@@ -298,6 +300,56 @@ def test_jet_sums_and_differences_keep_the_composed_bits():
         jx, jy = Jet3(*x), Jet3(*y)
         for got, want in ((jx + jy, composed_sum(x, y)), (jx - jy, composed_sum(x, neg(y)))):
             assert [v.hex() for v in got.d] == [v.hex() for v in want], (x, y)
+
+
+def _loop_power(x, k, one, inverse):
+    """The reference power: binary exponentiation that also squares x after
+    the top bit of k, a square whose result no step uses."""
+    if k < 0:
+        return inverse(_loop_power(x, -k, one, inverse))
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
+def _outcome(fn):
+    """The float bits of what ``fn()`` returns, or the type it raises."""
+    try:
+        value = fn()
+    except Exception as exc:  # the types are compared, whichever they are
+        return type(exc)
+    return tuple(float(v).hex() for v in (value.d if isinstance(value, Jet3) else (value,)))
+
+
+def test_jet_and_value_powers_keep_the_loop_bits():
+    """Jet3 ** k and ``VALUE_RULES.power`` give the bits and the errors of a
+    binary-exponentiation loop that also takes the unused last square, on
+    jets with zeros, infinities and subnormals."""
+    specials = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+                2.2250738585072014e-308, 1.7976931348623157e308, 1.0, -1.0]
+    rng = random.Random(3061)
+
+    def draw():
+        if rng.random() < 0.5:
+            return rng.choice(specials)
+        return rng.choice((1.0, -1.0)) * rng.random() * 10.0 ** rng.randint(-320, 300)
+
+    kinds = set()
+    for _ in range(400):
+        jet = Jet3(*(draw() for _ in range(4)))
+        for k in range(-6, 10):
+            got = _outcome(lambda: jet ** k)
+            assert got == _outcome(lambda: _loop_power(jet, k, Jet3.const(1.0), Jet3.inverse))
+            v = jet.value
+            assert (_outcome(lambda: warped.VALUE_RULES.power(v, k))
+                    == _outcome(lambda: _loop_power(v, k, 1.0, warped._reciprocal)))
+            kinds.add(got if isinstance(got, type) else tuple)
+    # the draws reach every outcome: values and each error of an inverse
+    assert kinds == {tuple, WarpDomainError, ZeroDivisionError, OverflowError}
 
 
 # ---------------------------------------------------------------------------
