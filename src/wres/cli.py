@@ -165,7 +165,10 @@ def cmd_heat(args) -> dict:
     big = [k for k in ("p", "q", "n") if meta.get(k, 0) > MAX_DIMENSION]
     if big:
         raise BadInput(f"{', '.join(big)} must be at most {MAX_DIMENSION}")
-    if "p" in meta and "q" in meta:
+    for key, partner in (("p", "q"), ("q", "p")):
+        if key in meta and partner not in meta:
+            raise BadInput(f"config gives {key} without {partner}")
+    if "p" in meta:
         # the heat-formula convention: leaf dimension 2p, trace dim 2^(p+q)
         p, q = int(meta["p"]), int(meta["q"])
         n, total_dim = 2 * p + q, 2 ** (p + q)

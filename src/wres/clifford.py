@@ -231,21 +231,6 @@ def _kron(a, b):
             tuple((x + y) & 3 for x in pa for y in pb))
 
 
-class GaussianMatrix(dict):
-    """Sparse square matrix over the Gaussian integers, ``{(row, col): (re,
-    im)}`` without zero entries, so that equal matrices are equal dicts."""
-
-    __slots__ = ()
-
-    def __mul__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        return GaussianMatrix({k: (re * n, im * n) for k, (re, im) in self.items()}
-                              if n else {})
-
-    __rmul__ = __mul__
-
-
 class MatrixRep:
     """Faithful representation with all nonempty canonical words traceless.
 
@@ -257,7 +242,8 @@ class MatrixRep:
     is kept in ``gen_matrices`` as its column per row and the phase k of each
     entry i^k, built as Kronecker products of Pauli monomials; a product of
     generators composes the columns and adds the phases mod 4.  The matrices
-    handed out are ``GaussianMatrix`` dicts of plain ints, so every product,
+    handed out are sparse dicts ``{(row, col): (re, im)}`` of plain ints
+    without zero entries, so equal matrices are equal dicts and every product,
     sum and trace is exact.
     """
 
@@ -288,11 +274,11 @@ class MatrixRep:
             cols = [gc[c] for c in cols]
         return cols, phases
 
-    def word_matrix(self, word: Iterable[Gen]) -> GaussianMatrix:
+    def word_matrix(self, word: Iterable[Gen]) -> dict:
         cols, phases = self._monomial(word)
-        return GaussianMatrix(zip(enumerate(cols), (_UNITS[k] for k in phases)))
+        return dict(zip(enumerate(cols), (_UNITS[k] for k in phases)))
 
-    def element_matrix(self, elem: CliffordElement) -> GaussianMatrix:
+    def element_matrix(self, elem: CliffordElement) -> dict:
         """Requires constant Gaussian-integer coefficients."""
         out = {}
         for w, c in elem.terms.items():
@@ -310,9 +296,9 @@ class MatrixRep:
                     re0, im0 = out[key]
                     re, im = re + re0, im + im0
                 out[key] = (re, im)
-        return GaussianMatrix({key: v for key, v in out.items() if v != (0, 0)})
+        return {key: v for key, v in out.items() if v != (0, 0)}
 
-    def normalized_trace(self, mat: GaussianMatrix) -> GaussianRational:
+    def normalized_trace(self, mat: dict) -> GaussianRational:
         """The exact trace over dim."""
         re = im = 0
         for (row, col), (x, y) in mat.items():

@@ -4,9 +4,10 @@ constants, and spectral-action moments.
 
 Every coefficient comes from one table of the general Laplace-type heat
 coefficients (``_GENERAL``) composed with the Lichnerowicz trace identities
-(``_TRACES``, which ``tests/references.py`` derives symbolically).
-The one hand-typed deviation is the paper's printed a4 boundary reading,
--51 r_{;N} where the table gives +12; both readings are reported.
+(``_TRACES``, which ``tests/references.py`` derives symbolically) into
+``SPINOR``; one assembler, ``_assemble``, turns the entries of either table
+into coefficients.  The one hand-typed deviation is the paper's printed a4
+boundary reading, -51 r_{;N} where the table gives +12; both are reported.
 """
 
 from __future__ import annotations
@@ -78,26 +79,28 @@ def lichnerowicz_E(sig: AlgebraSignature) -> CliffordElement:
 
 # a0..a4 of -(g^{ij} nabla_i nabla_j + E) per unit trace, Dirichlet condition,
 # total divergences dropped (Vassilevich, Phys. Rep. 388 (2003) sections
-# 4.1-4.2; Branson-Gilkey, Comm. PDE 15 (1990)), as (prefactor, interior
-# bracket, boundary bracket).  A bracket maps an invariant to its coefficient:
+# 4.1-4.2; Branson-Gilkey, Comm. PDE 15 (1990)), as TableEntry(prefactor,
+# interior bracket, boundary bracket).  A bracket maps an invariant to its coefficient:
 # "1" for the volume; E, rE = r E, E2 = E^2, Omega2 = Omega_ij Omega_ij,
 # E_N = E_{;N}, E_L_aa = E L_aa; or a curvature invariant, which is a
 # CurvatureData field: ric2 = R_ijik R_ljlk, riem2 = R_ijkl^2, rfperp2 =
 # ||R^{F-perp}||^2 (through _TRACES), L_aa_bb = L_aa;bb, r_N = r_{;N} with N
 # the inward normal.  A boundary bracket reads r as r_bd, the scalar curvature
 # on the boundary, when that is given.
+TableEntry = namedtuple("TableEntry", "prefactor interior boundary")
+
 _GENERAL = {
-    0: (Fraction(1), {"1": 1}, {}),
-    1: (Fraction(-1, 4), {}, {"1": 1}),
-    2: (Fraction(1, 6), {"E": 6, "r": 1}, {"L_aa": 2}),
-    3: (Fraction(-1, 384), {},
-        {"E": 96, "r": 16, "R_aNaN": 8, "L2_aabb": 7, "L2_abab": -10}),
-    4: (Fraction(1, 360),
-        {"rE": 60, "E2": 180, "Omega2": 30, "r2": 5, "ric2": -2, "riem2": 2},
-        {"E_N": -120, "E_L_aa": 120, "r_N": -18, "r_L_aa": 20, "R_aNaN_L_bb": 4,
-         "R_aNbN_L_ab": -12, "R_abcb_L_ac": 4, "L_aa_bb": 24,
-         "L3_aabbcc": Fraction(40, 21), "L3_ababcc": Fraction(-88, 7),
-         "L3_abbcac": Fraction(320, 21)}),
+    0: TableEntry(Fraction(1), {"1": 1}, {}),
+    1: TableEntry(Fraction(-1, 4), {}, {"1": 1}),
+    2: TableEntry(Fraction(1, 6), {"E": 6, "r": 1}, {"L_aa": 2}),
+    3: TableEntry(Fraction(-1, 384), {},
+                  {"E": 96, "r": 16, "R_aNaN": 8, "L2_aabb": 7, "L2_abab": -10}),
+    4: TableEntry(Fraction(1, 360),
+                  {"rE": 60, "E2": 180, "Omega2": 30, "r2": 5, "ric2": -2, "riem2": 2},
+                  {"E_N": -120, "E_L_aa": 120, "r_N": -18, "r_L_aa": 20, "R_aNaN_L_bb": 4,
+                   "R_aNbN_L_ab": -12, "R_abcb_L_ac": 4, "L_aa_bb": 24,
+                   "L3_aabbcc": Fraction(40, 21), "L3_ababcc": Fraction(-88, 7),
+                   "L3_abbcac": Fraction(320, 21)}),
 }
 
 # Per unit trace for the sub-Dirac E and Omega, as tests/references.py derives
@@ -111,9 +114,6 @@ _TRACES = {
     "Omega2": {"riem2": Fraction(-1, 8), "rfperp2": Fraction(-1, 8)},
 }
 
-TableEntry = namedtuple("TableEntry", "prefactor interior boundary")
-
-
 def _reduce(general: dict) -> dict[str, Fraction]:
     """A general bracket with each E and Omega invariant replaced by its trace."""
     out: dict[str, Fraction] = {}
@@ -124,8 +124,8 @@ def _reduce(general: dict) -> dict[str, Fraction]:
 
 
 # the squared sub-Dirac operator's coefficients, k -> TableEntry
-SPINOR = {k: TableEntry(pref, _reduce(interior), _reduce(boundary))
-          for k, (pref, interior, boundary) in _GENERAL.items()}
+SPINOR = {k: TableEntry(entry.prefactor, _reduce(entry.interior), _reduce(entry.boundary))
+          for k, entry in _GENERAL.items()}
 
 # The paper prints the a4 boundary bracket with -51 r_{;N}; the table gives
 # -120 tr E_{;N} - 18 r_{;N} = +12 r_{;N}.  Every other term agrees.
@@ -195,16 +195,15 @@ def _inv_4pi_pow(m: int) -> UnitValue:
     return UnitValue(1, {"2": Fraction(-m), U_PI: Fraction(-m, 2)})
 
 
-def _assemble(data: CurvatureData, n: int, total_dim, terms) -> list[UnitValue]:
+def _assemble(data, n: int, total_dim, entries) -> list[UnitValue]:
     """T (4 pi)^{-(n - k mod 2)/2} prefactor (interior bracket vol + boundary
-    bracket bvol) for each (k, boundary bracket) of ``terms``, T being
-    ``total_dim`` or, for None, the unit l~2^q."""
+    bracket bvol) for each (k, TableEntry) of ``entries``, T being ``total_dim``
+    or, for None, the unit l~2^q; ``data`` holds vol, bvol and the invariants."""
     tdim = UnitValue.unit(U_TDIM) if total_dim is None else UnitValue(_fr(total_dim))
     out = []
-    for k, boundary in terms:
-        entry = SPINOR[k]
+    for k, entry in entries:
         value = (bracket(entry.interior, data, False) * data.vol
-                 + bracket(boundary, data, True) * data.bvol)
+                 + bracket(entry.boundary, data, True) * data.bvol)
         out.append(_inv_4pi_pow(n - k % 2) * tdim * (entry.prefactor * value))
     return out
 
@@ -212,16 +211,17 @@ def _assemble(data: CurvatureData, n: int, total_dim, terms) -> list[UnitValue]:
 def interior_coeffs(data: CurvatureData, n: int, total_dim=None) -> HeatCoeffs:
     """Closed-manifold coefficients a0, a2, a4 (a1 = a3 = 0) in dimension n
     with trace dimension ``total_dim`` (None: the unit l~2^q)."""
-    return HeatCoeffs(*_assemble(data, n, total_dim, [(k, {}) for k in SPINOR]))
+    closed = [(k, entry._replace(boundary={})) for k, entry in SPINOR.items()]
+    return HeatCoeffs(*_assemble(data, n, total_dim, closed))
 
 
 def boundary_coeffs(data: CurvatureData, n: int, total_dim=None) -> HeatCoeffs:
     """Dirichlet-condition coefficients a0..a4 for a bounded manifold, n and
     ``total_dim`` as for ``interior_coeffs``; a4 takes the printed boundary
     bracket and a4_alt the table's."""
-    terms = [(k, entry.boundary) for k, entry in SPINOR.items()]
-    return HeatCoeffs(*_assemble(data, n, total_dim,
-                                 terms[:4] + [(4, A4_BOUNDARY_PRINTED), terms[4]]))
+    entries = list(SPINOR.items())
+    printed = (4, SPINOR[4]._replace(boundary=A4_BOUNDARY_PRINTED))
+    return HeatCoeffs(*_assemble(data, n, total_dim, entries[:4] + [printed, entries[4]]))
 
 
 # ---------------------------------------------------------------------------

@@ -555,13 +555,6 @@ class RationalXi:
         # truncated Taylor polynomial in u = xi - i, shifted back to xi
         return RationalXi(_shift_poly(self._upper_taylor(self.mp), -GR_I), self.mp, 0)
 
-    def residue_at_plus_i(self) -> ScalarPoly:
-        if not self.is_proper():
-            raise DivergentSymbol("divergent symbol")
-        if self.mp == 0:
-            return ScalarPoly.zero()
-        return self._upper_taylor(self.mp)[self.mp - 1]
-
     def integrate_pi_coefficient(self) -> ScalarPoly:
         """(1/pi) * integral over R: equals 2i * residue at +i.  Exact."""
         if self.is_zero():
@@ -571,7 +564,9 @@ class RationalXi:
             raise DivergentSymbol("divergent symbol")
         if gap == 1:
             raise ConditionallyConvergent("conditionally convergent, unsupported")
-        return self.residue_at_plus_i() * (GR_I * 2)
+        if self.mp == 0:
+            return ScalarPoly.zero()
+        return self._upper_taylor(self.mp)[self.mp - 1] * (GR_I * 2)
 
     def __repr__(self):
         num = " + ".join(f"({c!r})*xi^{k}" if k else f"({c!r})"

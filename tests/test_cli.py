@@ -250,6 +250,13 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
                  "config gives total_dim = 3 but", id="heat-total-dim-disagrees-with-p-q"),
     pytest.param(["heat"], "p = 2\nq = 2\nn = 6\ntotal_dim = 16\nr = 1\n", {}, 0, "",
                  id="heat-n-total-dim-agree-with-p-q"),
+    # a lone p or q names its missing partner, also beside n and total_dim
+    pytest.param(["heat"], "p = 7\nn = 4\ntotal_dim = 8\nr = 1\nvol = 1\n", {}, 2,
+                 "error: config gives p without q\n", id="heat-p-without-q"),
+    pytest.param(["heat"], "q = 7\nn = 4\ntotal_dim = 8\nr = 1\nvol = 1\n", {}, 2,
+                 "error: config gives q without p\n", id="heat-q-without-p"),
+    pytest.param(["heat"], "p = 2\nr = 1\n", {}, 2,
+                 "error: config gives p without q\n", id="heat-p-alone"),
     pytest.param(["heat"], "p = 2\nq = 2\nr = 1\ndelta_r = 1\n", {}, 2,
                  "unknown curvature keys: ['delta_r']", id="heat-delta-r-unknown"),
     pytest.param(["heat"], "p = 2\nq = 2\nvol = -3\nbvol = -2\n", {}, 2,

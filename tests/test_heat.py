@@ -9,6 +9,7 @@ import pytest
 from wres.clifford import AlgebraSignature
 from wres.heat import (
     A4_BOUNDARY_PRINTED,
+    BOUNDARY_FIELDS,
     SPINOR,
     CurvatureData,
     boundary_coeffs,
@@ -94,6 +95,21 @@ def test_boundary_reduces_to_interior():
     i = interior_coeffs(data, 4, 8)
     assert (b.a0, b.a2, b.a4) == (i.a0, i.a2, i.a4)
     assert b.a1.is_zero() and b.a3.is_zero()
+
+
+@pytest.mark.parametrize("n, total_dim", [(4, 8), (5, None)])
+def test_interior_coefficients_ignore_boundary_data(n, total_dim):
+    # bvol and every invariant that only a boundary bracket reads, r_bd
+    # included, leave the closed-manifold coefficients as they are
+    interior = dict(vol=3, r=2, r2=4, ric2=-1, riem2=5, rfperp2=Fraction(1, 3))
+    edge = CurvatureData(bvol=7, **interior,
+                         **{name: k + 2 for k, name in enumerate(BOUNDARY_FIELDS)})
+    closed = interior_coeffs(CurvatureData(**interior), n, total_dim)
+    bounded = interior_coeffs(edge, n, total_dim)
+    for name in ("a0", "a1", "a2", "a3", "a4", "a4_alt"):
+        assert getattr(bounded, name) == getattr(closed, name), name
+    # which the Dirichlet formulas do read
+    assert boundary_coeffs(edge, n, total_dim).a2 != closed.a2
 
 
 def test_boundary_a2_form():

@@ -36,6 +36,7 @@ Standard library only.
 import math
 from fractions import Fraction
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
@@ -336,31 +337,15 @@ def test_dirichlet_coefficients_of_products_with_an_interval(T, closed, dims, rf
         assert got == coefficient(series, 5, int(name[1])), name
 
 
-def scalar_coefficient(k: int, n: int, e: Fraction, interior: dict, boundary: dict,
-                       vol: UnitValue, bvol: UnitValue) -> UnitValue:
-    """a_k of -Delta - E from ``heat._GENERAL`` with the scalar trace rule
-    tr E = E, tr E^2 = E^2, tr Omega^2 = 0 and T = 1; ``interior`` and
-    ``boundary`` map each invariant of the table, "1" included, to its value."""
-    prefactor, inner, edge = heat._GENERAL[k]
-    traced = {"E": e, "rE": interior["r"] * e, "E2": e * e, "Omega2": 0}
-
-    def total(bracket, values):
-        values = {**values, **traced}
-        return sum((Fraction(c) * values[name] for name, c in bracket.items()), Fraction(0))
-
-    m = n - k % 2
-    four_pi = UnitValue(prefactor, {"2": -m, "pi": Fraction(-m, 2)})
-    return four_pi * (vol * total(inner, interior) + bvol * total(edge, boundary))
-
-
-def hemisphere_coefficient(k, n, e, r_anan):
-    """a_k of -Delta - E on the unit S^n_+, whose boundary is a totally
-    geodesic unit S^(n-1), with R_aNaN = ``r_anan``."""
-    r = n * (n - 1)
-    interior = {"1": 1, **sphere_invariants(n)}
-    boundary = {"1": 1, "r": r, "R_aNaN": r_anan, **dict.fromkeys(GEODESIC_ZEROS, 0)}
-    return scalar_coefficient(k, n, e, interior, boundary,
-                              sphere_volume(n) / 2, sphere_volume(n - 1))
+def hemisphere_coefficients(n, e, r_anan) -> list[UnitValue]:
+    """a0..a4 of -Delta - E on the unit S^n_+, whose boundary is a totally geodesic
+    unit S^(n-1), with R_aNaN = ``r_anan``: ``heat._GENERAL`` itself with T = 1,
+    as a scalar operator's trace is the identity (and its Omega is 0)."""
+    inv = sphere_invariants(n)
+    data = SimpleNamespace(vol=sphere_volume(n) / 2, bvol=sphere_volume(n - 1),
+                           boundary_r=inv["r"], R_aNaN=r_anan, E=e, rE=inv["r"] * e,
+                           E2=e * e, Omega2=0, **inv, **dict.fromkeys(GEODESIC_ZEROS, 0))
+    return heat._assemble(data, n, 1, heat._GENERAL.items())
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -369,6 +354,6 @@ def test_scalar_table_on_hemispheres(n):
     # opposite sign misses a3
     for e in (Fraction(0), Fraction(1, 3), Fraction(-(n - 1) ** 2, 4)):
         series = heat_series(*hemisphere_spectrum(n, e), Fraction(4 - n, 2))
-        for k in range(5):
-            assert hemisphere_coefficient(k, n, e, -(n - 1)) == coefficient(series, n, k), (e, k)
-        assert hemisphere_coefficient(3, n, e, n - 1) != coefficient(series, n, 3)
+        want = [coefficient(series, n, k) for k in range(5)]
+        assert hemisphere_coefficients(n, e, -(n - 1)) == want, e
+        assert hemisphere_coefficients(n, e, n - 1)[3] != want[3]
