@@ -182,8 +182,11 @@ def random_warp_ast(rng: random.Random) -> tuple[tuple, dict[float, tuple[Jet3, 
 
     def build(depth):
         if depth <= 0 or rng.random() < 0.3:
-            return rng.choice([("t",), ("num", Fraction(rng.randint(1, 4))),
-                               ("num", Fraction(rng.randint(1, 9), rng.randint(1, 4)))])
+            # t, an integer n or a fraction p/q; the seeded stream draws the
+            # numbers of all three before the choice
+            n, p, q = rng.randint(1, 4), rng.randint(1, 9), rng.randint(1, 4)
+            leaf = rng.choice(((), (n,), (p, q)))
+            return ("num", Fraction(*leaf)) if leaf else ("t",)
         op = rng.choice(["+", "-", "*", "call", "pow", "/"])
         if op == "call":
             name = rng.choice(list(_FUNCTIONS))

@@ -9,12 +9,13 @@ value and error estimate equal, bit for bit, those of the compiled QUADPACK
 behind ``scipy.integrate.quad``.  Where Python would raise on a division by
 zero or an overflowing power, the IEEE value is used, as compiled code gets.
 
-``quad`` calls its integrand one scalar point at a time.  ``quad_complex``
-integrates a complex-valued integrand over the real line and calls it once
-per panel of the 15-point rule, with the tuple of that panel's 30 points,
-so that an integrand can compute a whole panel at once.  dqagie runs once
-per part over panels the two runs share, and bit identity holds per part:
-each equals ``scipy.integrate.quad`` of that part.  Both share one dqk15i
+``quad`` integrates over a finite [a, b] or over [a, inf) and calls its
+integrand one scalar point at a time.  ``quad_complex``, the one whole-line
+integrator, integrates a complex-valued integrand and calls it once per
+panel of the 15-point rule, with the tuple of that panel's 30 points, so
+that an integrand can compute a whole panel at once.  dqagie runs once per
+part over panels the two runs share, and bit identity holds per part: each
+equals ``scipy.integrate.quad`` of that part.  Both share one dqk15i
 (``_qk15i``, the sums for one part) and one layout of each panel's points.
 
 The module also holds the 64- and 128-point Gauss-Legendre rules that the
@@ -227,24 +228,17 @@ class QuadResult(NamedTuple):
 def quad(fn: Callable[[float], float], a: float, b: float, *,
          epsabs: float = 1.49e-8, epsrel: float = 1.49e-8, limit: int = 50) -> QuadResult:
     """Integral of the real-valued ``fn`` over a finite ``[a, b]`` with
-    ``a < b`` (dqagse), over ``[a, inf)`` or over the whole real line
-    (dqagie), as ``scipy.integrate.quad`` computes it.  ``fn`` is called one
-    point at a time, in the published order.
+    ``a < b`` (dqagse) or over ``[a, inf)`` (dqagie), as
+    ``scipy.integrate.quad`` computes it, calling ``fn`` one point at a time
+    in the published order; ``quad_complex`` takes the whole line.
     """
     a, b = float(a), float(b)
-    if not a < b or (a == -math.inf and b != math.inf):
-        raise ValueError(f"quad integrates over [a, b] with a < b, [a, inf) or the "
-                         f"whole line, not [{a}, {b}]")
+    if not a < b or a == -math.inf:
+        raise ValueError(f"quad integrates over [a, b] with a < b or [a, inf), not [{a}, {b}]")
     if b != math.inf:
         def rule(lo, hi):
             return _qk21(fn, lo, hi)
         npts = 21
-    elif a == -math.inf:
-        def rule(lo, hi):
-            panel = _panel(lo, hi)
-            return _qk15i(panel, _mirror_sums([float(fn(x)) for x in panel.nodes]))
-        npts = 30
-        a, b = 0.0, 1.0
     else:
         # dqk15i's map x = boun + (1-t)/t onto [boun, inf)
         boun = a
@@ -267,9 +261,8 @@ def quad_complex(fn: Callable[[tuple[float, ...]], Sequence[complex]], *,
     ``fn`` is called once per panel of the 15-point rule, with the tuple of
     that panel's 30 points in dqk15i's published order (the centre ``x`` and
     ``-x``, then ``x1, x2, -x1, -x2`` for each abscissa), and returns the 30
-    values there.  dqagie runs once per part, so each result equals ``quad``
-    of that part, bit for bit, and ``neval`` is what that ``quad`` would
-    count.  The two runs share every panel they both bisect to: ``fn`` is
+    values there.  dqagie runs once per part, so each result equals
+    ``scipy.integrate.quad`` of that part, bit for bit, ``neval`` included.  The two runs share every panel they both bisect to: ``fn`` is
     called once for it, and each run sums its own part of the values.
     """
     # f(x) + f(-x) at each panel's 15 points: complex sums are componentwise

@@ -415,19 +415,15 @@ class RationalXi:
     # -- canonicalization ---------------------------------------------------
     def _normalize(self) -> "RationalXi":
         """The lowest-terms copy; zero gets no poles."""
-        if not self.num:
-            return RationalXi.zero()
         num, orders = self.num, [self.mp, self.mm]
         for side, root in enumerate((GR_I, -GR_I)):
-            # the root's multiplicity: leading zeros of num(root + u), capped at the pole order
-            shifted = _shift_poly(num, root)
-            k = 0
-            while k < orders[side] and shifted[k].is_zero():
-                k += 1
-            if k:
-                num = _shift_poly(shifted[k:], -root)
-                orders[side] -= k
-        return RationalXi(num, *orders)
+            # divide out (xi - root) while it divides, at most the pole order times
+            while num and orders[side]:
+                quotient, remainder = _divide_linear(num, root)
+                if not remainder.is_zero():
+                    break
+                num, orders[side] = quotient, orders[side] - 1
+        return RationalXi(num, *orders) if num else RationalXi.zero()
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -510,9 +506,6 @@ class RationalXi:
         """Denominator degree minus numerator degree (decay order at infinity)."""
         return (self.mp + self.mm) - (len(self.num) - 1)
 
-    def is_proper(self) -> bool:
-        return self.is_zero() or self.degree_gap() >= 1
-
     def map_coeffs(self, fn) -> "RationalXi":
         """``fn`` must be Q(i)-linear, so that equal functions map to equal functions."""
         return RationalXi([fn(c) for c in self.num], self.mp, self.mm)
@@ -530,16 +523,15 @@ class RationalXi:
         return RationalXi(_poly_add(a, b), self.mp + 1, self.mm + 1)
 
     # -- the half-plane projection and line integral ---------------------------
-    def _upper_taylor(self, order: int) -> list[ScalarPoly]:
-        """Taylor coefficients of num(i+u) * (2i+u)^{-mm} up to u^{order-1}."""
+    def _upper_taylor(self) -> list[ScalarPoly]:
+        """Taylor coefficients of num(i+u) * (2i+u)^{-mm} up to u^{mp-1}."""
         shifted = _shift_poly(self.num, GR_I)  # num(i + u)
-        inv = _inv_binomial_series(GR_I * 2, self.mm, order)
+        inv = _inv_binomial_series(self.mm, self.mp)
         out = []
-        for k in range(order):
+        for k in range(self.mp):
             acc = ScalarPoly.zero()
-            for j in range(k + 1):
-                if j < len(shifted):
-                    acc = acc + shifted[j] * inv[k - j]
+            for j in range(min(k + 1, len(shifted))):
+                acc = acc + shifted[j] * inv[k - j]
             out.append(acc)
         return out
 
@@ -547,13 +539,13 @@ class RationalXi:
         """Partial-fraction part with poles only at xi = +i (Cauchy projection)."""
         if self.is_zero():
             return self
-        if not self.is_proper():
+        if self.degree_gap() < 1:
             raise DivergentSymbol("divergent symbol")
         if self.mp == 0:
             return RationalXi.zero()
         # pi+ f = sum_j coeffs[j] (xi-i)^j / (xi-i)^mp: the numerator is the
         # truncated Taylor polynomial in u = xi - i, shifted back to xi
-        return RationalXi(_shift_poly(self._upper_taylor(self.mp), -GR_I), self.mp, 0)
+        return RationalXi(_shift_poly(self._upper_taylor(), -GR_I), self.mp, 0)
 
     def integrate_pi_coefficient(self) -> ScalarPoly:
         """(1/pi) * integral over R: equals 2i * residue at +i.  Exact."""
@@ -566,7 +558,7 @@ class RationalXi:
             raise ConditionallyConvergent("conditionally convergent, unsupported")
         if self.mp == 0:
             return ScalarPoly.zero()
-        return self._upper_taylor(self.mp)[self.mp - 1] * (GR_I * 2)
+        return self._upper_taylor()[self.mp - 1] * (GR_I * 2)
 
     def __repr__(self):
         num = " + ".join(f"({c!r})*xi^{k}" if k else f"({c!r})"
@@ -618,21 +610,32 @@ def _times_linear(coeffs, root: GaussianRational):
             + [coeffs[-1]])
 
 
+def _divide_linear(coeffs, root: GaussianRational):
+    """Quotient and remainder of p(xi) / (xi - root) given p's coefficients,
+    at least one, by one Horner step at root."""
+    quotient = [coeffs[-1]]
+    for c in coeffs[-2::-1]:
+        quotient.append(c + quotient[-1] * root)
+    remainder = quotient.pop()
+    quotient.reverse()
+    return quotient, remainder
+
+
 def _shift_poly(coeffs, a: GaussianRational):
-    """Coefficients of p(a + u) given those of p(xi), by repeated Horner steps;
-    after step i the u^i coefficient is final."""
-    out = list(coeffs)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] = out[j] + out[j + 1] * a
+    """Coefficients of p(a + u) given those of p(xi): the u^k coefficient is
+    the remainder of the k-th successive division by (xi - a)."""
+    out = []
+    while coeffs:
+        coeffs, remainder = _divide_linear(coeffs, a)
+        out.append(remainder)
     return out
 
 
-def _inv_binomial_series(a: GaussianRational, b: int, order: int):
-    """Taylor coefficients of (a + u)^(-b) around u = 0, up to u^(order-1)."""
+def _inv_binomial_series(b: int, order: int):
+    """Taylor coefficients of (2i + u)^(-b) around u = 0, up to u^(order-1)."""
     if b == 0:
         return [_as_poly(1)] + [ScalarPoly.zero()] * (order - 1)
-    inv_a = a.inverse()
+    inv_a = (GR_I * 2).inverse()
     out = []
     c = inv_a ** b
     for k in range(order):

@@ -1,6 +1,7 @@
 """Exact scalar layer: Gaussian rationals, polynomials, rational functions of
 the conormal variable, the half-plane projection, and sphere moments."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,8 +27,11 @@ from wres.symbolic import (
     RationalXi,
     ScalarPoly,
     UnitValue,
+    _divide_linear,
     _mono_mul,
+    _poly_add,
     _poly_mul,
+    _times_linear,
     integrate_line,
     sphere_integrate,
     sphere_measure,
@@ -261,6 +265,46 @@ def test_rational_xi_reduces_only_on_demand():
     assert (r.num, r.mp, r.mm) == ((ScalarPoly.one(),), 0, 1)
     z = RationalXi([], 2, 2)
     assert z.is_zero() and z == RationalXi.zero() and hash(z) == hash(RationalXi.zero())
+
+
+def _times_factors(coeffs, a, b):
+    """Coefficients of p(xi) (xi - i)^a (xi + i)^b given those of p(xi)."""
+    for root, k in ((GR_I, a), (-GR_I, b)):
+        for _ in range(k):
+            coeffs = _times_linear(coeffs, root)
+    return coeffs
+
+
+def test_normalize_strips_exactly_the_shared_factors():
+    # q (xi - i)^a (xi + i)^b / ((xi - i)^mp (xi + i)^mm) with q(+-i) != 0:
+    # each factor cancels as often as both sides have it, and no more
+    rng = random.Random(32)
+    for a, b, mp, mm in itertools.product(range(4), repeat=4):
+        while True:
+            q = [GaussianRational(rng.randint(-5, 5), rng.randint(-5, 5))
+                 for _ in range(rng.randint(1, 4))]
+            at_roots = [sum((c * root ** k for k, c in enumerate(q)), GR_ZERO)
+                        for root in (GR_I, -GR_I)]
+            if not any(v.is_zero() for v in at_roots):
+                break
+        ka, kb = min(a, mp), min(b, mm)
+        r = RationalXi(_times_factors(q, a, b), mp, mm)._normalize()
+        want = RationalXi(_times_factors(q, a - ka, b - kb), mp - ka, mm - kb)
+        assert (r.num, r.mp, r.mm) == (want.num, want.mp, want.mm), (a, b, mp, mm)
+
+
+@pytest.mark.parametrize("root", [GR_I, -GR_I])
+def test_divide_linear_inverts_times_linear(root):
+    # (xi - root) * quotient + remainder gives p back, p with symbolic coefficients
+    rng = random.Random(33)
+    x = ScalarPoly.symbol("x")
+    for degree in range(7):
+        p = [x * GaussianRational(rng.randint(-5, 5), rng.randint(-5, 5))
+             + GaussianRational(rng.randint(-5, 5), rng.randint(-5, 5))
+             for _ in range(degree + 1)]
+        quotient, remainder = _divide_linear(p, root)
+        assert len(quotient) == degree
+        assert _poly_add(_times_linear(quotient, root), [remainder]) == p
 
 
 def _general_poly_mul(p, q):
