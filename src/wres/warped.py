@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable
@@ -118,52 +119,29 @@ def _log(v: float) -> float:
     return math.log(v)
 
 
-def _jet_exp(x: Jet3) -> Jet3:
-    e = math.exp(x.d[0])
-    return x.compose(e, e, e, e)
-
-
-def _jet_ln(x: Jet3) -> Jet3:
-    v = x.d[0]
-    return x.compose(_log(v), 1 / v, -1 / v ** 2, 2 / v ** 3)
-
-
-def _jet_sin(x: Jet3) -> Jet3:
-    s, c = math.sin(x.d[0]), math.cos(x.d[0])
-    return x.compose(s, c, -s, -c)
-
-
-def _jet_cos(x: Jet3) -> Jet3:
-    s, c = math.sin(x.d[0]), math.cos(x.d[0])
-    return x.compose(c, -s, -c, s)
-
-
-def _jet_sinh(x: Jet3) -> Jet3:
-    s, c = math.sinh(x.d[0]), math.cosh(x.d[0])
-    return x.compose(s, c, s, c)
-
-
-def _jet_cosh(x: Jet3) -> Jet3:
-    s, c = math.sinh(x.d[0]), math.cosh(x.d[0])
-    return x.compose(c, s, c, s)
-
-
-# the warp vocabulary: every function name a warp may call
+# the warp vocabulary: every function name a warp may call, with its float
+# function and the function of v that gives (f, f', f'', f''') at v, the value
+# first and through the float function, so a jet raises where its value does
 _FUNCTIONS = {
-    "sin": _jet_sin,
-    "cos": _jet_cos,
-    "exp": _jet_exp,
-    "sinh": _jet_sinh,
-    "cosh": _jet_cosh,
-    "ln": _jet_ln,
+    "sin": (math.sin, lambda v: (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v))),
+    "cos": (math.cos, lambda v: (math.cos(v), -math.sin(v), -math.cos(v), math.sin(v))),
+    "exp": (math.exp, lambda v: (math.exp(v),) * 4),
+    "sinh": (math.sinh, lambda v: (math.sinh(v), math.cosh(v)) * 2),
+    "cosh": (math.cosh, lambda v: (math.cosh(v), math.sinh(v)) * 2),
+    "ln": (_log, lambda v: (_log(v), 1 / v, -1 / v ** 2, 2 / v ** 3)),
 }
+
+
+def _chain_rule(derivatives):
+    return lambda x: x.compose(*derivatives(x.d[0]))
 
 
 # The arithmetic ``compile_ast`` evaluates a warp in: a constant from its
 # float, division, integer powers and the named functions.  Sums, differences
 # and products are the operators of the scalar type.
 JET_RULES = SimpleNamespace(const=Jet3.const, divide=Jet3.__truediv__, power=Jet3.__pow__,
-                            functions=_FUNCTIONS)
+                            functions={name: _chain_rule(derivatives)
+                                       for name, (_, derivatives) in _FUNCTIONS.items()})
 
 
 def _divide_values(a: float, b: float) -> float:
@@ -175,26 +153,20 @@ def _power_value(x: float, k: int) -> float:
 
 
 # The float evaluator: each rule is the value component of its jet rule,
-# through the same helpers, so a warp's float at a point has the bits of its
-# jet's d[0] there, and it raises where the jet's value raises.  It does not
-# raise where only a derivative would: where v ** 2 .. v ** 4 underflow (to a
-# division by zero) or overflow in ``Jet3.inverse`` and ``_jet_ln``, or
-# g1 ** 3 overflows in ``Jet3.compose``.  (The jets of sin and cos call both
-# math.sin and math.cos, which fail at the same arguments, and those of sinh
-# and cosh both math.sinh and math.cosh, which overflow at the same
-# arguments.)  So only the jet oracle uses it, at its finite-difference
-# stencil points: the oracle's warps divide by and take ln of x*x + 1 >= 1,
-# and its filter bounds every subtree by 1e8 at the probes, so it never meets
-# those cases.  ``WarpFunction`` stays on jets, and a user's warp keeps its
-# errors.
-VALUE_RULES = SimpleNamespace(const=float, divide=_divide_values, power=_power_value, functions={
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "ln": _log,
-})
+# through the same helpers and the float functions of ``_FUNCTIONS``, so a
+# warp's float at a point has the bits of its jet's d[0] there, and it raises
+# where the jet's value raises.  It does not raise where only a derivative would:
+# where v ** 2 .. v ** 4 underflow (to a division by zero) or overflow in
+# ``Jet3.inverse`` and ln's derivatives, or g1 ** 3 overflows in
+# ``Jet3.compose``.  (The jets of sin and cos call both math.sin and math.cos,
+# which fail at the same arguments, and those of sinh and cosh both math.sinh
+# and math.cosh, which overflow at the same arguments.)  So only the jet
+# oracle uses it, at its finite-difference stencil points: the oracle's warps
+# divide by and take ln of x*x + 1 >= 1, and its filter bounds every subtree
+# by 1e8 at the probes, so it never meets those cases.  ``WarpFunction`` stays
+# on jets, and a user's warp keeps its errors.
+VALUE_RULES = SimpleNamespace(const=float, divide=_divide_values, power=_power_value,
+                              functions={name: value for name, (value, _) in _FUNCTIONS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +176,7 @@ VALUE_RULES = SimpleNamespace(const=float, divide=_divide_values, power=_power_v
 # term   := factor (('*'|'/') factor)*
 # factor := base ('^' integer)?
 # base   := number | 't' | ident '(' expr ')' | '(' expr ')'
+# A warp is scanned whole into tokens before it is parsed.
 
 # Deepest AST, and deepest nesting of parentheses and calls, that a warp may
 # have.  Parsing, compiling and evaluation recurse once per level, so this
@@ -211,61 +184,30 @@ VALUE_RULES = SimpleNamespace(const=float, divide=_divide_values, power=_power_v
 MAX_WARP_DEPTH = 100
 
 
-class _Tokenizer:
-    """The tokens of a warp as (kind, source text, offset); the end token's
-    text is None."""
+# One warp token per match, the first alternative that matches winning: a
+# number (decimal digits and dots, from a digit or from a dot before one), a
+# name, an operator, or any other character, which is an error.  Whitespace
+# matches nothing, so it separates tokens.  \d, \w and \s read what
+# str.isdecimal, str.isalnum (and '_') and str.isspace read; isdecimal gives
+# the digits Fraction reads, so '2²' fails here with its offset.
+_TOKEN = re.compile(r"(?P<num>(?:\d|\.(?=\d))[\d.]*)|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^()])|\S")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str | None, int]] = []
-        self._scan()
-        self.idx = 0
 
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            # isdecimal: the digits Fraction reads, so '2²' fails here with its offset
-            if ch.isdecimal() or (ch == "." and i + 1 < len(text) and text[i + 1].isdecimal()):
-                j = i
-                seen_dot = False
-                while j < len(text) and (text[j].isdecimal() or text[j] == "."):
-                    if text[j] == ".":
-                        if seen_dot:
-                            raise WarpSyntaxError("malformed number", i)
-                        seen_dot = True
-                    j += 1
-                lit = text[i:j]
-                if lit.endswith(".") or lit == ".":
-                    raise WarpSyntaxError("malformed number", i)
-                self.tokens.append(("num", lit, i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
-            raise WarpSyntaxError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", None, len(text)))
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def next(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
+def _tokens(text: str) -> list[tuple[str, str | None, int]]:
+    """The tokens of the whole warp as (kind, source text, offset), ending in
+    ("end", None, len(text)); an operator's kind is its text."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind, token, off = match.lastgroup, match.group(), match.start()
+        if kind == "num" and (token.count(".") > 1 or token.endswith(".")):
+            raise WarpSyntaxError("malformed number", off)
+        # [^\W\d] also admits digits that are not decimal, like '²' and '½',
+        # and no name starts with those
+        if kind is None or kind == "ident" and not (token[0].isalpha() or token[0] == "_"):
+            raise WarpSyntaxError(f"unexpected character {token[0]!r}", off)
+        tokens.append((token if kind == "op" else kind, token, off))
+    tokens.append(("end", None, len(text)))
+    return tokens
 
 
 def parse_warp(text: str) -> "WarpFunction":
@@ -274,39 +216,37 @@ def parse_warp(text: str) -> "WarpFunction":
     Each parse function returns (node, AST depth); both the AST depth and the
     nesting of parentheses and calls are limited to MAX_WARP_DEPTH.
     """
-    tk = _Tokenizer(text)
-    nesting = 0
+    tokens = _tokens(text)
+    pos = nesting = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
 
     def limit(depth, off):
         if depth > MAX_WARP_DEPTH:
             raise WarpSyntaxError(f"expression nested deeper than {MAX_WARP_DEPTH} levels", off)
         return depth
 
-    def expr():
-        node, depth = term()
-        while tk.peek()[0] in "+-":
-            op, _, off = tk.next()
-            rhs, rdepth = term()
-            node, depth = (op, node, rhs), limit(1 + max(depth, rdepth), off)
-        return node, depth
-
-    def term():
-        node, depth = factor()
-        while tk.peek()[0] in "*/":
-            op, _, off = tk.next()
-            rhs, rdepth = factor()
+    def binary(ops):
+        # expr with ops "+-", whose operands are terms; term with "*/"
+        node, depth = binary("*/") if ops == "+-" else factor()
+        while tokens[pos][0] in ops:
+            op, _, off = take()
+            rhs, rdepth = binary("*/") if ops == "+-" else factor()
             node, depth = (op, node, rhs), limit(1 + max(depth, rdepth), off)
         return node, depth
 
     def factor():
         node, depth = base()
-        if tk.peek()[0] == "^":
-            tk.next()
+        if tokens[pos][0] == "^":
+            take()
             sign = 1
-            if tk.peek()[0] == "-":
-                tk.next()
+            if tokens[pos][0] == "-":
+                take()
                 sign = -1
-            kind, val, off = tk.next()
+            kind, val, off = take()
             if kind != "num" or Fraction(val).denominator != 1:
                 raise WarpSyntaxError("exponent must be an integer", off)
             node, depth = ("pow", node, sign * int(Fraction(val))), limit(depth + 1, off)
@@ -314,12 +254,12 @@ def parse_warp(text: str) -> "WarpFunction":
 
     def base():
         nonlocal nesting
-        kind, val, off = tk.next()
+        kind, val, off = take()
         if kind == "num":
             return ("num", Fraction(val)), 1
         if kind == "(":
             nesting = limit(nesting + 1, off)
-            node = expr()
+            node = binary("+-")
             _expect(")")
             nesting -= 1
             return node
@@ -330,23 +270,23 @@ def parse_warp(text: str) -> "WarpFunction":
                 raise WarpSyntaxError(f"unknown identifier {val!r}", off)
             _expect("(")
             nesting = limit(nesting + 1, off)
-            arg, depth = expr()
-            nk, _, noff = tk.peek()
-            if nk not in (")",):
+            arg, depth = binary("+-")
+            nk, _, noff = tokens[pos]
+            if nk != ")":
                 raise WarpSyntaxError(f"arity mismatch for {val!r}", noff)
-            tk.next()
+            take()
             nesting -= 1
             return ("call", val, arg), limit(depth + 1, off)
         raise WarpSyntaxError("unexpected token: end of input" if val is None
                               else f"unexpected token {val!r}", off)
 
     def _expect(symbol):
-        kind, _, off = tk.next()
+        kind, _, off = take()
         if kind != symbol:
             raise WarpSyntaxError(f"expected {symbol!r}", off)
 
-    node, _ = expr()
-    kind, val, off = tk.peek()
+    node, _ = binary("+-")
+    kind, val, off = tokens[pos]
     if kind != "end":
         raise WarpSyntaxError(f"trailing input {val!r}", off)
     return WarpFunction(node)

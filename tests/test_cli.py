@@ -317,6 +317,9 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
                  id="rw-base-vol-overflow"),
     pytest.param(["rw", "--f", "(" * 600 + "t" + ")" * 600, "--interval", "0,1"], None, {}, 2,
                  "nested deeper than 100 levels (at offset 100)", id="rw-600-parentheses"),
+    # nesting 100 and AST depth 100, the deepest warp the limits allow
+    pytest.param(["rw", "--f", "(" * 100 + "+".join(["t"] * 100) + ")" * 100,
+                  "--interval", "0.5,1.5"], None, {}, 0, "", id="rw-deepest-warp"),
     pytest.param(["rw", "--f", "+".join(["t"] * 1501), "--interval", "0,1"], None, {}, 2,
                  "nested deeper than 100 levels (at offset 199)", id="rw-1501-term-sum"),
     pytest.param(["oracle", "--count", "-3", "--seed", "1"], None, {}, 2,

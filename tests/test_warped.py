@@ -96,12 +96,49 @@ def test_third_derivative_against_finite_differences():
     ("t end", "trailing input 'end' (at offset 2)"),
     ("2 3", "trailing input '3' (at offset 2)"),
     ("t+", "unexpected token: end of input (at offset 2)"),
+    # a name starts with a letter or '_': digits that are not decimal start none
+    ("\u00bd", "unexpected character '\u00bd' (at offset 0)"),
+    ("\u2177*t", "unexpected character '\u2177' (at offset 0)"),
+    # a titlecase letter is a letter
+    ("\u01c5(t)", "unknown identifier '\u01c5' (at offset 0)"),
+    ("_x", "unknown identifier '_x' (at offset 0)"),
+    (".", "unexpected character '.' (at offset 0)"),
+    ("5.", "malformed number (at offset 0)"),
+    ("1.2.3", "malformed number (at offset 0)"),
+    # the whole warp is scanned before it is parsed
+    ("t t $", "unexpected character '$' (at offset 4)"),
 ])
 def test_parse_errors_carry_offsets(text, offset_hint):
     with pytest.raises(WarpSyntaxError) as err:
         parse_warp(text)
     assert offset_hint in str(err.value)
     assert "offset" in str(err.value)
+
+
+@pytest.mark.parametrize("text,ast", [
+    # Unicode decimal digits are digits, as Fraction reads them
+    ("\u0663*t", ("*", ("num", Fraction(3)), ("t",))),
+    ("\U0001d7d9+t", ("+", ("num", Fraction(1)), ("t",))),
+    (".5*t", ("*", ("num", Fraction(1, 2)), ("t",))),
+    # any Unicode whitespace separates tokens
+    ("t\u2003+\u00a01", ("+", ("t",), ("num", Fraction(1)))),
+])
+def test_scanner_accepts(text, ast):
+    assert parse_warp(text).ast == ast
+
+
+def test_every_warp_the_jet_oracle_prints_parses_back():
+    for seed in range(1, 9):
+        rng = random.Random(seed)
+        for _ in range(100):
+            ast, tame = random_warp_ast(rng)
+            parsed = parse_warp(warped._ast_to_string(ast))
+            assert parse_warp(parsed.to_string()).ast == parsed.ast
+            for t, (jet, _) in tame.items():
+                drawn = jet.derivatives()
+                scale = max(1.0, *(abs(v) for v in drawn))
+                assert max(abs(a - b) for a, b in zip(parsed.derivatives(t), drawn)) \
+                    <= 1e-12 * scale, (parsed.to_string(), t)
 
 
 def test_domain_errors():
@@ -173,7 +210,7 @@ def _walk(node, t):
     if op == "pow":
         return _walk(node[1], t) ** node[2]
     if op == "call":
-        return warped._FUNCTIONS[node[1]](_walk(node[2], t))
+        return warped.JET_RULES.functions[node[1]](_walk(node[2], t))
     lhs = _walk(node[1], t)
     return _BINARY[op](lhs, _walk(node[2], t))
 
