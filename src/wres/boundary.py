@@ -142,7 +142,7 @@ def eval_case(scenario: Scenario, case: CaseIndex) -> UnitValue:
     f1 = symbol_jet(model, p1, case.r).component(case.j).pi_plus().dxi(case.k)
     f2 = symbol_jet(model, p2, case.l).component(case.k).dxi(case.j + 1)
 
-    tr = trace_product(f1, f2, model.total_dim_poly())
+    tr = trace_product(f1, f2, model.total_dim)
     m = model.n - 1  # cosphere lives in R^{n-1}
     moments = tr.map_coeffs(lambda p: model.reduce_coeff(sphere_integrate(p, model.coords, m)))
     pi_coeff = moments.integrate_pi_coefficient()

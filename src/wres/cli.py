@@ -10,7 +10,8 @@ Each subcommand imports the wres modules it runs, so a process loads only
 what its command uses.
 
 JSON reports are deterministic: keys sorted, rationals printed as "num/den",
-complex values as {"re","im"}, and no timing data.
+complex values as {"re","im"}, and no timing data.  A report holds its exact
+values as they are, and ``main`` renders each of them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ class BadInput(Exception):
 
 
 def _uv_obj(v):
-    """The exact value, plus its float rendering when every unit has a
-    numeric value and the result fits a float."""
+    """``main``'s rendering of a report's exact value: its JSON object, plus
+    its float rendering when every unit has a numeric value and the result
+    fits a float."""
     obj = v.json_obj()
     try:
         z = v.numeric()
@@ -89,11 +91,11 @@ def cmd_verify_boundary(args) -> dict:
         "cases": [
             {"label": label,
              "index": {"r": c.r, "l": c.l, "k": c.k, "j": c.j, "alpha": c.alpha},
-             "value": _uv_obj(v)}
+             "value": v}
             for label, c, v in report.cases
         ],
-        "total": _uv_obj(report.total),
-        "total_over_boundary": _uv_obj(report.total_over_boundary),
+        "total": report.total,
+        "total_over_boundary": report.total_over_boundary,
         "checks": checks,
     }
     status = ("no checks (extrapolation)" if extrapolation else
@@ -202,14 +204,11 @@ def cmd_heat(args) -> dict:
         "command": "heat",
         "inputs": {"config": args.config, "n": n, "total_dim": total_dim,
                    "bounded": bounded},
-        "coefficients": {
-            "a0": _uv_obj(hc.a0), "a1": _uv_obj(hc.a1), "a2": _uv_obj(hc.a2),
-            "a3": _uv_obj(hc.a3), "a4": _uv_obj(hc.a4),
-        },
+        "coefficients": {"a0": hc.a0, "a1": hc.a1, "a2": hc.a2, "a3": hc.a3, "a4": hc.a4},
         "checks": [],
     }
     if hc.a4_alt is not None:
-        payload["coefficients"]["a4_alt_bracket"] = _uv_obj(hc.a4_alt)
+        payload["coefficients"]["a4_alt_bracket"] = hc.a4_alt
     return payload
 
 
@@ -440,9 +439,12 @@ def main(argv=None) -> int:
             return 0
         report = COMMANDS[args.command][0](args)
         try:
-            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-        except ValueError as exc:  # a float that overflowed to inf
-            raise BadInput(str(exc)) from exc
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                              default=_uv_obj)
+        except ValueError as exc:  # a float that overflowed to inf, or an exact
+            # integer with more digits than str() converts
+            raise BadInput("a report value is too long to print, "
+                           "or a float in it is not finite") from exc
         if args.json:
             with open(args.json, "w") as fh:
                 fh.write(text + "\n")

@@ -85,9 +85,6 @@ class Algebra:
                 i += 1
         return sign, tuple(seq)
 
-    def element(self, terms=None) -> "CliffordElement":
-        return CliffordElement(self, terms)
-
     def scalar(self, c) -> "CliffordElement":
         return CliffordElement(self, {(): _as_coeff(c)})
 
@@ -171,12 +168,9 @@ class CliffordElement:
     def map_coeffs(self, fn) -> "CliffordElement":
         return CliffordElement(self.algebra, {w: fn(c) for w, c in self.terms.items()})
 
-    def identity_coefficient(self):
-        return self.terms.get((), ScalarPoly.zero())
-
     def trace(self, total_dim):
         """totalDim times the identity-word coefficient."""
-        return self.identity_coefficient() * total_dim
+        return self.terms.get((), ScalarPoly.zero()) * total_dim
 
     def dxi(self, order: int = 1) -> "CliffordElement":
         """d/dxi of every RationalXi coefficient."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from .clifford import AlgebraSignature, CliffordElement, sub_dirac_algebra
+from .clifford import AlgebraSignature, CliffordElement, normalize, sub_dirac_algebra
 from .symbolic import (
     U_PI,
     U_TDIM,
@@ -66,10 +66,7 @@ def lichnerowicz_E(sig: AlgebraSignature) -> CliffordElement:
     out = alg.scalar(ScalarPoly.symbol(R_M) * Fraction(1, 4))
     for gens, c, weight in _rfperp_components(sig.p, sig.q):
         if not c.is_zero():
-            word = alg.scalar(1)
-            for g in gens:
-                word = word * alg.gen(g)
-            out = out + word * (c * weight)
+            out = out + normalize(alg, gens) * (c * weight)
     return out
 
 

@@ -37,12 +37,10 @@ def _rational_function(f: RationalXi, tables: dict):
     """
     coeffs = []
     for poly in f.num:
-        total = 0j
-        for mono, c in poly.terms.items():
-            if mono:
-                raise ValueError("the oracle evaluates constant coefficients only")
-            total += complex(c)
-        coeffs.append(total)
+        c = poly.constant_value()
+        if c is None:
+            raise ValueError("the oracle evaluates constant coefficients only")
+        coeffs.append(complex(c))
     mp, mm = f.mp, f.mm
     # sum()'s additions, from the int 0: the first term, c * x ** 0 with
     # x ** 0 == 1.0, is the same float at every point

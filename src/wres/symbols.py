@@ -119,9 +119,6 @@ class BoundaryModel:
     def hatted(self, g: Gen) -> Gen:
         return (2, g[1])
 
-    def total_dim_poly(self) -> ScalarPoly:
-        return _as_poly(self.total_dim)
-
     # -- normal-coordinate contract -------------------------------------------
     def _normal_coordinate_table(self) -> dict[str, ScalarPoly]:
         """Substitutions enforcing sum_w <nabla_w w, d>(x0) = 0 for all d,
@@ -160,7 +157,7 @@ class BoundaryModel:
         return self.algebra.gen(g, RationalXi.const(coeff))
 
     def c_xi_prime(self) -> CliffordElement:
-        out = self.algebra.element()
+        out = CliffordElement(self.algebra)
         for g, name in zip(self.tangential, self.coords):
             out = out + self.gen_elem(g, ScalarPoly.symbol(name))
         return out
@@ -241,13 +238,13 @@ def connection_word(model: BoundaryModel, k: int) -> CliffordElement:
             w = conn(k, idx(fj), idx(hs))
             if not w.is_zero():
                 add(fj, hs, w, -1)
-    return alg.element({word: RationalXi.const(c) for word, c in acc.items()})
+    return CliffordElement(alg, {word: RationalXi.const(c) for word, c in acc.items()})
 
 
 def sigma0_DF(model: BoundaryModel) -> CliffordElement:
     """Zeroth-order symbol -1/2 sum_k c(e_k) W_k of the sub-Dirac operator, with
     symbolic connection data; expanding it gives the paper's five sums."""
-    out = model.algebra.element()
+    out = CliffordElement(model.algebra)
     for g in model.frame:
         word = connection_word(model, model.gen_index(g))
         out = out + model.gen_elem(g, Fraction(-1, 2)) * word
@@ -270,15 +267,10 @@ def sigma_minus2_Dinv(model: BoundaryModel) -> Jet:
     N = model.c_dxn()
     inv2 = RationalXi.inv_norm_sq(2)
     inv3 = RationalXi.inv_norm_sq(3)
-    main = (cxi.val * p0 * cxi.val).map_coeffs(lambda c: c * inv2)
-    mid = (cxi.val * N * cxi.dxn).map_coeffs(lambda c: c * inv2)
-    last = (cxi.val * N * cxi.val).map_coeffs(lambda c: c * (inv3 * h1_poly()))
+    main = cxi.val * p0 * cxi.val * inv2
+    mid = cxi.val * N * cxi.dxn * inv2
+    last = cxi.val * N * cxi.val * (inv3 * h1_poly())
     return Jet(main + mid - last, None)
-
-
-def sigma_minus2_Dsq(model: BoundaryModel) -> Jet:
-    """|xi|^{-2} times the identity, with its x_n-jet."""
-    return model.inv_norm_sq_jet()
 
 
 def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
@@ -297,13 +289,12 @@ def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
 
     # k = n: xi_n ( Gamma^n + W_n )
     a2 = alg.scalar(xi * inv2 * (h1_poly() * GaussianRational(Fraction(model.n - 1, 2))))
-    a2 = a2 + connection_word(model, model.n - 1).map_coeffs(lambda c: c * (xi * inv2))
+    a2 = a2 + connection_word(model, model.n - 1) * (xi * inv2)
     # tangential k: coordinate-weighted word terms (odd on the cosphere)
     for g, name in zip(model.tangential, model.coords):
         wt = connection_word(model, model.gen_index(g))
         if not wt.is_zero():
-            factor = inv2 * ScalarPoly.symbol(name)
-            a2 = a2 + wt.map_coeffs(lambda c, f=factor: c * f)
+            a2 = a2 + wt * (inv2 * ScalarPoly.symbol(name))
     a2 = a2 * GaussianRational(0, -1)
     return Jet(a1 + a2, None)
 
@@ -311,7 +302,7 @@ def sigma_minus3_Dsq(model: BoundaryModel) -> Jet:
 _BUILDERS = {
     (1, -1): sigma_minus1_Dinv,
     (1, -2): sigma_minus2_Dinv,
-    (2, -2): sigma_minus2_Dsq,
+    (2, -2): BoundaryModel.inv_norm_sq_jet,
     (2, -3): sigma_minus3_Dsq,
 }
 

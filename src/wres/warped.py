@@ -56,10 +56,6 @@ class Jet3:
     def variable(cls, t):
         return cls(t, 1.0)
 
-    @classmethod
-    def const(cls, c):
-        return cls(c)
-
     def __add__(self, o):
         a, b = self.d, o.d
         return Jet3(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
@@ -95,7 +91,7 @@ class Jet3:
         return self * o.inverse()
 
     def __pow__(self, k: int):
-        return power(self, k, Jet3.const(1.0), Jet3.inverse)
+        return power(self, k, Jet3(1.0), Jet3.inverse)
 
     @property
     def value(self):
@@ -139,7 +135,7 @@ def _chain_rule(derivatives):
 # The arithmetic ``compile_ast`` evaluates a warp in: a constant from its
 # float, division, integer powers and the named functions.  Sums, differences
 # and products are the operators of the scalar type.
-JET_RULES = SimpleNamespace(const=Jet3.const, divide=Jet3.__truediv__, power=Jet3.__pow__,
+JET_RULES = SimpleNamespace(const=Jet3, divide=Jet3.__truediv__, power=Jet3.__pow__,
                             functions={name: _chain_rule(derivatives)
                                        for name, (_, derivatives) in _FUNCTIONS.items()})
 

@@ -138,7 +138,7 @@ def test_criterion_6_clifford_traces():
     # the trace identities are asserted exhaustively in the unit suites; spot
     # re-check the model-dependent ones here
     model = foliation_model(2, 2, 8)
-    td = model.total_dim_poly()
+    td = model.total_dim
     Cp, N = model.c_xi_prime(), model.c_dxn()
     dCp = model.c_xi_prime_jet().dxn
     t1 = trace_product(Cp, N, td).is_zero()

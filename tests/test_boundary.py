@@ -150,7 +150,7 @@ def _eval_case_with_matrix_trace(scenario, case) -> UnitValue:
             tr = rep.normalized_trace(rep.word_matrix(w1 + w2))
             if not tr.is_zero():
                 acc = acc + c1 * c2 * tr
-    acc = acc * model.total_dim_poly()
+    acc = acc * model.total_dim
     acc = acc.map_coeffs(lambda p: reduce_unit_norm(model.reduce_coeff(p), model.coords))
     moments = acc.map_coeffs(lambda p: sphere_integrate(p, model.coords, model.n - 1))
     poly = model.reduce_coeff(moments.integrate_pi_coefficient())

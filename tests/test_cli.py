@@ -229,6 +229,9 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
                  id="heat-fractional-total-dim"),
     pytest.param(["heat"], "p = 2\nq = 2\nr = 1e400\nvol = 1\n", {}, 0, "",
                  id="heat-value-beyond-float"),
+    # each value parses, but a2 holds r vol, 4401 digits, more than str() converts
+    pytest.param(["heat"], f"p = 2\nq = 2\nr = {'9' * 2200}\nvol = {'9' * 2200}\n", {}, 2,
+                 "error: a report value is too long to print", id="heat-value-too-long-to-print"),
     pytest.param(["heat"], "p = 2\nq = 2\nr = 1e10000000\n", {}, 2, "decimal exponent",
                  id="heat-exponent-1e10000000"),
     pytest.param(["heat"], "p = 2\nq = 2\nr = 1e999999999\n", {}, 2, "decimal exponent",
@@ -513,64 +516,6 @@ def test_example_script_output(script):
     assert proc.stdout == (ROOT / "tests" / "reference" / f"{script}.txt").read_bytes()
 
 
-def test_rw_and_oracle_do_not_import_scipy(tmp_path):
-    code = ("import sys\n"
-            "from wres.cli import main\n"
-            "assert main(['rw', '--f', '2+sin(t)', '--interval', '0,1', '--lambda', '2',"
-            " '--json', 'rw.json']) == 0\n"
-            "assert main(['oracle', '--count', '5', '--json', 'oracle.json']) == 0\n"
-            "print('scipy' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_cli_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_verify_boundary_imports_neither_numpy_nor_scipy(tmp_path):
-    """verify-boundary, rw, heat and oracle each load neither numpy nor scipy,
-    each checked in a fresh process."""
-    (tmp_path / "closed.cfg").write_text("p = 2\nq = 2\nr = 1\nr2 = 3/2\nvol = 2\n")
-    commands = (
-        ["verify-boundary", "--dim", "3", "--powers", "1,1"],
-        ["rw", "--f", "exp(t)", "--interval", "0,1", "--curv", "1", "--lambda", "2"],
-        ["heat", "--config", "closed.cfg"],
-        ["oracle", "--seed", "7", "--count", "5"],
-    )
-    for argv in commands:
-        code = ("import sys\n"
-                "from wres.cli import main\n"
-                f"assert main({argv + ['--json', 'out.json']!r}) == 0\n"
-                "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
-        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_cli_env(),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, (argv, proc.stderr)
-        assert proc.stdout.strip() == "[]", argv
-
-
-def test_cli_generates_no_code_at_import(tmp_path):
-    """A bare ``import wres.cli`` and verify-boundary, rw, heat and oracle
-    each leave dataclasses and inspect unloaded, each in a fresh process."""
-    (tmp_path / "closed.cfg").write_text("p = 2\nq = 2\nr = 1\nr2 = 3/2\nvol = 2\n")
-    commands = (
-        None,
-        ["verify-boundary", "--dim", "3", "--powers", "1,1"],
-        ["rw", "--f", "exp(t)", "--interval", "0,1", "--curv", "1", "--lambda", "2"],
-        ["heat", "--config", "closed.cfg"],
-        ["oracle", "--seed", "7", "--count", "5"],
-    )
-    for argv in commands:
-        run = "" if argv is None else f"assert main({argv + ['--json', 'out.json']!r}) == 0\n"
-        code = ("import sys\n"
-                "import wres.cli\n"
-                "from wres.cli import main\n"
-                f"{run}"
-                "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
-        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_cli_env(),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, (argv, proc.stderr)
-        assert proc.stdout.strip() == "[]", argv
-
-
 def _modules_loaded(code, cwd):
     """The modules a fresh process has loaded after running ``code``."""
     proc = subprocess.run([sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
@@ -579,26 +524,40 @@ def _modules_loaded(code, cwd):
     return set(proc.stdout.split())
 
 
-def test_import_footprint(tmp_path):
-    """``import wres.cli`` loads no argument parser, no translation machinery
-    and none of the modules its subcommands import on demand, and each
-    subcommand loads only what it uses: compared with a bare interpreter,
-    which may load some of them at start-up on its own, each in a fresh
-    process."""
-    (tmp_path / "closed.cfg").write_text("p = 2\nq = 2\nr = 1\nr2 = 3/2\nvol = 2\n")
-    bare = _modules_loaded("pass", tmp_path)
-    lazy = {"wres.heat", "wres.warped", "wres.oracles"}
-    added = _modules_loaded("import wres.cli", tmp_path) - bare
-    assert not added & ({"argparse", "gettext", "locale"} | lazy)
-    assert _modules_loaded("import wres", tmp_path) - bare == {"wres"}
-    for argv, unused in [
-        (["verify-boundary", "--dim", "3", "--powers", "1,1"], lazy),
-        (["rw", "--f", "exp(t)", "--interval", "0,1", "--lambda", "2"], {"wres.oracles"}),
-        (["heat", "--config", "closed.cfg"], {"wres.oracles", "wres.warped"}),
-    ]:
+@pytest.fixture(scope="module")
+def bare_modules(tmp_path_factory):
+    """The modules a bare interpreter loads at start-up on its own."""
+    return _modules_loaded("pass", tmp_path_factory.mktemp("bare"))
+
+
+_LAZY = {"wres.heat", "wres.warped", "wres.oracles"}
+# no numpy or scipy (the quadrature is a port), no code generation, no
+# argument parser and no translation machinery
+_NEVER = {"numpy", "scipy", "dataclasses", "inspect", "argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv,unused", [
+    pytest.param(None, _LAZY, id="import"),
+    pytest.param(["verify-boundary", "--dim", "3", "--powers", "1,1"], _LAZY,
+                 id="verify-boundary"),
+    pytest.param(["rw", "--f", "exp(t)", "--interval", "0,1", "--curv", "1", "--lambda", "2"],
+                 {"wres.oracles"}, id="rw"),
+    pytest.param(["heat", "--config", "closed.cfg"], {"wres.oracles", "wres.warped"}, id="heat"),
+    pytest.param(["oracle", "--seed", "7", "--count", "5"], set(), id="oracle"),
+])
+def test_import_footprint(argv, unused, bare_modules, tmp_path):
+    """``import wres.cli``, and each subcommand run in a fresh process, load
+    none of ``_NEVER`` and none of the modules the command does not use,
+    beyond what a bare interpreter loads; ``import wres`` adds only itself."""
+    if argv is None:
+        assert _modules_loaded("import wres", tmp_path) - bare_modules == {"wres"}
+        code = "import wres.cli"
+    else:
+        (tmp_path / "closed.cfg").write_text("p = 2\nq = 2\nr = 1\nr2 = 3/2\nvol = 2\n")
         code = ("from wres.cli import main\n"
                 f"assert main({argv + ['--json', 'out.json']!r}) == 0")
-        assert not _modules_loaded(code, tmp_path) & unused, argv
+    added = _modules_loaded(code, tmp_path) - bare_modules
+    assert added & (_NEVER | unused) == set()
 
 
 def test_every_package_name_imports():

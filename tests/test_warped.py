@@ -204,7 +204,7 @@ def _walk(node, t):
     """A walk of the warp AST node by node, the reference for its compiled form."""
     op = node[0]
     if op == "num":
-        return Jet3.const(float(node[1]))
+        return Jet3(float(node[1]))
     if op == "t":
         return t
     if op == "pow":
@@ -380,7 +380,7 @@ def test_jet_and_value_powers_keep_the_loop_bits():
         jet = Jet3(*(draw() for _ in range(4)))
         for k in range(-6, 10):
             got = _outcome(lambda: jet ** k)
-            assert got == _outcome(lambda: _loop_power(jet, k, Jet3.const(1.0), Jet3.inverse))
+            assert got == _outcome(lambda: _loop_power(jet, k, Jet3(1.0), Jet3.inverse))
             v = jet.value
             assert (_outcome(lambda: warped.VALUE_RULES.power(v, k))
                     == _outcome(lambda: _loop_power(v, k, 1.0, warped._reciprocal)))
