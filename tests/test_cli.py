@@ -531,13 +531,33 @@ def bare_modules(tmp_path_factory):
 
 
 _LAZY = {"wres.heat", "wres.warped", "wres.oracles"}
-# no numpy or scipy (the quadrature is a port), no code generation, no
-# argument parser and no translation machinery
-_NEVER = {"numpy", "scipy", "dataclasses", "inspect", "argparse", "gettext", "locale"}
+# code generation: wres declares its records by hand
+_CODEGEN = {"dataclasses", "inspect"}
+# no numpy or scipy (the quadrature is a port), no argument parser and no
+# translation machinery
+_NEVER = {"numpy", "scipy", "argparse", "gettext", "locale"} | _CODEGEN
+
+
+@pytest.fixture(scope="module")
+def cli_import_added(bare_modules, tmp_path_factory):
+    """The modules ``import wres.cli`` adds to a bare interpreter."""
+    return _modules_loaded("import wres.cli", tmp_path_factory.mktemp("cli")) - bare_modules
+
+
+def test_import_footprint(cli_import_added, bare_modules, tmp_path):
+    """``import wres`` adds only itself, and ``import wres.cli`` loads no
+    numpy, scipy, argument parser or translation machinery and none of the
+    modules its subcommands import on demand."""
+    assert _modules_loaded("import wres", tmp_path) - bare_modules == {"wres"}
+    assert cli_import_added & ((_NEVER - _CODEGEN) | _LAZY) == set()
+
+
+def test_cli_generates_no_code_at_import(cli_import_added):
+    """``import wres.cli`` leaves dataclasses and inspect unloaded."""
+    assert cli_import_added & _CODEGEN == set()
 
 
 @pytest.mark.parametrize("argv,unused", [
-    pytest.param(None, _LAZY, id="import"),
     pytest.param(["verify-boundary", "--dim", "3", "--powers", "1,1"], _LAZY,
                  id="verify-boundary"),
     pytest.param(["rw", "--f", "exp(t)", "--interval", "0,1", "--curv", "1", "--lambda", "2"],
@@ -545,17 +565,13 @@ _NEVER = {"numpy", "scipy", "dataclasses", "inspect", "argparse", "gettext", "lo
     pytest.param(["heat", "--config", "closed.cfg"], {"wres.oracles", "wres.warped"}, id="heat"),
     pytest.param(["oracle", "--seed", "7", "--count", "5"], set(), id="oracle"),
 ])
-def test_import_footprint(argv, unused, bare_modules, tmp_path):
-    """``import wres.cli``, and each subcommand run in a fresh process, load
-    none of ``_NEVER`` and none of the modules the command does not use,
-    beyond what a bare interpreter loads; ``import wres`` adds only itself."""
-    if argv is None:
-        assert _modules_loaded("import wres", tmp_path) - bare_modules == {"wres"}
-        code = "import wres.cli"
-    else:
-        (tmp_path / "closed.cfg").write_text("p = 2\nq = 2\nr = 1\nr2 = 3/2\nvol = 2\n")
-        code = ("from wres.cli import main\n"
-                f"assert main({argv + ['--json', 'out.json']!r}) == 0")
+def test_command_import_footprint(argv, unused, bare_modules, tmp_path):
+    """Each subcommand, run in a fresh process, loads none of ``_NEVER`` and
+    none of the modules it does not use, beyond what a bare interpreter
+    loads."""
+    (tmp_path / "closed.cfg").write_text("p = 2\nq = 2\nr = 1\nr2 = 3/2\nvol = 2\n")
+    code = ("from wres.cli import main\n"
+            f"assert main({argv + ['--json', 'out.json']!r}) == 0")
     added = _modules_loaded(code, tmp_path) - bare_modules
     assert added & (_NEVER | unused) == set()
 
