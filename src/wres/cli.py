@@ -57,33 +57,24 @@ def cmd_verify_boundary(args) -> dict:
     except KeyError as exc:
         raise BadInput(exc.args[0]) from exc
 
-    extrapolation = False
-    if args.p is not None or args.q is not None:
+    extrapolation = args.p is not None or args.q is not None
+    if extrapolation:
         if len(scenario.model.algebra.families) == 1:
             raise BadInput("signature override not supported for this scenario")
-        import copy
-
-        from .clifford import AlgebraSignature
-        from .symbols import foliation_model
         p = args.p if args.p is not None else scenario.model.algebra.families[0][1]
         q = args.q if args.q is not None else scenario.model.algebra.families[1][1]
         if p < 0 or q < 1:
             raise BadInput(f"signature ({p},{q}) needs p >= 0 and q >= 1")
         if p + q != args.dim:
             raise BadInput(f"signature ({p},{q}) does not match dimension {args.dim}")
-        scenario = copy.copy(scenario)
-        scenario.name += f"-sig{p}.{q}"
-        scenario.model = foliation_model(p, q, AlgebraSignature(p, q).total_dim)
-        scenario.expected_cases = {}
-        extrapolation = True
+        scenario = boundary.extrapolate(args.dim, p1, p2, p, q)
 
     t0 = time.perf_counter()
     report = boundary.phi_total(scenario)
     elapsed = time.perf_counter() - t0
 
-    checks = ([] if extrapolation else
-              [{"name": name, "expected": exp, "got": got, "pass": ok}
-               for name, exp, got, ok in report.checks])
+    checks = [{"name": name, "expected": exp, "got": got, "pass": ok}
+              for name, exp, got, ok in report.checks]
     payload = {
         "command": "verify-boundary",
         "inputs": {"dim": args.dim, "powers": [p1, p2], "scenario": scenario.name,

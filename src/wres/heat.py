@@ -111,6 +111,7 @@ _TRACES = {
     "Omega2": {"riem2": Fraction(-1, 8), "rfperp2": Fraction(-1, 8)},
 }
 
+
 def _reduce(general: dict) -> dict[str, Fraction]:
     """A general bracket with each E and Omega invariant replaced by its trace."""
     out: dict[str, Fraction] = {}

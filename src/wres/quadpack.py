@@ -262,8 +262,9 @@ def quad_complex(fn: Callable[[tuple[float, ...]], Sequence[complex]], *,
     that panel's 30 points in dqk15i's published order (the centre ``x`` and
     ``-x``, then ``x1, x2, -x1, -x2`` for each abscissa), and returns the 30
     values there.  dqagie runs once per part, so each result equals
-    ``scipy.integrate.quad`` of that part, bit for bit, ``neval`` included.  The two runs share every panel they both bisect to: ``fn`` is
-    called once for it, and each run sums its own part of the values.
+    ``scipy.integrate.quad`` of that part, bit for bit, ``neval`` included.
+    The two runs share every panel they both bisect to: ``fn`` is called
+    once for it, and each run sums its own part of the values.
     """
     # f(x) + f(-x) at each panel's 15 points: complex sums are componentwise
     sums = {}

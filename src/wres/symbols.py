@@ -26,6 +26,7 @@ from .symbolic import (
     antisymmetric_symbol,
 )
 
+
 def h1_poly() -> ScalarPoly:
     return ScalarPoly.symbol(U_H1)
 

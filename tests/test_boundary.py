@@ -2,12 +2,18 @@
 leftover-term functionals, and the trace-path swap oracle."""
 
 import copy
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wres.boundary import (
     CaseIndex,
+    Scenario,
     enumerate_cases,
     eval_case,
     get_scenario,
@@ -125,6 +131,64 @@ def test_res_partials():
 def test_unknown_scenario():
     with pytest.raises(KeyError):
         get_scenario(9, 1, 1)
+
+
+def test_expected_case_must_name_a_case_label():
+    # an expected case under a label that no case carries would never be
+    # checked: the scenario would pass whatever its value
+    scenario = get_scenario(4, 1, 1)
+    expected_cases = dict(scenario.expected_cases, AII=(UnitValue(99), "typo"))
+    with pytest.raises(ValueError, match="dim4-powers11 has no case labelled 'AII'"):
+        Scenario(key=(4, 1, 1), b=(-2, -1), model=scenario.model,
+                 sphere_unit=scenario.sphere_unit, expected_cases=expected_cases,
+                 expected_total=scenario.expected_total, igrb=scenario.igrb)
+
+
+# counts, in a fresh process, the scenarios and the symbol jets that the six
+# leftover-term functionals build
+RES_PARTIAL_BUILDS = """
+import json
+from collections import Counter
+from wres import boundary, symbols
+
+scenarios, jets = Counter(), Counter()
+init = boundary.Scenario.__init__
+
+
+def counted_init(self, key, *args, **kwargs):
+    scenarios[repr(key)] += 1
+    init(self, key, *args, **kwargs)
+
+
+def counted(key, build):
+    def counted_build(model):
+        jets[repr((model.n, *key))] += 1
+        return build(model)
+    return counted_build
+
+
+boundary.Scenario.__init__ = counted_init
+for key, build in list(symbols._BUILDERS.items()):
+    symbols._BUILDERS[key] = counted(key, build)
+for kind in boundary.RES_KINDS:
+    boundary.res_partial(kind)
+print(json.dumps({"scenarios": scenarios, "jets": jets}))
+"""
+
+
+def test_res_partial_kinds_share_their_scenarios():
+    # the six kinds read three scenarios, each built once, and each model
+    # builds a symbol jet once per (power, order)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", RES_PARTIAL_BUILDS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    builds = json.loads(proc.stdout)
+    assert builds["scenarios"] == {"(4, 1, 1)": 1, "(6, 2, 2)": 1, "(5, 2, 1)": 1}
+    assert sum(builds["jets"].values()) == 7, builds["jets"]
+    assert set(builds["jets"].values()) == {1}, builds["jets"]
 
 
 def _eval_case_with_matrix_trace(scenario, case) -> UnitValue:
