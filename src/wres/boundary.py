@@ -81,20 +81,17 @@ class Scenario:
     The case labels are aI/aII/aIII for the leading orders (r, l) = (-p1, -p2)
     (tangential, x_n- and xi_n-derivative), b for the orders ``b`` and c for
     the rest; a scenario with ``b`` None has one case, "main".  Each expected
-    case must name a label that some case carries.  An extrapolation runs the
-    key's cases on a foliation model of another signature: it expects no
-    total, and its name ends with that signature.
+    case must name a label that some case carries, and every scenario
+    expects a total.  ``get_scenario`` builds each scenario, and names one
+    run on a requested signature with a ``-sig{p}.{q}`` suffix.
     """
 
     def __init__(self, key: tuple[int, int, int], b: tuple[int, int] | None,
                  model: BoundaryModel, sphere_unit: str | None,
                  expected_cases: dict[str, tuple[UnitValue, str]],
-                 expected_total: UnitValue | None, igrb: UnitValue | None):
+                 expected_total: UnitValue, igrb: UnitValue | None):
         n, p1, p2 = key
         self.name = f"dim{n}-powers{p1}{p2}"
-        if expected_total is None:
-            (_, p, _), (_, q, _), _ = model.algebra.families
-            self.name += f"-sig{p}.{q}"
         if model.n != n:
             raise ValueError(f"scenario {self.name} has a model of dimension {model.n}")
         self.n, self.powers, self.model = n, (p1, p2), model
@@ -170,15 +167,15 @@ def eval_case(scenario: Scenario, case: CaseIndex) -> UnitValue:
 
 class BoundaryReport:
     def __init__(self, cases: list[tuple[str, CaseIndex, UnitValue]], total: UnitValue,
-                 total_over_boundary: UnitValue, checks: list[tuple[str, str, str, bool]]):
+                 total_over_boundary: UnitValue, checks: list[dict]):
         self.cases = cases
         self.total = total
         self.total_over_boundary = total_over_boundary
-        self.checks = checks
+        self.checks = checks  # {"name", "expected", "got", "pass"}, as reports print them
 
     @property
     def all_pass(self) -> bool:
-        return all(ok for *_, ok in self.checks)
+        return all(c["pass"] for c in self.checks)
 
 
 def integrate_over_boundary(v: UnitValue) -> UnitValue:
@@ -196,15 +193,14 @@ def phi_total(scenario: Scenario) -> BoundaryReport:
         total = total + value
     over_boundary = integrate_over_boundary(total)
     checks = []
-    for label, case, value in cases:
+    for label, _, value in cases:
         if label in scenario.expected_cases:
             expected, note = scenario.expected_cases[label]
-            checks.append(
-                (f"case {label} [{note}]", repr(expected), repr(value), value == expected))
-    if scenario.expected_total is not None:
-        checks.append(("total", repr(scenario.expected_total), repr(over_boundary),
-                       over_boundary == scenario.expected_total))
-    return BoundaryReport(cases, total, over_boundary, checks)
+            checks.append((f"case {label} [{note}]", expected, value))
+    checks.append(("total", scenario.expected_total, over_boundary))
+    return BoundaryReport(cases, total, over_boundary, [
+        {"name": name, "expected": repr(expected), "got": repr(got), "pass": got == expected}
+        for name, expected, got in checks])
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +245,39 @@ def _table() -> dict:
 
 
 @cache
-def get_scenario(n: int, p1: int, p2: int) -> Scenario:
-    key = (n, p1, p2)
-    if key not in _table():
-        raise KeyError(f"unregistered scenario: dim {n}, powers ({p1},{p2})")
+def _registered(key: tuple[int, int, int]) -> Scenario:
     b, model, sphere_unit, expected_cases, expected_total, igrb = _table()[key]
     return Scenario(key, b, model(), sphere_unit, expected_cases, expected_total, igrb)
 
 
-def extrapolate(n: int, p1: int, p2: int, p: int, q: int) -> Scenario:
-    """The cases of scenario (n, p1, p2) on the foliation model of signature
-    (p, q), whose trace dimension is an integer.  It expects nothing, so
-    ``phi_total`` runs no check on it."""
+def get_scenario(n: int, p1: int, p2: int, p: int | None = None,
+                 q: int | None = None) -> Scenario:
+    """The registered scenario (n, p1, p2), built once, or, when p or q is
+    given, its cases on the foliation model of signature (p, q), a missing
+    one the registered model's.  Then the row's expected values are rescaled
+    per unit trace: divided by its trace dimension, times the new integer one."""
     key = (n, p1, p2)
-    b, _, sphere_unit, *_ = _table()[key]
-    model = foliation_model(p, q, AlgebraSignature(p, q).total_dim)
-    return Scenario(key, b, model, sphere_unit, {}, None, None)
+    if key not in _table():
+        raise KeyError(f"unregistered scenario: dim {n}, powers ({p1},{p2})")
+    registered = _registered(key)
+    if p is None and q is None:
+        return registered
+    if len(registered.model.algebra.families) == 1:
+        raise ValueError("signature override not supported for this scenario")
+    (_, p0, _), (_, q0, _), _ = registered.model.algebra.families
+    p, q = p0 if p is None else p, q0 if q is None else q
+    if p < 0 or q < 1:
+        raise ValueError(f"signature ({p},{q}) needs p >= 0 and q >= 1")
+    if p + q != n:
+        raise ValueError(f"signature ({p},{q}) does not match dimension {n}")
+    tdim = AlgebraSignature(p, q).total_dim
+    scale = UnitValue(tdim) / _poly_to_unitvalue(ScalarPoly.one() * registered.model.total_dim)
+    b, _, sphere_unit, expected_cases, expected_total, igrb = _table()[key]
+    scenario = Scenario(key, b, foliation_model(p, q, tdim), sphere_unit,
+                        {label: (v * scale, note) for label, (v, note) in expected_cases.items()},
+                        expected_total * scale, igrb)
+    scenario.name += f"-sig{p}.{q}"
+    return scenario
 
 
 def registered_scenarios() -> list[tuple[int, int, int]]:

@@ -53,32 +53,18 @@ def cmd_verify_boundary(args) -> dict:
 
     p1, p2 = args.powers
     try:
-        scenario = boundary.get_scenario(args.dim, p1, p2)
-    except KeyError as exc:
+        scenario = boundary.get_scenario(args.dim, p1, p2, args.p, args.q)
+    except (KeyError, ValueError) as exc:
         raise BadInput(exc.args[0]) from exc
-
-    extrapolation = args.p is not None or args.q is not None
-    if extrapolation:
-        if len(scenario.model.algebra.families) == 1:
-            raise BadInput("signature override not supported for this scenario")
-        p = args.p if args.p is not None else scenario.model.algebra.families[0][1]
-        q = args.q if args.q is not None else scenario.model.algebra.families[1][1]
-        if p < 0 or q < 1:
-            raise BadInput(f"signature ({p},{q}) needs p >= 0 and q >= 1")
-        if p + q != args.dim:
-            raise BadInput(f"signature ({p},{q}) does not match dimension {args.dim}")
-        scenario = boundary.extrapolate(args.dim, p1, p2, p, q)
 
     t0 = time.perf_counter()
     report = boundary.phi_total(scenario)
     elapsed = time.perf_counter() - t0
 
-    checks = [{"name": name, "expected": exp, "got": got, "pass": ok}
-              for name, exp, got, ok in report.checks]
     payload = {
         "command": "verify-boundary",
         "inputs": {"dim": args.dim, "powers": [p1, p2], "scenario": scenario.name,
-                   "extrapolation": extrapolation},
+                   "extrapolation": args.p is not None or args.q is not None},
         "cases": [
             {"label": label,
              "index": {"r": c.r, "l": c.l, "k": c.k, "j": c.j, "alpha": c.alpha},
@@ -87,10 +73,9 @@ def cmd_verify_boundary(args) -> dict:
         ],
         "total": report.total,
         "total_over_boundary": report.total_over_boundary,
-        "checks": checks,
+        "checks": report.checks,
     }
-    status = ("no checks (extrapolation)" if extrapolation else
-              "all checks pass" if all(c["pass"] for c in checks) else "CHECK FAILURES")
+    status = "all checks pass" if report.all_pass else "CHECK FAILURES"
     print(f"# scenario {scenario.name}: {len(report.cases)} cases, {status} "
           f"({elapsed:.3f}s)", file=sys.stderr)
     return payload

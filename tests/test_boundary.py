@@ -24,6 +24,7 @@ from wres.boundary import (
 )
 from wres.clifford import MatrixRep
 from wres.symbolic import GaussianRational, RationalXi, UnitValue, sphere_integrate
+from wres.symbols import spin_model
 
 from references import reduce_unit_norm
 
@@ -100,6 +101,28 @@ def test_vanishing_scenarios():
 def test_all_scenarios_pass_their_checks():
     for key in registered_scenarios():
         assert phi_total(get_scenario(*key)).all_pass
+
+
+FOLIATION_KEYS = [(4, 1, 1), (6, 2, 2), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("key", FOLIATION_KEYS, ids=lambda key: "dim{}-powers{}{}".format(*key))
+def test_every_signature_checks_the_values_per_unit_trace(key):
+    # each signature (p, q) of the key's dimension passes the registered
+    # checks rescaled to its trace dimension; independently of that
+    # rescaling, each case value per unit trace is the spin model's
+    n = key[0]
+    spin = copy.copy(get_scenario(*key))
+    spin.model = spin_model(n, 4)
+    per_trace = {spin.labels[c]: eval_case(spin, c) / 4 for c in spin.cases()}
+    for q in range(1, n + 1):
+        scenario = get_scenario(*key, p=n - q, q=q)
+        assert scenario.name.endswith(f"-sig{n - q}.{q}")
+        report = phi_total(scenario)
+        assert report.all_pass, [c for c in report.checks if not c["pass"]]
+        assert len(report.checks) == len(scenario.expected_cases) + 1
+        tdim = scenario.model.total_dim
+        assert {label: v / tdim for label, _, v in report.cases} == per_trace
 
 
 def test_normal_derivative_dependence():

@@ -67,12 +67,19 @@ def test_verify_boundary_unregistered(capsys):
 
 
 def test_verify_boundary_signature_override(tmp_path):
+    # the row's own signature reproduces the registered report: its cases,
+    # total and checks; only the inputs say that a signature was given
     out = tmp_path / "ext.json"
     assert run(["verify-boundary", "--dim", "4", "--powers", "1,1",
                 "--p", "2", "--q", "2", "--json", str(out)]) == 0
     doc = read(out)
-    assert doc["inputs"]["extrapolation"] is True
-    assert doc["checks"] == []
+    assert doc["inputs"].pop("extrapolation") is True
+    assert doc["inputs"].pop("scenario") == "dim4-powers11-sig2.2"
+    assert run(["verify-boundary", "--dim", "4", "--powers", "1,1", "--json", str(out)]) == 0
+    registered = read(out)
+    assert registered["inputs"].pop("extrapolation") is False
+    assert registered["inputs"].pop("scenario") == "dim4-powers11"
+    assert doc == registered
     assert run(["verify-boundary", "--dim", "4", "--powers", "1,1",
                 "--p", "3", "--q", "3", "--json", str(out)]) == 2
 
@@ -100,12 +107,12 @@ def test_extrapolation_matches_reference(dim, powers, p, q, capsys):
     assert capsys.readouterr().out.encode() == reference
 
 
-def test_extrapolation_claims_no_checks(capsys):
-    # the timing line of an extrapolation names no passed checks; a
-    # registered scenario's says its checks pass
+def test_extrapolation_status_reads_its_checks(capsys):
+    # an extrapolation checks the registered values per unit trace, so its
+    # timing line says its checks pass, as a registered scenario's does
     assert run(_extrapolation_argv(6, "2,2", 0, 6)) == 0
     err = capsys.readouterr().err
-    assert err.startswith("# scenario dim6-powers22-sig0.6: 5 cases, no checks (extrapolation) (")
+    assert err.startswith("# scenario dim6-powers22-sig0.6: 5 cases, all checks pass (")
     assert run(["verify-boundary", "--dim", "6", "--powers", "2,2"]) == 0
     err = capsys.readouterr().err
     assert err.startswith("# scenario dim6-powers22: 5 cases, all checks pass (")
@@ -282,6 +289,14 @@ RW_EXP = ["rw", "--f", "exp(t)", "--interval", "0,1"]
                  None, {}, 2, "signature", id="verify-p-negative"),
     pytest.param(["verify-boundary", "--dim", "6", "--powers", "2,2", "--p", "7", "--q", "-1"],
                  None, {}, 2, "signature", id="verify-q-negative"),
+    # a spin model has one generator family and so no (p, q); a p that does
+    # not fit the dimension is rejected before a model that large is built
+    pytest.param(["verify-boundary", "--dim", "5", "--powers", "2,1", "--p", "1"], None, {}, 2,
+                 "error: signature override not supported for this scenario\n",
+                 id="verify-spin-signature"),
+    pytest.param(["verify-boundary", "--dim", "4", "--powers", "1,1", "--p", "1000000000"],
+                 None, {}, 2, "error: signature (1000000000,2) does not match dimension 4\n",
+                 id="verify-p-huge"),
     pytest.param(["rw", "--f", "exp(exp(exp(t)))", "--interval", "0,3"], None, {}, 2,
                  "floating-point range", id="rw-warp-overflow"),
     pytest.param(RW_EXP + ["--lambda", "1e200"], None, {}, 2, "floating-point range",
@@ -371,8 +386,8 @@ def test_exit_contract(argv, config, env, code, message, tmp_path):
 def _wrong_expected_total(monkeypatch):
     real = boundary.get_scenario
 
-    def wrong(*key):
-        scenario = copy.copy(real(*key))
+    def wrong(*args):
+        scenario = copy.copy(real(*args))
         scenario.expected_total = UnitValue(7)
         return scenario
     monkeypatch.setattr(boundary, "get_scenario", wrong)
@@ -389,6 +404,8 @@ def _far_apart_gauss_legendre(monkeypatch):
 @pytest.mark.parametrize("argv,force_failure", [
     pytest.param(["verify-boundary", "--dim", "3", "--powers", "1,1"], _wrong_expected_total,
                  id="verify-boundary-wrong-total"),
+    pytest.param(_extrapolation_argv(4, "1,1", 1, 3), _wrong_expected_total,
+                 id="verify-boundary-extrapolation-wrong-total"),
     pytest.param(["oracle", "--seed", "7", "--count", "3"], _negative_jet_tolerance,
                  id="oracle-negative-jet-tolerance"),
     pytest.param(RW_EXP, _far_apart_gauss_legendre, id="rw-not-converged"),

@@ -440,7 +440,8 @@ def test_panel_integrand_equals_evaluate_bit_for_bit():
         tables = {}
         for mp in range(5):
             for mm in range(5):
-                coeffs = [GaussianRational(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
+                coeffs = [GaussianRational(Fraction(rng.randint(-5, 5)),
+                                           Fraction(rng.randint(-5, 5)))
                           for _ in range(rng.randint(1, mp + mm + 1))]
                 f = RationalXi(coeffs, mp, mm)
                 assert (f.mp, f.mm) == (mp, mm)
@@ -448,8 +449,8 @@ def test_panel_integrand_equals_evaluate_bit_for_bit():
                 for nodes in rng.sample(panels, len(panels)):
                     for x, v in zip(nodes, values(nodes)):
                         want = evaluate_rational(f, x)
-                        assert (v.real.hex(), v.imag.hex()) == (want.real.hex(), want.imag.hex()), \
-                            (seed, mp, mm, x)
+                        assert ((v.real.hex(), v.imag.hex())
+                                == (want.real.hex(), want.imag.hex())), (seed, mp, mm, x)
         assert len(tables) == 63
 
 
