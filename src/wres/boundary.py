@@ -78,16 +78,20 @@ class Scenario:
     """A registered boundary computation with its expected closed forms.
 
     The registry key (n, p1, p2) gives the name, the dimension and the powers.
-    The case labels are aI/aII/aIII for the leading orders (r, l) = (-p1, -p2)
-    (tangential, x_n- and xi_n-derivative), b for the orders ``b`` and c for
-    the rest; a scenario with ``b`` None has one case, "main".  Each expected
-    case must name a label that some case carries, and every scenario
-    expects a total.  ``get_scenario`` builds each scenario, and names one
-    run on a requested signature with a ``-sig{p}.{q}`` suffix.
+    A case value is its integrated trace per unit trace times ``factor``:
+    the trace dimension T (``total_dim``, None for the unit l~2^q), pi, dx'
+    and the cosphere measure, the ``sphere_unit`` label or, for None,
+    vol(S^{n-2}) in pi.  The case labels are aI/aII/aIII for the leading
+    orders (r, l) = (-p1, -p2) (tangential, x_n- and xi_n-derivative), b for
+    the orders ``b`` and c for the rest; a scenario with ``b`` None has one
+    case, "main".  Each expected case must name a label that some case
+    carries, and every scenario expects a total.  ``get_scenario`` builds
+    each scenario, and names one run on a requested signature with a
+    ``-sig{p}.{q}`` suffix.
     """
 
     def __init__(self, key: tuple[int, int, int], b: tuple[int, int] | None,
-                 model: BoundaryModel, sphere_unit: str | None,
+                 model: BoundaryModel, total_dim: int | None, sphere_unit: str | None,
                  expected_cases: dict[str, tuple[UnitValue, str]],
                  expected_total: UnitValue, igrb: UnitValue | None):
         n, p1, p2 = key
@@ -95,7 +99,8 @@ class Scenario:
         if model.n != n:
             raise ValueError(f"scenario {self.name} has a model of dimension {model.n}")
         self.n, self.powers, self.model = n, (p1, p2), model
-        self.sphere_unit = sphere_unit  # opaque measure label, or None to expand in pi
+        measure = sphere_measure(n - 1) if sphere_unit is None else UnitValue.unit(sphere_unit)
+        self.factor = UnitValue.trace_dim(total_dim) * UnitValue(1, {U_PI: 1, U_DX: 1}) * measure
         self.labels = {}
         for c in self.cases():
             if b is None:
@@ -121,22 +126,22 @@ class PlaceholderLeak(RuntimeError):
 
 
 def _poly_to_unitvalue(poly: ScalarPoly) -> UnitValue:
-    """Convert a reduced coefficient polynomial (in h'(0) and the formal trace
-    dimension only) to an exact UnitValue."""
+    """Convert a reduced coefficient polynomial (in h'(0) only) to an exact
+    UnitValue."""
     if poly.is_zero():
         return UnitValue.zero()
     if len(poly.terms) != 1:
         raise PlaceholderLeak(f"non-monomial case value: {poly!r}")
     (mono, coeff), = poly.terms.items()
     for name, _ in mono:
-        if name not in (U_H1, U_TDIM):
+        if name != U_H1:
             raise PlaceholderLeak(f"symbol {name!r} survived to a final value")
     return UnitValue(coeff, dict(mono))
 
 
 def eval_case(scenario: Scenario, case: CaseIndex) -> UnitValue:
-    """Exact value of one boundary case: trace, cosphere moment, conormal
-    line integral, prefactor, carried as coefficient times unit word.
+    """Exact value of one boundary case: trace per unit trace, cosphere moment,
+    line integral and prefactor, times the scenario's factor, as a UnitValue.
 
     The cosphere integral itself imposes |xi'| = 1, so the trace
     coefficients are integrated as they come, and the normal-coordinate
@@ -150,19 +155,11 @@ def eval_case(scenario: Scenario, case: CaseIndex) -> UnitValue:
     f1 = symbol_jet(model, p1, case.r).component(case.j).pi_plus().dxi(case.k)
     f2 = symbol_jet(model, p2, case.l).component(case.k).dxi(case.j + 1)
 
-    tr = trace_product(f1, f2, model.total_dim)
+    tr = trace_product(f1, f2)
     m = model.n - 1  # cosphere lives in R^{n-1}
     moments = tr.map_coeffs(lambda p: model.reduce_coeff(sphere_integrate(p, model.coords, m)))
     pi_coeff = moments.integrate_pi_coefficient()
-    value = _poly_to_unitvalue(pi_coeff * case_prefactor(case, scenario.n))
-    if value.is_zero():
-        return value
-    value = value * UnitValue.unit(U_PI) * UnitValue.unit(U_DX)
-    if scenario.sphere_unit is None:
-        value = value * sphere_measure(m)
-    else:
-        value = value * UnitValue.unit(scenario.sphere_unit)
-    return value
+    return _poly_to_unitvalue(pi_coeff * case_prefactor(case, scenario.n)) * scenario.factor
 
 
 class BoundaryReport:
@@ -210,9 +207,10 @@ def phi_total(scenario: Scenario) -> BoundaryReport:
 @cache
 def _table() -> dict:
     """The registered scenarios in report order, keyed by (n, p1, p2): b
-    orders, model (built with its scenario), cosphere label, expected cases,
-    expected total and I_Gr,b in h'(0) Vol units.  Built at the first lookup."""
-    zero, tdim = UnitValue.zero(), ScalarPoly.symbol(U_TDIM)
+    orders, model (built with its scenario), trace dimension T (None for the
+    unit l~2^q), cosphere label, expected cases, expected total and I_Gr,b
+    in h'(0) Vol units.  Built at the first lookup."""
+    zero = UnitValue.zero()
 
     def paper(n, unit, *values):
         # the vanishing aI, then aII, aIII, b and c of the paper's dim-n table
@@ -224,30 +222,30 @@ def _table() -> dict:
         return {label: (zero, "odd traces vanish") for label in labels}
 
     return {
-        (4, 1, 1): ((-2, -1), lambda: foliation_model(2, 2, 8), "Omega3",
+        (4, 1, 1): ((-2, -1), lambda: foliation_model(2, 2), 8, "Omega3",
                     paper(4, {U_PI: 1, U_H1: 1, "Omega3": 1, U_DX: 1},
                           *(Fraction(k, 4) for k in (-3, 3, 3, -3))),
                     zero, UnitValue(-3, {U_H1: 1, U_VOL: 1})),
-        (6, 2, 2): ((-2, -3), lambda: foliation_model(2, 4, tdim), "Omega4",
+        (6, 2, 2): ((-2, -3), lambda: foliation_model(2, 4), None, "Omega4",
                     paper(6, {U_TDIM: 1, U_PI: 1, U_H1: 1, "Omega4": 1, U_DX: 1},
                           *(Fraction(k, 64) for k in (-5, 5, -15, 15))),
                     zero, UnitValue(-5, {U_PI: 1, U_H1: 1, U_VOL: 1})),
         # no cosphere label: the circle measure expands to a pure pi power
-        (3, 1, 1): (None, lambda: spin_model(3, 4), None, {},
+        (3, 1, 1): (None, lambda: spin_model(3), 4, None, {},
                     UnitValue(GaussianRational(0, 2), {U_PI: 2, U_VOL: 1}), None),
-        (5, 2, 2): (None, lambda: foliation_model(1, 4, tdim), "Omega3", {},
+        (5, 2, 2): (None, lambda: foliation_model(1, 4), None, "Omega3", {},
                     UnitValue(GaussianRational(0, Fraction(1, 8)),
                               {U_PI: 1, U_TDIM: 1, "Omega3": 1, U_VOL: 1}), None),
-        (5, 2, 1): ((-2, -2), lambda: spin_model(5, 4), "Omega3",
+        (5, 2, 1): ((-2, -2), lambda: spin_model(5), 4, "Omega3",
                     odd("aI", "aII", "aIII", "b", "c"), zero, UnitValue(-4, {U_H1: 1, U_VOL: 1})),
-        (4, 2, 1): (None, lambda: spin_model(4, 4), "Omega3", odd("main"), zero, None),
+        (4, 2, 1): (None, lambda: spin_model(4), 4, "Omega3", odd("main"), zero, None),
     }
 
 
 @cache
 def _registered(key: tuple[int, int, int]) -> Scenario:
-    b, model, sphere_unit, expected_cases, expected_total, igrb = _table()[key]
-    return Scenario(key, b, model(), sphere_unit, expected_cases, expected_total, igrb)
+    b, model, *rest = _table()[key]
+    return Scenario(key, b, model(), *rest)
 
 
 def get_scenario(n: int, p1: int, p2: int, p: int | None = None,
@@ -270,10 +268,10 @@ def get_scenario(n: int, p1: int, p2: int, p: int | None = None,
         raise ValueError(f"signature ({p},{q}) needs p >= 0 and q >= 1")
     if p + q != n:
         raise ValueError(f"signature ({p},{q}) does not match dimension {n}")
+    b, _, total_dim, sphere_unit, expected_cases, expected_total, igrb = _table()[key]
     tdim = AlgebraSignature(p, q).total_dim
-    scale = UnitValue(tdim) / _poly_to_unitvalue(ScalarPoly.one() * registered.model.total_dim)
-    b, _, sphere_unit, expected_cases, expected_total, igrb = _table()[key]
-    scenario = Scenario(key, b, foliation_model(p, q, tdim), sphere_unit,
+    scale = UnitValue.trace_dim(tdim) / UnitValue.trace_dim(total_dim)
+    scenario = Scenario(key, b, foliation_model(p, q), tdim, sphere_unit,
                         {label: (v * scale, note) for label, (v, note) in expected_cases.items()},
                         expected_total * scale, igrb)
     scenario.name += f"-sig{p}.{q}"

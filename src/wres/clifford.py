@@ -2,11 +2,11 @@
 
 Three families for the sub-Dirac setting: c(f_i) and c(h_s) square to -1,
 the hatted actions square to +1; all distinct generators anticommute.  The
-trace functional is totalDim times the identity-word coefficient, which makes
-every nonempty canonical word traceless.  The oracle that checks the normal
-ordering is a Jordan-Wigner representation by exact monomial matrices: each
-word acts as a signed permutation with entries in {0, +-1, +-i}, kept as a
-column and a power of i per row in plain ints.
+trace functional, per unit trace, is the identity-word coefficient, which
+makes every nonempty canonical word traceless.  The oracle that checks the
+normal ordering is a Jordan-Wigner representation by exact monomial
+matrices: each word acts as a signed permutation with entries in
+{0, +-1, +-i}, kept as a column and a power of i per row in plain ints.
 """
 
 from __future__ import annotations
@@ -168,9 +168,9 @@ class CliffordElement:
     def map_coeffs(self, fn) -> "CliffordElement":
         return CliffordElement(self.algebra, {w: fn(c) for w, c in self.terms.items()})
 
-    def trace(self, total_dim):
-        """totalDim times the identity-word coefficient."""
-        return self.terms.get((), ScalarPoly.zero()) * total_dim
+    def trace(self):
+        """The trace per unit trace: the identity-word coefficient."""
+        return self.terms.get((), ScalarPoly.zero())
 
     def dxi(self, order: int = 1) -> "CliffordElement":
         """d/dxi of every RationalXi coefficient."""

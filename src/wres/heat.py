@@ -21,7 +21,6 @@ from typing import Callable
 from .clifford import AlgebraSignature, CliffordElement, normalize, sub_dirac_algebra
 from .symbolic import (
     U_PI,
-    U_TDIM,
     ScalarPoly,
     UnitValue,
     antisymmetric_symbol,
@@ -197,7 +196,7 @@ def _assemble(data, n: int, total_dim, entries) -> list[UnitValue]:
     """T (4 pi)^{-(n - k mod 2)/2} prefactor (interior bracket vol + boundary
     bracket bvol) for each (k, TableEntry) of ``entries``, T being ``total_dim``
     or, for None, the unit l~2^q; ``data`` holds vol, bvol and the invariants."""
-    tdim = UnitValue.unit(U_TDIM) if total_dim is None else UnitValue(_fr(total_dim))
+    tdim = UnitValue.trace_dim(total_dim)
     out = []
     for k, entry in entries:
         value = (bracket(entry.interior, data, False) * data.vol

@@ -649,7 +649,7 @@ def _inv_binomial_series(b: int, order: int):
 # ---------------------------------------------------------------------------
 
 U_PI = "pi"
-U_TDIM = "l~2^q"  # the formal trace dimension l~ 2^q
+U_TDIM = "l~2^q"  # the unit of a formal trace dimension l~ 2^q
 U_H1 = "h'(0)"  # the normal metric derivative at the boundary point
 
 # numeric values of the units (lossy rendering only); every other unit, the
@@ -697,6 +697,12 @@ class UnitValue:
     @classmethod
     def unit(cls, name: str):
         return cls(1, {name: Fraction(1)})
+
+    @classmethod
+    def trace_dim(cls, total_dim):
+        """The trace dimension T as the factor of a value computed per unit
+        trace: the number, or for None the unit l~2^q."""
+        return cls.unit(U_TDIM) if total_dim is None else cls(Fraction(total_dim))
 
     def is_zero(self):
         return self.coeff.is_zero()

@@ -22,7 +22,6 @@ from .symbolic import (
     GaussianRational,
     RationalXi,
     ScalarPoly,
-    _as_poly,
     antisymmetric_symbol,
 )
 
@@ -66,10 +65,10 @@ class Jet(NamedTuple):
         return Jet(self.val * c, None if self.dxn is None else self.dxn * c)
 
 
-def trace_product(e1: CliffordElement, e2: CliffordElement, total_dim) -> RationalXi:
-    """trace(e1 * e2) without building the full product element.  Canonical words
-    hold distinct sorted generators, so w1 * w2 is a scalar exactly when w1 == w2."""
-    td = _as_poly(total_dim)
+def trace_product(e1: CliffordElement, e2: CliffordElement) -> RationalXi:
+    """trace(e1 * e2) per unit trace, without building the full product
+    element.  Canonical words hold distinct sorted generators, so w1 * w2 is
+    a scalar exactly when w1 == w2."""
     alg = e1.algebra
     acc = RationalXi.zero()
     for w, c1 in e1.terms.items():
@@ -77,7 +76,7 @@ def trace_product(e1: CliffordElement, e2: CliffordElement, total_dim) -> Ration
         if c2 is not None:
             x = c1 * c2
             acc = acc + (x if alg.normalize_word(w + w)[0] > 0 else -x)
-    return acc * td
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -90,16 +89,14 @@ class BoundaryModel:
     The frame is the algebra's unhatted generators in order: the last one is
     the conormal c(dx_n), and each other one is tangential, paired with its
     cosphere coordinate, a<i> in the first family and b<i> in the second.
-    ``total_dim`` may be an integer or a formal symbol (ScalarPoly).
     """
 
-    def __init__(self, algebra: Algebra, total_dim):
+    def __init__(self, algebra: Algebra):
         self.algebra = algebra
         self.frame = [g for g in algebra.gens() if algebra.square(g) < 0]
         *self.tangential, self.normal = self.frame
         self.n = len(self.frame)
         self.coords = [f"{'ab'[family]}{i + 1}" for family, i in self.tangential]
-        self.total_dim = total_dim  # int | ScalarPoly
         self._jets = {}  # symbol_jet memo
         self._subs = self._normal_coordinate_table()
 
@@ -183,15 +180,15 @@ class BoundaryModel:
         return Jet(val, dxn)
 
 
-def foliation_model(p: int, q: int, total_dim) -> BoundaryModel:
+def foliation_model(p: int, q: int) -> BoundaryModel:
     """Sub-Dirac collar model: dx_n = h_q*, tangential f_1..f_p, h_1..h_{q-1}."""
     if q < 1:
         raise ValueError("foliation model needs q >= 1 (dx_n lies in the perp factor)")
-    return BoundaryModel(sub_dirac_algebra(p, q), total_dim)
+    return BoundaryModel(sub_dirac_algebra(p, q))
 
 
-def spin_model(n: int, total_dim) -> BoundaryModel:
-    return BoundaryModel(spin_algebra(n), total_dim)
+def spin_model(n: int) -> BoundaryModel:
+    return BoundaryModel(spin_algebra(n))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from wres import quadpack
 from wres.clifford import Algebra, AlgebraSignature
 from wres.heat import R_M, _TRACES, _rfperp_components, lichnerowicz_E
-from wres.symbolic import GR_I, RationalXi, ScalarPoly, _as_poly, antisymmetric_symbol
+from wres.symbolic import GR_I, RationalXi, ScalarPoly, antisymmetric_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -109,31 +109,27 @@ def rfperp_norm_sq(sig: AlgebraSignature) -> ScalarPoly:
     return out
 
 
-def endomorphism_traces(sig: AlgebraSignature, total_dim=None) -> dict:
-    """tr E and tr E^2 derived symbolically, with the closed forms that
-    ``heat._TRACES`` gives them."""
-    td = _as_poly(total_dim if total_dim is not None else sig.total_dim)
+def endomorphism_traces(sig: AlgebraSignature) -> dict:
+    """tr E and tr E^2 per unit trace, derived symbolically, with the closed
+    forms that ``heat._TRACES`` gives them."""
     minus_e = lichnerowicz_E(sig)
-    tr_e = (-minus_e).trace(td)
-    tr_e2 = (minus_e * minus_e).trace(td)
     r = ScalarPoly.symbol(R_M)
     tr = _TRACES["E2"]
     return {
-        "tr_E": tr_e,
-        "tr_E_expected": td * r * _TRACES["E"]["r"],
-        "tr_E2": tr_e2,
-        "tr_E2_expected": td * (r * r * tr["r2"] + rfperp_norm_sq(sig) * tr["rfperp2"]),
+        "tr_E": (-minus_e).trace(),
+        "tr_E_expected": r * _TRACES["E"]["r"],
+        "tr_E2": (minus_e * minus_e).trace(),
+        "tr_E2_expected": r * r * tr["r2"] + rfperp_norm_sq(sig) * tr["rfperp2"],
     }
 
 
-def omega_squared_trace(n: int, q: int, total_dim=None) -> dict:
-    """tr(Omega_ij Omega_ij) on the twisted module, derived and as
-    ``heat._TRACES`` gives it.
+def omega_squared_trace(n: int, q: int) -> dict:
+    """tr(Omega_ij Omega_ij) per unit trace on the twisted module, derived and
+    as ``heat._TRACES`` gives it.
 
     Omega_ij = -(1/4) R^M_{ijkl} c(e_k)c(e_l) - (1/4) <R'(e_i,e_j)h_s,h_t> c'(h_s)c'(h_t).
     """
     alg = Algebra([("e", n, -1), ("s", q, -1)])
-    td = _as_poly(total_dim) if total_dim is not None else ScalarPoly.symbol("T")
 
     def rm(i, j, k, l):
         return antisymmetric_symbol(f"RM_{i}_{j}", k, l)
@@ -157,7 +153,7 @@ def omega_squared_trace(n: int, q: int, total_dim=None) -> dict:
                     if not c.is_zero():
                         om = om + alg.gen((1, s)) * alg.gen((1, t)) * (c * Fraction(-1, 4))
                         rfperp2 = rfperp2 + c ** 2
-            total = total + (om * om).trace(td)
+            total = total + (om * om).trace()
     tr = _TRACES["Omega2"]
     return {"tr_Omega2": total,
-            "tr_Omega2_expected": td * (riem2 * tr["riem2"] + rfperp2 * tr["rfperp2"])}
+            "tr_Omega2_expected": riem2 * tr["riem2"] + rfperp2 * tr["rfperp2"]}

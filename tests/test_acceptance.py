@@ -137,20 +137,20 @@ def test_criterion_6_clifford_traces():
     oracle = run_trace_oracle(seed=606, count=500)
     # the trace identities are asserted exhaustively in the unit suites; spot
     # re-check the model-dependent ones here
-    model = foliation_model(2, 2, 8)
-    td = model.total_dim
+    # per unit trace
+    model = foliation_model(2, 2)
     Cp, N = model.c_xi_prime(), model.c_dxn()
     dCp = model.c_xi_prime_jet().dxn
-    t1 = trace_product(Cp, N, td).is_zero()
-    t2 = trace_product(N, N, td) == RationalXi.const(-8)
-    cp2 = trace_product(Cp, Cp, td)
+    t1 = trace_product(Cp, N).is_zero()
+    t2 = trace_product(N, N) == RationalXi.const(-1)
+    cp2 = trace_product(Cp, Cp)
     on_cosphere = lambda p: reduce_unit_norm(model.reduce_coeff(p), model.coords)
-    t3 = len(cp2.num) == 1 and on_cosphere(cp2.num[0]) == -8
-    t4 = trace_product(dCp, N, td).is_zero()
+    t3 = len(cp2.num) == 1 and on_cosphere(cp2.num[0]) == -1
+    t4 = trace_product(dCp, N).is_zero()
     from wres.symbols import h1_poly
-    t5_val = trace_product(dCp, Cp, td)
+    t5_val = trace_product(dCp, Cp)
     t5 = (len(t5_val.num) == 1 and
-          on_cosphere(t5_val.num[0]) == h1_poly() * (-4))
+          on_cosphere(t5_val.num[0]) == h1_poly() * Fraction(-1, 2))
     report("criterion 6", oracle["pass"] and t1 and t2 and t3 and t4 and t5,
            f"trace identities exact; 500 random words vs Jordan-Wigner matrices "
            f"({oracle['failures']} failures)")

@@ -4,6 +4,7 @@ leftover-term functionals, and the trace-path swap oracle."""
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -110,19 +111,19 @@ FOLIATION_KEYS = [(4, 1, 1), (6, 2, 2), (5, 2, 2)]
 def test_every_signature_checks_the_values_per_unit_trace(key):
     # each signature (p, q) of the key's dimension passes the registered
     # checks rescaled to its trace dimension; independently of that
-    # rescaling, each case value per unit trace is the spin model's
+    # rescaling, each case value per unit trace (over its scenario's factor,
+    # T pi dx' times the cosphere measure) is the spin model's
     n = key[0]
     spin = copy.copy(get_scenario(*key))
-    spin.model = spin_model(n, 4)
-    per_trace = {spin.labels[c]: eval_case(spin, c) / 4 for c in spin.cases()}
+    spin.model = spin_model(n)
+    per_trace = {spin.labels[c]: eval_case(spin, c) / spin.factor for c in spin.cases()}
     for q in range(1, n + 1):
         scenario = get_scenario(*key, p=n - q, q=q)
         assert scenario.name.endswith(f"-sig{n - q}.{q}")
         report = phi_total(scenario)
         assert report.all_pass, [c for c in report.checks if not c["pass"]]
         assert len(report.checks) == len(scenario.expected_cases) + 1
-        tdim = scenario.model.total_dim
-        assert {label: v / tdim for label, _, v in report.cases} == per_trace
+        assert {label: v / scenario.factor for label, _, v in report.cases} == per_trace
 
 
 def test_normal_derivative_dependence():
@@ -162,8 +163,8 @@ def test_expected_case_must_name_a_case_label():
     scenario = get_scenario(4, 1, 1)
     expected_cases = dict(scenario.expected_cases, AII=(UnitValue(99), "typo"))
     with pytest.raises(ValueError, match="dim4-powers11 has no case labelled 'AII'"):
-        Scenario(key=(4, 1, 1), b=(-2, -1), model=scenario.model,
-                 sphere_unit=scenario.sphere_unit, expected_cases=expected_cases,
+        Scenario(key=(4, 1, 1), b=(-2, -1), model=scenario.model, total_dim=8,
+                 sphere_unit="Omega3", expected_cases=expected_cases,
                  expected_total=scenario.expected_total, igrb=scenario.igrb)
 
 
@@ -216,8 +217,10 @@ def test_res_partial_kinds_share_their_scenarios():
 
 def _eval_case_with_matrix_trace(scenario, case) -> UnitValue:
     """Trace-path swap: word traces through the Jordan-Wigner matrix oracle,
-    reduced modulo the cosphere constraint before the sphere integral."""
-    from wres.boundary import case_prefactor, _poly_to_unitvalue, U_PI, U_DX
+    reduced modulo the cosphere constraint before the sphere integral, times
+    the trace dimension, pi, dx' and the cosphere measure of the scenario's
+    registry row."""
+    from wres.boundary import case_prefactor, _poly_to_unitvalue, _table, U_PI, U_DX
     from wres.symbolic import sphere_measure
     from wres.symbols import symbol_jet
 
@@ -237,18 +240,22 @@ def _eval_case_with_matrix_trace(scenario, case) -> UnitValue:
             tr = rep.normalized_trace(rep.word_matrix(w1 + w2))
             if not tr.is_zero():
                 acc = acc + c1 * c2 * tr
-    acc = acc * model.total_dim
     acc = acc.map_coeffs(lambda p: reduce_unit_norm(model.reduce_coeff(p), model.coords))
     moments = acc.map_coeffs(lambda p: sphere_integrate(p, model.coords, model.n - 1))
     poly = model.reduce_coeff(moments.integrate_pi_coefficient())
     value = _poly_to_unitvalue(poly * case_prefactor(case, scenario.n))
     if value.is_zero():
         return value
+    _, _, total_dim, sphere_unit, *_ = _table()[(scenario.n, *scenario.powers)]
+    if total_dim is None:
+        value = value * UnitValue.unit("l~2^q")
+    else:
+        value = value * total_dim
     value = value * UnitValue.unit(U_PI) * UnitValue.unit(U_DX)
-    if scenario.sphere_unit is None:
+    if sphere_unit is None:
         value = value * sphere_measure(model.n - 1)
     else:
-        value = value * UnitValue.unit(scenario.sphere_unit)
+        value = value * UnitValue.unit(sphere_unit)
     return value
 
 
@@ -274,10 +281,36 @@ def test_normal_coordinate_contract_is_load_bearing():
     from wres.symbols import foliation_model
 
     scenario = get_scenario(4, 1, 1)
-    broken_model = foliation_model(2, 2, 8)
+    broken_model = foliation_model(2, 2)
     broken_model._subs = {}
     broken = copy.copy(scenario)
     broken.model = broken_model
     case_b = next(c for c in scenario.cases() if scenario.labels[c] == "b")
     with pytest.raises(PlaceholderLeak):
         eval_case(broken, case_b)
+
+
+def test_case_values_admit_only_h1():
+    # traces are per unit trace, so a formal trace dimension inside a reduced
+    # coefficient is a leak like any placeholder; it enters as a factor
+    from wres.boundary import PlaceholderLeak, _poly_to_unitvalue
+    from wres.symbolic import ScalarPoly
+
+    assert _poly_to_unitvalue(ScalarPoly.symbol("h'(0)") * 3) == UnitValue(3, {"h'(0)": 1})
+    with pytest.raises(PlaceholderLeak, match=re.escape("symbol 'l~2^q' survived")):
+        _poly_to_unitvalue(ScalarPoly.symbol("l~2^q"))
+
+
+def test_heat_and_boundary_share_the_trace_dimension_unit():
+    # T = None is the unit l~2^q in both modules, with exponent 1; an integer
+    # T is that number
+    from wres.heat import CurvatureData, interior_coeffs
+
+    heat = interior_coeffs(CurvatureData(r=1), 6)
+    assert heat.a0.powers["l~2^q"] == heat.a2.powers["l~2^q"] == 1
+    scenario = get_scenario(6, 2, 2)
+    case = next(c for c in scenario.cases() if scenario.labels[c] == "aII")
+    assert eval_case(scenario, case).powers["l~2^q"] == 1
+    assert phi_total(scenario).total.is_zero()
+    assert UnitValue.trace_dim(None) == UnitValue.unit("l~2^q")
+    assert UnitValue.trace_dim(8) == 8

@@ -55,89 +55,84 @@ def test_hat_swap():
 def test_single_generator_traceless():
     alg = sub_dirac_algebra(2, 2)
     for g in alg.gens():
-        assert alg.gen(g).trace(8).is_zero()
+        assert alg.gen(g).trace().is_zero()
 
 
 def test_quadratic_traces():
-    # tr[c(f_i) c(f_j)] = -delta * T ; hatted squares give +delta * T
+    # per unit trace: tr[c(f_i) c(f_j)] = -delta ; hatted squares give +delta
     alg = sub_dirac_algebra(3, 3)
-    T = 16
     for i in range(3):
         for j in range(3):
-            tr = (alg.gen((0, i)) * alg.gen((0, j))).trace(T).constant_value()
-            assert tr == -_delta(i, j) * T
-            tr = (alg.gen((2, i)) * alg.gen((2, j))).trace(T).constant_value()
-            assert tr == _delta(i, j) * T
+            tr = (alg.gen((0, i)) * alg.gen((0, j))).trace().constant_value()
+            assert tr == -_delta(i, j)
+            tr = (alg.gen((2, i)) * alg.gen((2, j))).trace().constant_value()
+            assert tr == _delta(i, j)
 
 
 def test_hatted_four_factor_identity():
-    # tr[hc_s hc_t hc_s' hc_t'] = (d_t^s' d_s^t' - d_t^t' d_s^s') * 2^q for t!=s, t'!=s'
+    # per unit trace: tr[hc_s hc_t hc_s' hc_t'] = d_t^s' d_s^t' - d_t^t' d_s^s'
+    # for t!=s, t'!=s'
     q = 3
     alg = Algebra([("H", q, 1)])
-    T = 2 ** q
     for s, t, sp, tp in itertools.product(range(q), repeat=4):
         if s == t or sp == tp:
             continue
-        got = normalize(alg, [(0, s), (0, t), (0, sp), (0, tp)]).trace(T).constant_value()
-        want = (_delta(t, sp) * _delta(s, tp) - _delta(t, tp) * _delta(s, sp)) * T
+        got = normalize(alg, [(0, s), (0, t), (0, sp), (0, tp)]).trace().constant_value()
+        want = _delta(t, sp) * _delta(s, tp) - _delta(t, tp) * _delta(s, sp)
         assert got == want
 
 
 def test_mixed_four_factor_identities():
-    # the mixed-family identities used by the boundary tables
+    # the mixed-family identities used by the boundary tables, per unit trace
     p = q = 2
     alg = sub_dirac_algebra(p, q)
-    T = AlgebraSignature(p, q).total_dim
     for i, j, s, u in itertools.product(range(p), range(p), range(q), range(q)):
         got = (alg.gen((0, i)) * alg.gen((0, j)) * alg.gen((1, s)) * alg.gen((1, u))
-               ).trace(T).constant_value()
-        assert got == _delta(i, j) * _delta(s, u) * T
+               ).trace().constant_value()
+        assert got == _delta(i, j) * _delta(s, u)
     for s, t, i, j in itertools.product(range(q), range(q), range(p), range(p)):
         got = (alg.gen((1, s)) * alg.gen((1, t)) * alg.gen((0, i)) * alg.gen((0, j))
-               ).trace(T).constant_value()
-        assert got == _delta(s, t) * _delta(i, j) * T
-    # tr[c(h_s)(hc hc - c c)(h_r, h_t) c(h_u)] = -(d_r^s d_t^u - d_r^u d_s^t) 2^{p+q}
+               ).trace().constant_value()
+        assert got == _delta(s, t) * _delta(i, j)
+    # tr[c(h_s)(hc hc - c c)(h_r, h_t) c(h_u)] = -(d_r^s d_t^u - d_r^u d_s^t)
     # for r != t (the connection matrix is antisymmetric, so only r != t occurs)
     for s, r, t, u in itertools.product(range(q), repeat=4):
         if r == t:
             continue
         hat = alg.gen((1, s)) * alg.gen((2, r)) * alg.gen((2, t)) * alg.gen((1, u))
         reg = alg.gen((1, s)) * alg.gen((1, r)) * alg.gen((1, t)) * alg.gen((1, u))
-        got = (hat - reg).trace(T).constant_value()
-        assert got == -(_delta(r, s) * _delta(t, u) - _delta(r, u) * _delta(s, t)) * T
+        got = (hat - reg).trace().constant_value()
+        assert got == -(_delta(r, s) * _delta(t, u) - _delta(r, u) * _delta(s, t))
 
 
 def test_four_leaf_factor_identity():
     # tr[c(f_i) c(f_k) c(f_l) c(f_j)]: pairing formula with three deltas
     p = 3
     alg = sub_dirac_algebra(p, 1)
-    T = AlgebraSignature(p, 1).total_dim
     for i, k, l, j in itertools.product(range(p), repeat=4):
         got = (alg.gen((0, i)) * alg.gen((0, k)) * alg.gen((0, l)) * alg.gen((0, j))
-               ).trace(T).constant_value()
+               ).trace().constant_value()
         want = (_delta(i, k) * _delta(l, j) - _delta(i, l) * _delta(k, j)
-                + _delta(i, j) * _delta(k, l)) * T
+                + _delta(i, j) * _delta(k, l))
         assert got == want
 
 
 def test_hat_minus_plain_pair_trace():
-    # tr[hc(h_r) hc(h_t) - c(h_r) c(h_t)] = 2 delta_rt * T
+    # per unit trace: tr[hc(h_r) hc(h_t) - c(h_r) c(h_t)] = 2 delta_rt
     alg = sub_dirac_algebra(1, 2)
-    T = AlgebraSignature(1, 2).total_dim
     for r, t in itertools.product(range(2), repeat=2):
         got = (alg.gen((2, r)) * alg.gen((2, t))
-               - alg.gen((1, r)) * alg.gen((1, t))).trace(T).constant_value()
-        assert got == 2 * _delta(r, t) * T
+               - alg.gen((1, r)) * alg.gen((1, t))).trace().constant_value()
+        assert got == 2 * _delta(r, t)
 
 
 def test_tensor_factorization():
     # a product of a leaf word and a perp word traces to the product of the
     # normalized factor traces
     alg = sub_dirac_algebra(2, 2)
-    T = 8
     wf = alg.gen((0, 0)) * alg.gen((0, 0))   # = -1
     wh = alg.gen((1, 1)) * alg.gen((1, 1))   # = -1
-    assert (wf * wh).trace(T).constant_value() == T  # (-1)(-1) T
+    assert (wf * wh).trace().constant_value() == 1  # (-1)(-1)
 
 
 random_words = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 10_000))
@@ -154,8 +149,7 @@ def test_trace_cyclicity(data):
     gens = alg.gens()
     x = normalize(alg, [rng.choice(gens) for _ in range(rng.randint(1, 5))])
     y = normalize(alg, [rng.choice(gens) for _ in range(rng.randint(1, 5))])
-    T = AlgebraSignature(p, q).total_dim
-    assert (x * y).trace(T) == (y * x).trace(T)
+    assert (x * y).trace() == (y * x).trace()
 
 
 @given(random_words)
@@ -270,9 +264,8 @@ def test_element_traces_against_matrix_oracle():
             elem = elem + w * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         # the matrix oracle takes Gaussian-integer coefficients only
         d = math.lcm(*(c.constant_value().re.denominator for c in elem.terms.values()))
-        sym_tr = elem.trace(sig.total_dim).constant_value()
-        mat_tr = (rep.normalized_trace(rep.element_matrix(elem * d))
-                  * GaussianRational(sig.total_dim))
+        sym_tr = elem.trace().constant_value()
+        mat_tr = rep.normalized_trace(rep.element_matrix(elem * d))
         assert d * sym_tr == mat_tr
 
 
@@ -304,4 +297,4 @@ def test_trace_oracle_names_its_first_failure(monkeypatch):
 def test_spin_algebra_words():
     alg = spin_algebra(3)
     assert normalize(alg, [(0, 0), (0, 0)]) == alg.scalar(-1)
-    assert (alg.gen((0, 0)) * alg.gen((0, 1))).trace(4).is_zero()
+    assert (alg.gen((0, 0)) * alg.gen((0, 1))).trace().is_zero()

@@ -61,13 +61,12 @@ def test_curvature_data_keeps_exact_rationals():
 
 
 def _model_kwargs():
-    return dict(algebra=foliation_model(2, 2, 8).algebra, total_dim=8)
+    return dict(algebra=foliation_model(2, 2).algebra)
 
 
 def _scenario_kwargs():
     scenario = get_scenario(3, 1, 1)
-    return dict(key=(3, 1, 1), b=None, model=scenario.model,
-                sphere_unit=scenario.sphere_unit,
+    return dict(key=(3, 1, 1), b=None, model=scenario.model, total_dim=4, sphere_unit=None,
                 expected_cases=scenario.expected_cases,
                 expected_total=scenario.expected_total, igrb=scenario.igrb)
 
@@ -91,15 +90,16 @@ RECORDS = [
 
 
 # constructor inputs that a record keeps only in derived form: a scenario's
-# key and b orders become its name, n, powers and labels
-DERIVED = {Scenario: {"key", "b"}}
+# key and b orders become its name, n, powers and labels, and its trace
+# dimension and cosphere label its factor
+DERIVED = {Scenario: {"key", "b", "total_dim", "sphere_unit"}}
 
 
 def test_scenario_model_has_the_key_dimension():
     # the key fixes the dimension of the cases and the model that of the
     # cosphere: a dimension-5 model under a dimension-4 key would mix the two
     kwargs = dict(_scenario_kwargs(), key=(4, 1, 1), b=(-2, -1),
-                  model=foliation_model(2, 3, 8))
+                  model=foliation_model(2, 3))
     with pytest.raises(ValueError, match="dim4-powers11 has a model of dimension 5"):
         Scenario(**kwargs)
 

@@ -28,7 +28,7 @@ from references import evaluate_rational, reduce_unit_norm, sigma1_D
 
 @pytest.fixture(scope="module")
 def model():
-    return foliation_model(2, 2, 8)
+    return foliation_model(2, 2)
 
 
 def _zero_connection(expr: CliffordElement, drop_h1=False) -> CliffordElement:
@@ -84,7 +84,7 @@ def test_projected_leading_symbol(model):
 
 
 def test_symbol_jet_is_built_once_per_model():
-    first, second = foliation_model(2, 2, 8), foliation_model(2, 2, 8)
+    first, second = foliation_model(2, 2), foliation_model(2, 2)
     jet = symbol_jet(first, 1, -1)
     assert symbol_jet(first, 1, -1) is jet
     assert jet == sigma_minus1_Dinv(first)
@@ -116,11 +116,11 @@ def test_flat_degenerations(model):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: foliation_model(2, 2, 8),
-    lambda: foliation_model(2, 3, 16),
-    lambda: foliation_model(2, 4, 32),
-    lambda: foliation_model(3, 4, 64),
-    lambda: spin_model(5, 4),
+    lambda: foliation_model(2, 2),
+    lambda: foliation_model(2, 3),
+    lambda: foliation_model(2, 4),
+    lambda: foliation_model(3, 4),
+    lambda: spin_model(5),
 ], ids=["p2q2", "p2q3", "p2q4", "p3q4", "spin5"])
 def test_third_square_symbol_takes_gamma_n_from_the_collar(make):
     # g_ab = delta_ab / h(x_n) on the n-1 tangential directions, h(0) = 1:
@@ -169,8 +169,8 @@ def test_derivative_matches_finite_differences(model):
 def test_trace_product_is_trace_of_product(model):
     a = sigma_minus1_Dinv(model).val
     b = sigma_minus1_Dinv(model).val.dxi()
-    direct = (a * b).trace(model.total_dim)
-    fused = trace_product(a, b, model.total_dim)
+    direct = (a * b).trace()
+    fused = trace_product(a, b)
     assert direct == fused
 
 
@@ -188,13 +188,13 @@ def test_trace_of_sigma0_against_single_generators(model):
     # tr[p0 c(g)] vanishes for every frame generator once the contract holds
     p0 = sigma0_DF(model)
     for g in model.frame:
-        tr = trace_product(p0, model.gen_elem(g), model.total_dim)
+        tr = trace_product(p0, model.gen_elem(g))
         tr = tr.map_coeffs(model.reduce_coeff)
         assert tr.is_zero()
 
 
 def test_spin_model_reuses_builders():
-    m = spin_model(5, 4)
+    m = spin_model(5)
     assert len(m.algebra.families) == 1
     s3 = sigma_minus3_Dsq(m).val
     # scalar part carries Gamma^n = 5/2 h'(0); word parts stay symbolic
@@ -241,22 +241,24 @@ def test_decomposition_traces(model):
 
     b2 = (cxi * N * cxi).map_coeffs(
         lambda c: (c * RationalXi.inv_norm_sq(3) * h1).pi_plus())
-    got = red(trace_product(b2, ds1, 8))
-    # h'(0) (xi^2 - i xi - 4) / ((xi - i)^3 (xi + i)^2)
-    assert got == RationalXi([GaussianRational(-4), -GR_I, GaussianRational(1)], 3, 2) * h1
+    got = red(trace_product(b2, ds1))
+    # per unit trace: h'(0) (xi^2 - i xi - 4) / (8 (xi - i)^3 (xi + i)^2)
+    assert got == (RationalXi([GaussianRational(-4), -GR_I, GaussianRational(1)], 3, 2)
+                   * (h1 * Fraction(1, 8)))
 
     dCp = model.c_xi_prime_jet().dxn
     c2 = ((Cp * N * dCp).map_coeffs(
         lambda c: c * (RationalXi([2, GR_I], 2, 0) * Fraction(-1, 4)))
         + dCp.map_coeffs(lambda c: c * (RationalXi([-GR_I], 2, 0) * Fraction(-1, 4))))
-    got = red(trace_product(c2, ds1, 8))
-    # h'(0) (xi^2 - i xi - 2) / ((xi - i)^3 (xi + i)^2)
-    assert got == RationalXi([GaussianRational(-2), -GR_I, GaussianRational(1)], 3, 2) * h1
+    got = red(trace_product(c2, ds1))
+    # per unit trace: h'(0) (xi^2 - i xi - 2) / (8 (xi - i)^3 (xi + i)^2)
+    assert got == (RationalXi([GaussianRational(-2), -GR_I, GaussianRational(1)], 3, 2)
+                   * (h1 * Fraction(1, 8)))
 
 
 def test_projected_normal_piece_trace(model):
-    # the projected normal-derivative factor against the second xi-derivative:
-    # -8 h'(0) (-2 i xi^2 - xi + i) / ((xi - i)^4 (xi + i)^3)
+    # the projected normal-derivative factor against the second xi-derivative,
+    # per unit trace: -h'(0) (-2 i xi^2 - xi + i) / ((xi - i)^4 (xi + i)^3)
     from wres.symbolic import GaussianRational
     Cp, N = model.c_xi_prime(), model.c_dxn()
     h1 = h1_poly()
@@ -264,9 +266,9 @@ def test_projected_normal_piece_trace(model):
             + (Cp + N * GR_I).map_coeffs(
                 lambda c: c * (RationalXi([1], 2, 0) * Fraction(1, 4))))
     f2 = sigma_minus1_Dinv(model).val.dxi(2)
-    got = trace_product(lead.map_coeffs(lambda c: c * (h1 * GR_I)), f2, 8)
+    got = trace_product(lead.map_coeffs(lambda c: c * (h1 * GR_I)), f2)
     got = got.map_coeffs(lambda p: reduce_unit_norm(p, model.coords))
-    want = RationalXi([GR_I, GaussianRational(-1), GaussianRational(0, -2)], 4, 3) * (h1 * -8)
+    want = RationalXi([GR_I, GaussianRational(-1), GaussianRational(0, -2)], 4, 3) * -h1
     assert got == want
 
 
@@ -299,9 +301,9 @@ def _connection_word_by_products(model, k):
 
 @pytest.mark.parametrize("make", [
     *(lambda key=key: get_scenario(*key).model for key in registered_scenarios()),
-    lambda: foliation_model(3, 3, 16),
-    lambda: foliation_model(1, 5, 32),
-    lambda: foliation_model(0, 6, 64),
+    lambda: foliation_model(3, 3),
+    lambda: foliation_model(1, 5),
+    lambda: foliation_model(0, 6),
 ], ids=[*(f"scenario{n}_{p1}{p2}" for n, p1, p2 in registered_scenarios()),
         "p3q3", "p1q5", "p0q6"])
 def test_connection_word_matches_the_clifford_products(make):

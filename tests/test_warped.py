@@ -727,7 +727,7 @@ def test_model_guards():
         RWModel(1.0, 0.0, parse_warp("1"))
     from wres.symbols import foliation_model
     with pytest.raises(ValueError):
-        foliation_model(3, 0, 8)
+        foliation_model(3, 0)
 
 
 def test_quadrature_node_doubling_invariance():
