@@ -302,15 +302,18 @@ def spectral_moments(cutoff: Callable[[float], float]) -> dict[int, float]:
     """F_k = Gamma(k/2)^{-1} * integral_0^inf cutoff(s) s^{k/2-1} ds for
     k = 4..1, and F_0 = cutoff(0).
 
-    The substitution s = u^2 removes the k = 1 endpoint singularity.
+    The substitution s = u^2, which covers [0, inf) twice as u runs over the
+    line, makes each integral that of cutoff(u^2) |u|^(k-1) over the whole
+    line, for ``quadpack.quad_complex``, and removes the k = 1 endpoint
+    singularity.
     """
-    from .quadpack import quad
+    from .quadpack import quad_complex
 
     out = {0: float(cutoff(0.0))}
     for k in (1, 2, 3, 4):
-        def integrand(u, k=k):
-            return 2.0 * cutoff(u * u) * u ** (k - 1)
-        val, err, _, _ = quad(integrand, 0.0, math.inf, limit=300)
+        def integrand(nodes, k=k):
+            return [float(cutoff(u * u)) * abs(u) ** (k - 1) for u in nodes]
+        (val, err, _, _), _ = quad_complex(integrand, limit=300)
         if not math.isfinite(val) or (abs(val) > 1e-12 and err > 1e-6 * abs(val)):
             raise ValueError(f"non-integrable or ill-conditioned moment F_{k}")
         out[k] = val / math.gamma(k / 2)

@@ -9,14 +9,17 @@ value and error estimate equal, bit for bit, those of the compiled QUADPACK
 behind ``scipy.integrate.quad``.  Where Python would raise on a division by
 zero or an overflowing power, the IEEE value is used, as compiled code gets.
 
-``quad`` integrates over a finite [a, b] or over [a, inf) and calls its
-integrand one scalar point at a time.  ``quad_complex``, the one whole-line
-integrator, integrates a complex-valued integrand and calls it once per
-panel of the 15-point rule, with the tuple of that panel's 30 points, so
-that an integrand can compute a whole panel at once.  dqagie runs once per
-part over panels the two runs share, and bit identity holds per part: each
-equals ``scipy.integrate.quad`` of that part.  Both share one dqk15i
-(``_qk15i``, the sums for one part) and one layout of each panel's points.
+``quad`` integrates a real integrand over a finite [a, b] (dqagse) and
+calls it one scalar point at a time.  ``quad_complex`` integrates over the
+whole line (dqagie): it takes a complex- or real-valued integrand and calls
+it once per panel of the 15-point rule, with the tuple of that panel's 30
+points, so that an integrand can compute a whole panel at once.  dqagie
+runs once per part over panels the two runs share, and bit identity holds
+per part: each equals ``scipy.integrate.quad`` of that part.  A half-line
+integral runs as the whole-line integral of an even integrand g: dqk15i's
+sums g(x) + g(-x) = 2 g(x) are at the half-line rule's points.  The two
+integrators share only the driver ``_qags``, the error estimate
+``_rule_error`` and the Kronrod constants.
 
 The module also holds the 64- and 128-point Gauss-Legendre rules that the
 ``rw`` report's node-doubling check uses.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -228,35 +232,24 @@ class QuadResult(NamedTuple):
 def quad(fn: Callable[[float], float], a: float, b: float, *,
          epsabs: float = 1.49e-8, epsrel: float = 1.49e-8, limit: int = 50) -> QuadResult:
     """Integral of the real-valued ``fn`` over a finite ``[a, b]`` with
-    ``a < b`` (dqagse) or over ``[a, inf)`` (dqagie), as
-    ``scipy.integrate.quad`` computes it, calling ``fn`` one point at a time
-    in the published order; ``quad_complex`` takes the whole line.
+    ``a < b`` (dqagse), as ``scipy.integrate.quad`` computes it, calling
+    ``fn`` one point at a time in the published order; ``quad_complex``
+    takes the infinite ranges.
     """
     a, b = float(a), float(b)
-    if not a < b or a == -math.inf:
-        raise ValueError(f"quad integrates over [a, b] with a < b or [a, inf), not [{a}, {b}]")
-    if b != math.inf:
-        def rule(lo, hi):
-            return _qk21(fn, lo, hi)
-        npts = 21
-    else:
-        # dqk15i's map x = boun + (1-t)/t onto [boun, inf)
-        boun = a
-
-        def rule(lo, hi):
-            panel = _panel(lo, hi)
-            return _qk15i(panel, [float(fn(boun + (1.0 - t) / t)) for t in panel.t])
-        npts = 15
-        a, b = 0.0, 1.0
-    value, abserr, ier, last = _qags(rule, a, b, epsabs, epsrel, limit)
-    return QuadResult(value, abserr, ier, npts * (2 * last - 1) if last else 0)
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"quad integrates over a finite [a, b] with a < b, not [{a}, {b}]")
+    value, abserr, ier, last = _qags(lambda lo, hi: _qk21(fn, lo, hi), a, b,
+                                     epsabs, epsrel, limit)
+    return QuadResult(value, abserr, ier, 21 * (2 * last - 1) if last else 0)
 
 
 def quad_complex(fn: Callable[[tuple[float, ...]], Sequence[complex]], *,
                  epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
                  limit: int = 50) -> tuple[QuadResult, QuadResult]:
-    """Integral of a complex-valued integrand over the whole real line, as
-    one ``QuadResult`` for the real part and one for the imaginary part.
+    """Integral of a complex- or real-valued integrand over the whole real
+    line, as one ``QuadResult`` for the real part and one for the imaginary
+    part (a real integrand's is zero after its first panel).
 
     ``fn`` is called once per panel of the 15-point rule, with the tuple of
     that panel's 30 points in dqk15i's published order (the centre ``x`` and
@@ -377,28 +370,20 @@ class _Panel(NamedTuple):
 
 # dyadic panels recur across integrals, so each is laid out once per process;
 # the bound keeps a long-lived process from growing without end (1.7 KB each)
-_PANELS: dict[tuple[float, float], _Panel] = {}
-_PANELS_MAX = 4096
-
-
+@lru_cache(maxsize=4096)
 def _panel(a, b):
-    panel = _PANELS.get((a, b))
-    if panel is None:
-        centr = 0.5 * (a + b)
-        hlgth = 0.5 * (b - a)
-        t = [centr]
-        for x in _XGK15[:7]:
-            absc = hlgth * x
-            t += (centr - absc, centr + absc)
-        # the map of the whole line: boun = 0.0 and dinf = 1.0
-        x = [0.0 + 1.0 * (1.0 - s) / s for s in t]
-        nodes = [x[0], -x[0]]
-        for j in range(1, 15, 2):
-            nodes += (x[j], x[j + 1], -x[j], -x[j + 1])
-        panel = _Panel(hlgth, tuple(t), tuple(nodes))
-        if len(_PANELS) < _PANELS_MAX:
-            _PANELS[a, b] = panel
-    return panel
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    t = [centr]
+    for x in _XGK15[:7]:
+        absc = hlgth * x
+        t += (centr - absc, centr + absc)
+    # the map of the whole line: boun = 0.0 and dinf = 1.0
+    x = [0.0 + 1.0 * (1.0 - s) / s for s in t]
+    nodes = [x[0], -x[0]]
+    for j in range(1, 15, 2):
+        nodes += (x[j], x[j + 1], -x[j], -x[j + 1])
+    return _Panel(hlgth, tuple(t), tuple(nodes))
 
 
 def _mirror_sums(v):
@@ -413,9 +398,9 @@ def _mirror_sums(v):
 def _qk15i(panel, fvals):
     """dqk15i: the 15-point Kronrod rule on one panel, for one real part.
 
-    ``fvals`` yields the integrand's values at the panel's 15 points t (on
-    the whole line, f(x) + f(-x)); each is divided by t^2 and the sums run
-    in dqk15i's order.  Returns (result, abserr, resabs, resasc).
+    ``fvals`` yields the integrand's sums f(x) + f(-x) at the panel's 15
+    points t; each is divided by t^2 and the sums run in dqk15i's order.
+    Returns (result, abserr, resabs, resasc).
     """
     # no division below meets a zero: dqagie's ier = 4 test stops bisecting
     # before an interval near t = 0 shrinks below about 1e-305

@@ -208,6 +208,15 @@ def test_spectral_moments_gamma_cutoff():
     assert ms[0] == 1.0
 
 
+def test_spectral_moments_keep_their_bits():
+    # the exact moments are all 1; these floats are what dqagie gives, and
+    # rw's spectral_action bytes are built on them
+    ms = spectral_moments(lambda s: math.exp(-s))
+    assert {k: v.hex() for k, v in ms.items()} == {
+        0: "0x1.0000000000000p+0", 1: "0x1.0000000000000p+0", 2: "0x1.0000000000001p+0",
+        3: "0x1.000000000000ap+0", 4: "0x1.0000000000000p+0"}
+
+
 def test_spectral_moments_indicator():
     ms = spectral_moments(lambda s: 1.0 if s <= 1 else 0.0)
     assert abs(ms[4] - 0.5) <= 1e-9          # (1/Gamma(2)) * int_0^1 s ds
